@@ -61,7 +61,6 @@ from .swap_test import (
     fidelity_oracle,
     iterate_snapshot,
     swap_test_exact,
-    swap_test_mixed_exact,
     swap_test_sampled,
 )
 

@@ -26,7 +26,7 @@ from .harness import (
 )
 from .noise import NoiseModelSpec, default_noise_model
 from .prep import Representation
-from .swap_test import FidelityMode
+from .swap_test import OBJECTIVES, FidelityMode
 
 PRESETS = ("zero", "one", "hadamard", "random")
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trials per qubit count (100 default; use 1000 for full scale)")
     run.add_argument("--thresholds", default="0.95,0.99")
     run.add_argument("--max-iters", type=int, default=100)
-    run.add_argument("--objective", choices=["swap", "uhlmann"], default="swap")
+    run.add_argument("--objective", choices=OBJECTIVES, default="swap")
     run.add_argument("--out", required=True, help="output directory")
     _add_mode_flags(run)
 
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--repr", dest="representation",
                      choices=[r.value for r in Representation], default="statevector")
     rec.add_argument("--max-iters", type=int, default=100)
-    rec.add_argument("--objective", choices=["swap", "uhlmann"], default="swap")
+    rec.add_argument("--objective", choices=OBJECTIVES, default="swap")
     rec.add_argument("--store", help="snapshot store directory for the solution")
     rec.add_argument("--label", help="snapshot label (default derived)")
     _add_mode_flags(rec)

@@ -24,6 +24,17 @@ from .sim import PureState, RngStream
 from .swap_test import FidelityMode, fidelity_oracle, score_candidate
 
 
+def check_run_limits(max_iters: int, thresholds, name: str = "max_iters") -> None:
+    """The stopping rule every optimizer shares: >= 1 epoch, thresholds in (0, 1]."""
+    if max_iters < 1:
+        raise ValueError(f"{name} must be >= 1, got {max_iters}")
+    if not thresholds:
+        raise ValueError("at least one threshold is required")
+    for t in thresholds:
+        if not 0.0 < t <= 1.0:
+            raise ValueError(f"thresholds must lie in (0, 1], got {t}")
+
+
 @dataclass(frozen=True)
 class ESParams:
     """Optimizer hyperparameters; defaults are the reference configuration."""
@@ -41,13 +52,7 @@ class ESParams:
             raise ValueError("population must be >= 2 (standardization needs variance)")
         if self.sigma <= 0.0 or self.alpha <= 0.0:
             raise ValueError("sigma and alpha must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.thresholds:
-            raise ValueError("at least one threshold is required")
-        for t in self.thresholds:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"thresholds must lie in (0, 1], got {t}")
+        check_run_limits(self.max_iters, self.thresholds)
         if self.advantage_epsilon <= 0.0:
             raise ValueError("advantage_epsilon must be positive")
 
@@ -65,6 +70,55 @@ class TrialRecord:
     oracle_fidelity: float
     fidelity_trace: list
     wall_time: float
+
+
+class EpochLog:
+    """One trial's bookkeeping, shared by ES and the MLP.
+
+    ``record`` keeps the trace, each threshold's first epoch and the best
+    state, and says whether the reading reached the stop value.  ``finish``
+    re-scores the best state analytically, so the record carries the true
+    reconstruction quality next to the feedback the optimizer saw.
+    """
+
+    def __init__(self, thresholds, stop_at: float):
+        self.start = time.perf_counter()
+        self.stop_at = stop_at
+        self.epochs = {t: None for t in thresholds}
+        self.trace: list[float] = []
+        self.best_f = -np.inf
+        self.best_state = None
+
+    def record(self, epoch: int, f: float, state) -> bool:
+        """Log one 1-based epoch's reading; True when it reaches the stop value."""
+        self.trace.append(f)
+        if f > self.best_f:
+            self.best_f, self.best_state = f, state
+        for t, seen in self.epochs.items():
+            if seen is None and f >= t:
+                self.epochs[t] = epoch
+        return f >= self.stop_at
+
+    def finish(self, target: TargetSpec, representation: Representation,
+               mode: FidelityMode, rng: RngStream, trial_id: int) -> TrialRecord:
+        solution, truth = self.best_state, target.state
+        if isinstance(solution, PureState) and isinstance(truth, PureState):
+            oracle_f = fidelity_oracle(solution, truth)
+        else:
+            rho = solution.density() if isinstance(solution, PureState) else solution
+            sig = truth.density() if isinstance(truth, PureState) else truth
+            oracle_f = uhlmann_fidelity(rho, sig)
+        return TrialRecord(
+            trial_id=trial_id,
+            seed=rng.seed,
+            representation=representation.value,
+            fidelity_mode=mode.label(),
+            epochs_to_threshold=self.epochs,
+            final_fidelity=self.trace[-1],
+            oracle_fidelity=oracle_f,
+            fidelity_trace=self.trace,
+            wall_time=time.perf_counter() - self.start,
+        )
 
 
 def perturb_population(w: np.ndarray, params: ESParams,
@@ -116,33 +170,20 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
 
     Epochs are 1-based.  Each epoch scores the decoded mean w first, so a
     lucky initialization can terminate at epoch 1 with a single-entry
-    trace.  Stochastic modes stop on the sampled estimate; oracle_fidelity
-    re-scores the returned solution analytically, so the record always
-    carries the truthful reconstruction quality alongside the feedback the
-    optimizer actually saw.
+    trace.  Stochastic modes stop on the sampled estimate at the highest
+    threshold; the record comes from the shared EpochLog.
     """
-    start = time.perf_counter()
     n = target.n_qubits
     rep = params.representation
-    top = max(params.thresholds)
+    log = EpochLog(params.thresholds, stop_at=max(params.thresholds))
     w = rng.gen.normal(size=rep.param_length(n))
-    epochs = {t: None for t in params.thresholds}
-    trace: list[float] = []
-    best_f = -np.inf
-    best_state = None
     for epoch in range(1, params.max_iters + 1):
         try:
             state_w, w = _decode_resampling(w, rep, n, rng)
             f_w = score_candidate(state_w, target.state, mode, rng, objective)
         except Exception as exc:
             raise RuntimeError(f"fidelity evaluation failed at epoch {epoch}") from exc
-        trace.append(f_w)
-        if f_w > best_f:
-            best_f, best_state = f_w, state_w
-        for t in params.thresholds:
-            if epochs[t] is None and f_w >= t:
-                epochs[t] = epoch
-        if f_w >= top:
+        if log.record(epoch, f_w, state_w):
             break
         pairs = perturb_population(w, params, rng)
         fids = []
@@ -158,26 +199,4 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
                 ) from exc
         A = standardized_advantages(fids, params.advantage_epsilon)
         w = es_update(w, pairs, A, params)
-    solution = best_state
-    if isinstance(solution, PureState) and isinstance(target.state, PureState):
-        oracle_f = fidelity_oracle(solution, target.state)
-    else:
-        rho = solution.density() if isinstance(solution, PureState) else solution
-        sig = (
-            target.state.density()
-            if isinstance(target.state, PureState)
-            else target.state
-        )
-        oracle_f = uhlmann_fidelity(rho, sig)
-    record = TrialRecord(
-        trial_id=trial_id,
-        seed=rng.seed,
-        representation=rep.value,
-        fidelity_mode=mode.label(),
-        epochs_to_threshold=epochs,
-        final_fidelity=trace[-1],
-        oracle_fidelity=oracle_f,
-        fidelity_trace=trace,
-        wall_time=time.perf_counter() - start,
-    )
-    return solution, record
+    return log.best_state, log.finish(target, rep, mode, rng, trial_id)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import ESParams, TrialRecord, run_es
+from .evolution import ESParams, TrialRecord, check_run_limits, run_es
 from .metrics import EntropyReport, bipartite_entropy
 from .neural import default_config, train_generator
 from .noise import (
@@ -31,7 +31,7 @@ from .noise import (
 )
 from .prep import Representation, TargetSpec, sample_random_state
 from .sim import PureState, RngStream, basis_state, zero_state
-from .swap_test import FidelityMode
+from .swap_test import FidelityMode, check_objective
 
 MIN_QUBITS, MAX_QUBITS = 1, 6
 
@@ -74,6 +74,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_run_limits(self.max_iters, self.thresholds)
+        check_objective(self.objective)
 
     def to_json(self) -> str:
         payload = {
@@ -117,6 +119,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ValueError(f"config missing required field {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ValueError(f"config field of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -173,32 +177,39 @@ def check_timing_budget(budget: TimingBudget, iterations: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _optimize(target: TargetSpec, method: str, representation: Representation,
+              mode: FidelityMode, rng: RngStream, thresholds, max_iters: int,
+              objective: str, trial_id: int = 0):
+    """The one method dispatch: run ES or train the MLP; (solution, record)."""
+    if method == "es":
+        params = ESParams(
+            representation=representation, thresholds=tuple(thresholds),
+            max_iters=max_iters,
+        )
+        return run_es(target, params, mode, rng, trial_id=trial_id, objective=objective)
+    if method == "nn":
+        gen = default_config(
+            target.n_qubits, representation,
+            thresholds=tuple(thresholds), max_epochs=max_iters,
+        )
+        solution, _, record = train_generator(
+            target, gen, mode, rng, representation=representation,
+            trial_id=trial_id, objective=objective,
+        )
+        return solution, record
+    raise ValueError(f"method must be 'es' or 'nn', got {method!r}")
+
+
 def _run_single_trial(config: ExperimentConfig, n_qubits: int, trial_id: int,
                       global_index: int):
     seed = derive_seed(config.base_seed, global_index)
     rng = RngStream(seed)
     target_state = sample_random_state(n_qubits, rng)
     target = TargetSpec(n_qubits=n_qubits, state=target_state, seed=seed)
-    if config.method == "es":
-        params = ESParams(
-            representation=config.representation,
-            thresholds=config.thresholds,
-            max_iters=config.max_iters,
-        )
-        solution, record = run_es(
-            target, params, config.mode, rng, trial_id=trial_id,
-            objective=config.objective,
-        )
-    else:
-        gen = default_config(
-            n_qubits, config.representation,
-            thresholds=config.thresholds, max_epochs=config.max_iters,
-        )
-        solution, _, record = train_generator(
-            target, gen, config.mode, rng,
-            representation=config.representation, trial_id=trial_id,
-            objective=config.objective,
-        )
+    solution, record = _optimize(
+        target, config.method, config.representation, config.mode, rng,
+        config.thresholds, config.max_iters, config.objective, trial_id,
+    )
     return target, solution, record
 
 
@@ -375,25 +386,10 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 store: "SnapshotStore | None" = None, label: str | None = None,
                 objective: str = "swap") -> dict:
     """One reconstruction run; optionally deposits the solution in a store."""
-    mode = mode or FidelityMode.exact()
-    rng = RngStream(seed)
-    if method == "es":
-        params = ESParams(
-            representation=representation, thresholds=tuple(thresholds),
-            max_iters=max_iters,
-        )
-        solution, record = run_es(target, params, mode, rng, objective=objective)
-    elif method == "nn":
-        gen = default_config(
-            target.n_qubits, representation,
-            thresholds=tuple(thresholds), max_epochs=max_iters,
-        )
-        solution, _, record = train_generator(
-            target, gen, mode, rng, representation=representation,
-            objective=objective,
-        )
-    else:
-        raise ValueError(f"method must be 'es' or 'nn', got {method!r}")
+    solution, record = _optimize(
+        target, method, representation, mode or FidelityMode.exact(),
+        RngStream(seed), thresholds, max_iters, objective,
+    )
     stored_as = None
     if store is not None and isinstance(solution, PureState):
         stored_as = label or f"{method}-{representation.value}-seed{seed}"

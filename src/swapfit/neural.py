@@ -7,24 +7,23 @@ symmetric finite differences through the SWAP test (2 * dim extra circuit
 evaluations per epoch), and that output gradient is backpropagated through
 the network analytically.  Adam consumes the result after multiplication
 by a constant scaling factor, which compensates for the tiny magnitude of
-fidelity differences.
+fidelity differences.  Weights, biases, the gradient and both Adam moments
+are each one flat vector with per-layer views.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
-from .evolution import TrialRecord
-from .metrics import uhlmann_fidelity
+from .evolution import EpochLog, TrialRecord, check_run_limits
 from .prep import Representation, TargetSpec
-from .sim import PureState, RngStream
-from .swap_test import FidelityMode, fidelity_oracle, score_candidate
+from .sim import RngStream
+from .swap_test import FidelityMode, score_candidate
 
 N_WEIGHT_LAYERS = 6
 HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
@@ -61,6 +60,7 @@ class GeneratorConfig:
             raise ValueError("scaling_factor must be positive")
         if self.latent_mode not in ("resample", "fixed"):
             raise ValueError(f"unknown latent_mode {self.latent_mode!r}")
+        check_run_limits(self.max_epochs, self.thresholds, "max_epochs")
 
     @property
     def output_dim(self) -> int:
@@ -76,33 +76,56 @@ def default_config(n_qubits: int, representation: Representation,
 
 @dataclass
 class MlpParams:
-    """Weights, biases, and Adam state; shapes follow the config chain."""
+    """Weights and biases in one flat vector theta; Adam moments m, v alike.
 
-    weights: list  # W_k with shape (out_k, in_k)
-    biases: list
-    m_weights: list = field(default_factory=list)
-    m_biases: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    v_biases: list = field(default_factory=list)
+    Layer k occupies the same slice of theta, m and v: W_k row-major, then
+    b_k.  ``weights[k]`` and ``biases[k]`` are views into theta, so a write
+    through either is seen by both.
+    """
+
+    shapes: list  # (out_k, in_k) of each weight layer
+    theta: np.ndarray
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
+    slices: list = field(init=False, repr=False)
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.m_weights:
-            self.m_weights = [np.zeros_like(W) for W in self.weights]
-            self.m_biases = [np.zeros_like(b) for b in self.biases]
-            self.v_weights = [np.zeros_like(W) for W in self.weights]
-            self.v_biases = [np.zeros_like(b) for b in self.biases]
+        self.shapes = [tuple(s) for s in self.shapes]
+        self.slices, size = [], 0
+        for rows, cols in self.shapes:
+            self.slices.append(slice(size, size + rows * cols + rows))
+            size = self.slices[-1].stop
+        if self.m is None:
+            self.m = np.zeros(size)
+        if self.v is None:
+            self.v = np.zeros(size)
+        if any(a.shape != (size,) for a in (self.theta, self.m, self.v)):
+            raise ValueError(f"theta, m and v must each have shape ({size},)")
+        self.weights, self.biases = self.layers(self.theta)
+
+    def layers(self, flat: np.ndarray) -> tuple[list, list]:
+        """Per-layer (weights, biases) views of a vector laid out like theta."""
+        weights, biases = [], []
+        for (rows, cols), sl in zip(self.shapes, self.slices):
+            block = flat[sl]
+            weights.append(block[: rows * cols].reshape(rows, cols))
+            biases.append(block[rows * cols:])
+        return weights, biases
 
 
 def init_mlp(config: GeneratorConfig, rng: RngStream) -> MlpParams:
     """Uniform fan-in initialization: U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
     sizes = (config.latent_dim,) + tuple(config.layer_widths)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.gen.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.gen.uniform(-bound, bound, size=fan_out))
-    return MlpParams(weights=weights, biases=biases)
+    shapes = list(zip(sizes[1:], sizes[:-1]))
+    params = MlpParams(shapes, theta=np.empty(sum(r * c + r for r, c in shapes)))
+    for W, b in zip(params.weights, params.biases):
+        bound = 1.0 / math.sqrt(W.shape[1])
+        W[...] = rng.gen.uniform(-bound, bound, size=W.shape)
+        b[...] = rng.gen.uniform(-bound, bound, size=b.shape)
+    return params
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -163,8 +186,12 @@ def fd_gradient(loss_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 output_gradient: np.ndarray) -> dict:
-    """Reverse-mode chain rule from the raw-output gradient to all parameters."""
+                 output_gradient: np.ndarray) -> np.ndarray:
+    """Reverse-mode chain rule from the raw-output gradient to all parameters.
+
+    Returns one flat gradient laid out like ``params.theta``; each layer's
+    outer product is written straight into its view.
+    """
     if cache is None:
         raise ValueError("mlp_backward requires the ForwardCache from mlp_forward")
     delta = np.asarray(output_gradient, dtype=float)
@@ -173,38 +200,48 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
             f"output gradient shape {delta.shape} does not match "
             f"output width {params.weights[-1].shape[0]}"
         )
+    grad = np.empty_like(params.theta)
+    dW, db = params.layers(grad)
     n_layers = len(params.weights)
-    dW = [None] * n_layers
-    db = [None] * n_layers
     for k in range(n_layers - 1, -1, -1):
         if k < n_layers - 1:
             delta = delta * gelu_grad(cache.pre_activations[k])
-        dW[k] = np.outer(delta, cache.activations[k])
-        db[k] = delta.copy()
+        np.outer(delta, cache.activations[k], out=dW[k])
+        db[k][...] = delta
         if k > 0:
             delta = params.weights[k].T @ delta
-    return {"weights": dW, "biases": db}
+    return grad
 
 
-def adam_step(params: MlpParams, grads: dict, config: GeneratorConfig) -> MlpParams:
-    """In-place Adam update; gradients are scaled by scaling_factor first."""
+def adam_step(params: MlpParams, grads: np.ndarray, config: GeneratorConfig) -> MlpParams:
+    """In-place Adam update; gradients are scaled by scaling_factor first.
+
+    One layer slice at a time, through two layer-sized buffers (g, tmp), so
+    temporaries never reach the size of the whole parameter vector.
+    """
+    if grads.shape != params.theta.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match {params.theta.shape}")
     b1, b2 = config.adam_betas
     lr, eps, s = config.learning_rate, config.adam_epsilon, config.scaling_factor
     params.step += 1
     t = params.step
-    for k in range(len(params.weights)):
-        for p, g, m, v in (
-            (params.weights[k], grads["weights"][k], params.m_weights[k], params.v_weights[k]),
-            (params.biases[k], grads["biases"][k], params.m_biases[k], params.v_biases[k]),
-        ):
-            gs = s * g
-            m *= b1
-            m += (1.0 - b1) * gs
-            v *= b2
-            v += (1.0 - b2) * gs * gs
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for sl in params.slices:
+        p, m, v = params.theta[sl], params.m[sl], params.v[sl]
+        g = s * grads[sl]
+        tmp = (1.0 - b1) * g
+        m *= b1
+        m += tmp
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, 1.0 - b2**t, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, 1.0 - b1**t, out=g)  # m_hat
+        g *= lr
+        g /= tmp
+        p -= g
     return params
 
 
@@ -230,14 +267,10 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             f"config output width {config.output_dim} does not fit "
             f"{representation.value} on {target.n_qubits} qubit(s)"
         )
-    start = time.perf_counter()
+    log = EpochLog(config.thresholds, stop_at=config.stop_threshold)
     params = init_mlp(config, rng)
     fixed_z = rng.gen.random(config.latent_dim)
     n = target.n_qubits
-    epochs = {t: None for t in config.thresholds}
-    trace: list[float] = []
-    best_f = -np.inf
-    best_state = None
 
     def loss_at(raw_vec: np.ndarray) -> float:
         state = representation.decode(raw_vec, n)
@@ -249,44 +282,17 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             raw, cache = mlp_forward(params, z, return_cache=True)
             state = representation.decode(raw, n)
             f = score_candidate(state, target.state, mode, rng, objective)
-            trace.append(f)
-            if f > best_f:
-                best_f, best_state = f, state
-            for t in config.thresholds:
-                if epochs[t] is None and f >= t:
-                    epochs[t] = epoch
-            if f >= config.stop_threshold:
+            if log.record(epoch, f, state):
                 break
             g_out = fd_gradient(loss_at, raw, config.fd_epsilon)
-            grads = mlp_backward(params, cache, g_out)
-            params = adam_step(params, grads, config)
+            # inline, so each epoch's gradient is freed before the next is built
+            params = adam_step(params, mlp_backward(params, cache, g_out), config)
         except RuntimeError:
             raise
         except Exception as exc:
             raise RuntimeError(f"training failed at epoch {epoch}") from exc
-    solution = best_state
-    if isinstance(solution, PureState) and isinstance(target.state, PureState):
-        oracle_f = fidelity_oracle(solution, target.state)
-    else:
-        rho = solution.density() if isinstance(solution, PureState) else solution
-        sig = (
-            target.state.density()
-            if isinstance(target.state, PureState)
-            else target.state
-        )
-        oracle_f = uhlmann_fidelity(rho, sig)
-    record = TrialRecord(
-        trial_id=trial_id,
-        seed=rng.seed,
-        representation=representation.value,
-        fidelity_mode=mode.label(),
-        epochs_to_threshold=epochs,
-        final_fidelity=trace[-1],
-        oracle_fidelity=oracle_f,
-        fidelity_trace=trace,
-        wall_time=time.perf_counter() - start,
-    )
-    return solution, params, record
+    record = log.finish(target, representation, mode, rng, trial_id)
+    return log.best_state, params, record
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +301,15 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
 
 
 def checkpoint_to_json(params: MlpParams) -> str:
-    """JSON snapshot: shapes, row-major values, Adam moments, step counter.
+    """JSON snapshot: layer shapes, the flat theta, m and v, the step counter.
 
     Python's shortest-round-trip float repr makes the load bit-exact.
     """
     payload = {
-        "shapes": [list(W.shape) for W in params.weights],
-        "weights": [W.reshape(-1).tolist() for W in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-        "m_weights": [m.reshape(-1).tolist() for m in params.m_weights],
-        "m_biases": [m.tolist() for m in params.m_biases],
-        "v_weights": [v.reshape(-1).tolist() for v in params.v_weights],
-        "v_biases": [v.tolist() for v in params.v_biases],
+        "shapes": [list(shape) for shape in params.shapes],
+        "theta": params.theta.tolist(),
+        "m": params.m.tolist(),
+        "v": params.v.tolist(),
         "step": params.step,
     }
     return json.dumps(payload)
@@ -314,23 +317,10 @@ def checkpoint_to_json(params: MlpParams) -> str:
 
 def checkpoint_from_json(text: str) -> MlpParams:
     raw = json.loads(text)
-    shapes = [tuple(s) for s in raw["shapes"]]
-
-    def mats(key):
-        return [
-            np.asarray(vals, dtype=float).reshape(shape)
-            for vals, shape in zip(raw[key], shapes)
-        ]
-
-    def vecs(key):
-        return [np.asarray(vals, dtype=float) for vals in raw[key]]
-
     return MlpParams(
-        weights=mats("weights"),
-        biases=vecs("biases"),
-        m_weights=mats("m_weights"),
-        m_biases=vecs("m_biases"),
-        v_weights=mats("v_weights"),
-        v_biases=vecs("v_biases"),
+        shapes=raw["shapes"],
+        theta=np.asarray(raw["theta"], dtype=float),
+        m=np.asarray(raw["m"], dtype=float),
+        v=np.asarray(raw["v"], dtype=float),
         step=int(raw["step"]),
     )

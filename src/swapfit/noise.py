@@ -68,20 +68,10 @@ class KrausChannel:
             acc += K.conj().T @ K
         return float(np.max(np.abs(acc - np.eye(d))))
 
-    def is_identity(self) -> bool:
-        d = 2**self.arity
-        return len(self.operators) == 1 and bool(
-            np.allclose(self.operators[0], np.eye(d), atol=1e-14)
-        )
-
 
 def _prune(ops: list, name: str, arity: int) -> KrausChannel:
     kept = tuple(K for K in ops if np.max(np.abs(K)) > 1e-16)
     return KrausChannel(arity=arity, operators=kept, name=name)
-
-
-def identity_channel(arity: int = 1) -> KrausChannel:
-    return KrausChannel(arity, (np.eye(2**arity, dtype=complex),), name="identity")
 
 
 def bitflip_channel(p: float) -> KrausChannel:
@@ -371,16 +361,6 @@ def default_noise_model() -> NoiseModelSpec:
 
 def noiseless_model() -> NoiseModelSpec:
     return NoiseModelSpec(p_bitflip=0.0, p_dep1=0.0, p_dep2=0.0, t_gate_ns=0.0)
-
-
-def delay_channel(duration_ns: float, model: NoiseModelSpec) -> KrausChannel:
-    """Idle-qubit decay over an explicit duration (experimental).
-
-    A delay instruction performs no rotation, so its noise is thermal
-    relaxation alone, evaluated over the delay duration instead of a gate
-    time.
-    """
-    return thermal_relaxation_channel(model.t1_us, model.t2_us, duration_ns)
 
 
 # ---------------------------------------------------------------------------

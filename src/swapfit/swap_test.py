@@ -260,15 +260,6 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
     )
 
 
-def swap_test_mixed_exact(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr(rho sigma): what the estimator actually converges to on mixed inputs."""
-    if rho.n_qubits != sigma.n_qubits:
-        raise ValueError(
-            f"qubit-count mismatch: {rho.n_qubits} vs {sigma.n_qubits}"
-        )
-    return float(np.real(np.trace(rho.entries @ sigma.entries)))
-
-
 def noisy_floor_estimate(n_qubits: int, noise: NoiseModelSpec) -> float:
     """Expected sampled estimate for identical |0..0> inputs under noise.
 
@@ -388,6 +379,14 @@ class FidelityMode:
         raise ValueError(f"unparseable fidelity mode label {label!r}")
 
 
+OBJECTIVES = ("swap", "uhlmann")
+
+
+def check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+
+
 def score_candidate(candidate, target, mode: FidelityMode,
                     rng: RngStream | None = None, objective: str = "swap") -> float:
     """Fidelity signal for one candidate against the target.
@@ -398,8 +397,7 @@ def score_candidate(candidate, target, mode: FidelityMode,
     Hilbert-Schmidt overlap the circuit would actually report, "uhlmann"
     the proper mixed-state fidelity.
     """
-    if objective not in ("swap", "uhlmann"):
-        raise ValueError(f"unknown objective {objective!r}")
+    check_objective(objective)
     cand_pure = isinstance(candidate, PureState)
     targ_pure = isinstance(target, PureState)
     if cand_pure and targ_pure and objective == "swap":

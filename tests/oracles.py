@@ -181,6 +181,22 @@ def es_update_naive(w, sigma, alpha, perturbations, advantages):
     return out
 
 
+def adam_naive(layers, grads, m, v, t, *, lr, betas, eps, scale):
+    """One Adam step over separate per-layer arrays, updated in place.
+
+    ``layers``, ``grads``, ``m`` and ``v`` are matching lists of arrays;
+    ``t`` is the 1-based step.  Kingma & Ba's update on the scaled gradient.
+    """
+    b1, b2 = betas
+    for p, g, m_k, v_k in zip(layers, grads, m, v):
+        g = scale * np.asarray(g)
+        m_k[...] = b1 * m_k + (1.0 - b1) * g
+        v_k[...] = b2 * v_k + (1.0 - b2) * g**2
+        m_hat = m_k / (1.0 - b1**t)
+        v_hat = v_k / (1.0 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def uhlmann_scipy(rho, sigma):
     """Uhlmann fidelity via scipy's matrix square root, squared convention."""
     root = sqrtm(rho)

@@ -53,7 +53,6 @@ from swapfit.swap_test import (
     fidelity_oracle,
     noisy_circuit_ops,
     swap_test_exact,
-    swap_test_mixed_exact,
 )
 
 
@@ -213,7 +212,7 @@ def test_criterion_06_es_update_closed_form():
 
 def test_criterion_07_maximally_mixed_divergence():
     half = DensityMatrix(1, np.eye(2) / 2.0)
-    overlap = swap_test_mixed_exact(half, half)
+    overlap = hs_overlap(half, half)
     uhl = uhlmann_fidelity(half, half)
     bound = swap_discrimination_bound()
     p0 = (1.0 + overlap) / 2.0

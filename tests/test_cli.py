@@ -33,6 +33,47 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestConfigValidation:
+    """Bad run settings exit 1 at validation time, before any trial runs."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--thresholds", "1.5"],
+        ["--thresholds", "0.95,0"],
+        ["--max-iters", "0"],
+        ["--method", "nn", "--max-iters", "0"],
+    ])
+    def test_bad_run_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "exp"
+        code = main(["run", *flags, "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("objective", "bogus"),
+        ("thresholds", ["0.9"]),
+        ("trials", None),
+    ])
+    def test_bad_config_file_field(self, tmp_path, capsys, field, value):
+        from swapfit.harness import ExperimentConfig
+
+        raw = json.loads(ExperimentConfig(method="es", trials=1, max_iters=5).to_json())
+        raw[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "exp"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_bogus_objective_rejected_at_construction(self):
+        from swapfit.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentConfig(method="nn", objective="bogus")
+
+
 class TestRunCommand:
     def test_tiny_run(self, tmp_path, capsys):
         out = tmp_path / "exp"

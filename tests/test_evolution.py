@@ -1,18 +1,24 @@
 """The population-based optimizer: perturbations, advantages, update, loop."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from swapfit.evolution import (
+    EpochLog,
     ESParams,
     es_update,
     perturb_population,
     run_es,
     standardized_advantages,
 )
+from swapfit.neural import GeneratorConfig, train_generator
 from swapfit.prep import Representation, TargetSpec, sample_random_state
-from swapfit.sim import RngStream
+from swapfit.sim import PureState, RngStream
 from swapfit.swap_test import FidelityMode, fidelity_oracle
 
 
@@ -176,3 +182,77 @@ class TestRunES:
         assert rec.trial_id == 5
         assert rec.fidelity_mode == "exact"
         assert rec.wall_time >= 0.0
+
+
+def assert_log_invariants(trace, epochs, thresholds, stop_at, max_epochs):
+    """What any trial record must say about its own trace."""
+    for t in thresholds:
+        first = next((i for i, f in enumerate(trace, start=1) if f >= t), None)
+        assert epochs[t] == first
+    assert all(f < stop_at for f in trace[:-1])
+    assert trace[-1] >= stop_at or len(trace) == max_epochs
+
+
+FIDELITY = st.floats(0.0, 1.0, allow_nan=False)
+THRESHOLDS = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4, unique=True)
+
+
+class TestEpochLog:
+    @settings(max_examples=200, deadline=None)
+    @given(trace=st.lists(FIDELITY, min_size=1, max_size=30), thresholds=THRESHOLDS,
+           stop=st.one_of(st.none(), FIDELITY))
+    def test_record_and_finish(self, trace, thresholds, stop):
+        """Threshold epochs, argmax state, stop signal and final reading."""
+        stop_at = max(thresholds) if stop is None else stop
+        target = TargetSpec(1, PureState(1, np.array([1.0, 0.0], dtype=complex)))
+        states = [
+            PureState(1, np.array([math.cos(i), math.sin(i)], dtype=complex))
+            for i in range(len(trace))
+        ]
+        log = EpochLog(thresholds, stop_at)
+        seen = []
+        for epoch, (f, state) in enumerate(zip(trace, states), start=1):
+            seen.append(f)
+            stopped = log.record(epoch, f, state)
+            assert stopped == (f >= stop_at)
+            if stopped:
+                break
+        best = seen.index(max(seen))
+        assert log.best_state is states[best]
+        rng = RngStream(3)
+        rec = log.finish(target, Representation.STATEVECTOR, FidelityMode.exact(), rng, 4)
+        assert rec.fidelity_trace == seen
+        assert rec.final_fidelity == seen[-1]
+        assert rec.oracle_fidelity == fidelity_oracle(states[best], target.state)
+        assert (rec.trial_id, rec.seed) == (4, 3)
+        assert_log_invariants(seen, rec.epochs_to_threshold, thresholds, stop_at, len(trace))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), thresholds=THRESHOLDS,
+           max_iters=st.integers(1, 6))
+    def test_run_es_records(self, seed, thresholds, max_iters):
+        rng = RngStream(seed)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=seed)
+        params = ESParams(population=4, max_iters=max_iters, thresholds=tuple(thresholds))
+        sol, rec = run_es(target, params, FidelityMode.exact(), rng)
+        assert_log_invariants(rec.fidelity_trace, rec.epochs_to_threshold, thresholds,
+                              max(thresholds), max_iters)
+        assert rec.final_fidelity == rec.fidelity_trace[-1]
+        np.testing.assert_allclose(rec.oracle_fidelity, max(rec.fidelity_trace), atol=1e-12)
+        assert rec.oracle_fidelity == fidelity_oracle(sol, target.state)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), thresholds=THRESHOLDS,
+           stop=st.floats(0.05, 1.0), max_epochs=st.integers(1, 6))
+    def test_train_generator_records(self, seed, thresholds, stop, max_epochs):
+        rng = RngStream(seed)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=seed)
+        cfg = GeneratorConfig(layer_widths=(6, 5, 5, 4, 3, 4), latent_dim=7,
+                              learning_rate=1e-2, max_epochs=max_epochs,
+                              thresholds=tuple(thresholds), stop_threshold=stop)
+        sol, _, rec = train_generator(target, cfg, FidelityMode.exact(), rng)
+        assert_log_invariants(rec.fidelity_trace, rec.epochs_to_threshold, thresholds,
+                              stop, max_epochs)
+        assert rec.final_fidelity == rec.fidelity_trace[-1]
+        np.testing.assert_allclose(rec.oracle_fidelity, max(rec.fidelity_trace), atol=1e-12)
+        assert rec.oracle_fidelity == fidelity_oracle(sol, target.state)

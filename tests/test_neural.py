@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
+import oracles
 from swapfit.neural import (
     GeneratorConfig,
     MlpParams,
@@ -54,6 +57,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(latent_mode="frozen")
 
+    @pytest.mark.parametrize("overrides", [
+        {"max_epochs": 0},
+        {"thresholds": (1.5,)},
+        {"thresholds": (0.0, 0.99)},
+        {"thresholds": ()},
+    ])
+    def test_bad_run_limits_rejected(self, overrides):
+        """Same stopping-rule checks as ESParams, at construction time."""
+        with pytest.raises(ValueError):
+            tiny_config(**overrides)
+
 
 class TestInitAndForward:
     def test_shapes(self):
@@ -77,8 +91,15 @@ class TestInitAndForward:
     def test_moments_start_zero(self):
         params = init_mlp(tiny_config(), RngStream(3))
         assert params.step == 0
-        for m in params.m_weights + params.v_weights:
-            assert not m.any()
+        assert params.m.shape == params.v.shape == params.theta.shape
+        assert not params.m.any() and not params.v.any()
+
+    def test_flat_length_checked(self):
+        params = init_mlp(tiny_config(), RngStream(3))
+        with pytest.raises(ValueError):
+            MlpParams(params.shapes, theta=params.theta[:-1])
+        with pytest.raises(ValueError):
+            MlpParams(params.shapes, theta=params.theta, m=np.zeros(3))
 
     def test_gelu_values(self):
         x = np.array([-2.0, 0.0, 1.5])
@@ -157,11 +178,13 @@ class TestBackward:
 
         out, cache = mlp_forward(params, z, return_cache=True)
         grads = mlp_backward(params, cache, 2.0 * (out - target))
+        assert grads.shape == params.theta.shape
+        grad_w, grad_b = params.layers(grads)
 
         eps = 1e-6
         for k in range(N_WEIGHT_LAYERS):
-            for arr, g in ((params.weights[k], grads["weights"][k]),
-                           (params.biases[k], grads["biases"][k])):
+            for arr, g in ((params.weights[k], grad_w[k]),
+                           (params.biases[k], grad_b[k])):
                 flat = arr.reshape(-1)
                 gflat = g.reshape(-1)
                 idx = RngStream(20 + k).gen.integers(flat.shape[0], size=3)
@@ -193,9 +216,7 @@ class TestAdam:
         cfg = tiny_config()
         params = init_mlp(cfg, RngStream(13))
         w_before = [W.copy() for W in params.weights]
-        grads = {"weights": [np.ones_like(W) for W in params.weights],
-                 "biases": [np.ones_like(b) for b in params.biases]}
-        adam_step(params, grads, cfg)
+        adam_step(params, np.ones_like(params.theta), cfg)
         assert params.step == 1
         b1, b2 = cfg.adam_betas
         gs = cfg.scaling_factor * 1.0
@@ -211,9 +232,7 @@ class TestAdam:
         cfg_b = tiny_config(scaling_factor=1.0)
         pa = init_mlp(cfg_a, RngStream(14))
         pb = init_mlp(cfg_b, RngStream(14))
-        rng = RngStream(15)
-        grads = {"weights": [rng.gen.normal(size=W.shape) for W in pa.weights],
-                 "biases": [rng.gen.normal(size=b.shape) for b in pa.biases]}
+        grads = RngStream(15).gen.normal(size=pa.theta.shape)
         adam_step(pa, grads, cfg_a)
         adam_step(pb, grads, cfg_b)
         np.testing.assert_allclose(pa.weights[0], pb.weights[0], atol=1e-6)
@@ -221,29 +240,63 @@ class TestAdam:
     def test_moments_accumulate(self):
         cfg = tiny_config()
         params = init_mlp(cfg, RngStream(16))
-        grads = {"weights": [np.ones_like(W) for W in params.weights],
-                 "biases": [np.ones_like(b) for b in params.biases]}
+        grads = np.ones_like(params.theta)
         adam_step(params, grads, cfg)
         adam_step(params, grads, cfg)
         assert params.step == 2
-        assert params.m_weights[0].max() > 0
+        assert params.m.min() > 0
+
+    def test_gradient_shape_checked(self):
+        cfg = tiny_config()
+        params = init_mlp(cfg, RngStream(19))
+        with pytest.raises(ValueError):
+            adam_step(params, np.ones(3), cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        steps=st.integers(1, 6),
+        scaling=st.sampled_from([1.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_per_layer_loop(self, widths, steps, scaling, seed):
+        """Flat, slice-wise Adam agrees with the per-layer reference loop."""
+        cfg = tiny_config(scaling_factor=scaling, learning_rate=1e-2)
+        gen = np.random.default_rng(seed)
+        shapes = list(zip(widths[1:], widths[:-1]))
+        theta = gen.normal(size=sum(r * c + r for r, c in shapes))
+        params = MlpParams(shapes, theta=theta.copy())
+        layers = [a.copy() for W, b in zip(params.weights, params.biases) for a in (W, b)]
+        m = [np.zeros_like(a) for a in layers]
+        v = [np.zeros_like(a) for a in layers]
+        for t in range(1, steps + 1):
+            grads = gen.normal(size=theta.shape)
+            adam_step(params, grads, cfg)
+            gw, gb = params.layers(grads)
+            oracles.adam_naive(
+                layers, [g for pair in zip(gw, gb) for g in pair], m, v, t,
+                lr=cfg.learning_rate, betas=cfg.adam_betas,
+                eps=cfg.adam_epsilon, scale=cfg.scaling_factor,
+            )
+        got = [a for W, b in zip(params.weights, params.biases) for a in (W, b)]
+        for mine, ref in zip(got, layers):
+            np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
+        assert params.step == steps
 
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self):
         cfg = tiny_config()
         params = init_mlp(cfg, RngStream(17))
-        grads = {"weights": [np.full_like(W, 0.1) for W in params.weights],
-                 "biases": [np.full_like(b, 0.1) for b in params.biases]}
-        adam_step(params, grads, cfg)
+        adam_step(params, np.full_like(params.theta, 0.1), cfg)
         text = checkpoint_to_json(params)
         back = checkpoint_from_json(text)
         assert back.step == params.step
+        assert back.shapes == params.shapes
+        for name in ("theta", "m", "v"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
         for a, b in zip(params.weights + params.biases,
                         back.weights + back.biases):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(params.m_weights + params.v_weights,
-                        back.m_weights + back.v_weights):
             np.testing.assert_array_equal(a, b)
 
     def test_double_roundtrip_stable(self):
@@ -251,6 +304,17 @@ class TestCheckpoint:
         once = checkpoint_to_json(params)
         twice = checkpoint_to_json(checkpoint_from_json(once))
         assert once == twice
+
+    def test_loaded_views_alias_flat_vectors(self):
+        """After a load, an Adam step on the flat vectors moves weights[k]."""
+        cfg = tiny_config()
+        back = checkpoint_from_json(checkpoint_to_json(init_mlp(cfg, RngStream(20))))
+        for W, b in zip(back.weights, back.biases):
+            assert np.shares_memory(W, back.theta) and np.shares_memory(b, back.theta)
+        before = [W.copy() for W in back.weights]
+        adam_step(back, np.ones_like(back.theta), cfg)
+        for k, W in enumerate(back.weights):
+            assert np.all(W < before[k])
 
 
 class TestTrainGenerator:

@@ -13,9 +13,7 @@ from swapfit.noise import (
     channel_superop,
     compose_channels,
     default_noise_model,
-    delay_channel,
     depolarizing_channel,
-    identity_channel,
     noiseless_model,
     reduce_channel,
     run_circuit_dm_noisy,
@@ -61,8 +59,10 @@ class TestChannelAlgebra:
             np.testing.assert_allclose(np.trace(out.entries), 1.0, atol=1e-10)
 
     def test_identity_channel(self):
-        assert identity_channel(1).is_identity()
-        assert not bitflip_channel(0.25).is_identity()
+        """A zero-probability flip prunes down to the lone identity operator."""
+        (only,) = bitflip_channel(0.0).operators
+        np.testing.assert_array_equal(only, np.eye(2))
+        assert len(bitflip_channel(0.25).operators) == 2
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
@@ -251,8 +251,10 @@ class TestModel:
         """Longer idle time damps harder."""
         model = default_noise_model()
         rho = DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex))
-        short = apply_channel_dm(rho, delay_channel(50.0, model), (0,))
-        long = apply_channel_dm(rho, delay_channel(5000.0, model), (0,))
+        short = apply_channel_dm(
+            rho, thermal_relaxation_channel(model.t1_us, model.t2_us, 50.0), (0,))
+        long = apply_channel_dm(
+            rho, thermal_relaxation_channel(model.t1_us, model.t2_us, 5000.0), (0,))
         assert long.entries[1, 1].real < short.entries[1, 1].real
 
 

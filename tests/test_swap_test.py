@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from swapfit.metrics import hs_overlap
 from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
 from swapfit.prep import TargetSpec, sample_random_density, sample_random_state
 from swapfit.sim import PureState, RngStream, basis_state, expectation_z, zero_state
@@ -20,7 +21,6 @@ from swapfit.swap_test import (
     score_candidate,
     swap_gadget_ops,
     swap_test_exact,
-    swap_test_mixed_exact,
     swap_test_sampled,
 )
 
@@ -183,14 +183,14 @@ class TestMixed:
         rho = sample_random_density(2, rng)
         sig = sample_random_density(2, rng)
         want = float(np.real(np.trace(rho.entries @ sig.entries)))
-        np.testing.assert_allclose(swap_test_mixed_exact(rho, sig), want,
+        np.testing.assert_allclose(hs_overlap(rho, sig), want,
                                    atol=1e-13)
 
     def test_maximally_mixed_pair(self):
         """Identical I/2 inputs read 0.5, not 1: the estimator's blind spot."""
         from swapfit.sim import DensityMatrix
         half = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
-        assert swap_test_mixed_exact(half, half) == pytest.approx(0.5, abs=1e-15)
+        assert hs_overlap(half, half) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestIterateSnapshot:
