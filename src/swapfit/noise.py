@@ -23,12 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from .sim import (
+    CX_MAT,
+    SX_MAT,
     TOL,
+    X_MAT,
     DensityMatrix,
     GateOp,
     PureState,
     RngStream,
     _apply_matrix_axis0,
+    _mask,
     apply_gate,
     apply_gate_dm,
     reset_qubits,
@@ -192,6 +196,11 @@ def channel_superop(ch: KrausChannel) -> np.ndarray:
     return s
 
 
+def unitary_superop(u: np.ndarray) -> np.ndarray:
+    """Transfer matrix of rho -> U rho U+ in the same row-major vec."""
+    return np.kron(u, u.conj())
+
+
 def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
                      superop: np.ndarray) -> np.ndarray:
     """Apply a transfer matrix to the row/column axes of the listed qubits.
@@ -246,11 +255,16 @@ def sample_trajectory_op(state: PureState, ch: KrausChannel,
 # ---------------------------------------------------------------------------
 
 NOISY_KINDS = frozenset({"id", "rz", "sx", "x", "cx", "measure"})
+_RZ_PHASE = np.array([0.0, -1j, 1j, 0.0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModelSpec:
-    """Scalar error budget plus the composite channels built from it."""
+    """Scalar error budget plus the composite channels built from it.
+
+    Frozen: the channels and fused gate transfer matrices are cached on the
+    instance, so a field changed after first use would leave them stale.
+    """
 
     p_bitflip: float = 0.001
     p_dep1: float = 0.002
@@ -309,6 +323,19 @@ class NoiseModelSpec:
     def _cx_superop(self) -> np.ndarray:
         return channel_superop(self._cx_reduced)
 
+    # each fixed basis gate fused with the channel that follows it
+    @cached_property
+    def _sx_transfer(self) -> np.ndarray:
+        return self._single_qubit_superop @ unitary_superop(SX_MAT)
+
+    @cached_property
+    def _x_transfer(self) -> np.ndarray:
+        return self._single_qubit_superop @ unitary_superop(X_MAT)
+
+    @cached_property
+    def _cx_transfer(self) -> np.ndarray:
+        return self._cx_superop @ unitary_superop(CX_MAT)
+
     def channel_for(self, kind: str, *, reduced: bool = True) -> KrausChannel | None:
         """Channel attached after a gate of this kind, or None if noiseless."""
         if self.is_noiseless or kind not in NOISY_KINDS:
@@ -324,6 +351,25 @@ class NoiseModelSpec:
         if self.is_noiseless or kind not in NOISY_KINDS or kind == "measure":
             return None
         return self._cx_superop if kind == "cx" else self._single_qubit_superop
+
+    def gate_transfer(self, op: GateOp) -> np.ndarray | None:
+        """Transfer matrix of the basis gate ``op`` then its channel.
+
+        None for a noiseless model.  rz's own transfer matrix is
+        diag(1, e^{-i theta}, e^{i theta}, 1), so its product is a column
+        scaling built per op; sx, x and cx products are cached.
+        """
+        if self.is_noiseless:
+            return None
+        if op.kind == "rz":
+            return self._single_qubit_superop * np.exp(_RZ_PHASE * op.angle)
+        if op.kind == "sx":
+            return self._sx_transfer
+        if op.kind == "x":
+            return self._x_transfer
+        if op.kind == "cx":
+            return self._cx_transfer
+        raise ValueError(f"op kind {op.kind!r} is not a noisy basis gate")
 
     def flip_readout(self, p0: float) -> float:
         """Probability of reading 0 after the classical measurement flip."""
@@ -371,20 +417,25 @@ def noiseless_model() -> NoiseModelSpec:
 def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> DensityMatrix:
     """Density-matrix evolution with the model's channel after each gate.
 
-    The op list must already be lowered to {rz, sx, x, cx} (plus reset);
-    anything else is rejected so noise cannot silently skip a gate.
+    Each noisy gate is one pass over the density matrix: its fused transfer
+    matrix ``model.gate_transfer(op)`` (channel after unitary) is applied
+    in a single ``apply_superop_dm`` call.  A noiseless model applies the
+    bare unitary.  The op list must already be lowered to {rz, sx, x, cx}
+    (plus reset); anything else is rejected so noise cannot silently skip
+    a gate.
     """
     out = rho
     for op in ops:
         if op.kind in ("rz", "sx", "x", "cx"):
-            out = apply_gate_dm(out, op)
-            s = model.superop_for(op.kind)
-            if s is not None:
-                out = DensityMatrix(
-                    out.n_qubits,
-                    apply_superop_dm(out.entries, out.n_qubits, op.qubits, s),
-                    check=False,
-                )
+            s = model.gate_transfer(op)
+            if s is None:
+                out = apply_gate_dm(out, op)
+                continue
+            n = out.n_qubits
+            for q in op.qubits:
+                _mask(n, q)  # range check: moveaxis would wrap a bad index
+            out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s),
+                                check=False)
         elif op.kind == "reset":
             out = reset_qubits(out, op.qubits, None)
         else:

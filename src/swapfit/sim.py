@@ -226,6 +226,9 @@ class GateOp:
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 SX_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+CX_MAT = np.array(  # control is the first listed qubit, the more significant bit
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
 
 
 def rz_mat(theta: float) -> np.ndarray:

@@ -6,6 +6,13 @@ a controlled SWAP per qubit pair, H(ancilla); then F = 2 P(0) - 1 = <Z> on
 the ancilla.  For pure inputs that equals |<psi|phi>|^2; for mixed inputs
 the same circuit measures Tr(rho sigma), which is NOT the Uhlmann fidelity
 (see metrics for the consequences).
+
+Noiseless pure readings are scored in closed form: P(0) = (1 + |<psi|phi>|^2)/2
+(Buhrman et al., quant-ph/0102001), so ``score_candidate`` and the
+noiseless branch of ``swap_test_sampled`` use ``fidelity_oracle`` and
+simulate no circuit.  ``swap_test_exact`` still simulates the gadget; it
+is the reference the tests hold the closed form to.  Noisy readings run
+the whole lowered circuit on the density-matrix path.
 """
 
 from __future__ import annotations
@@ -223,7 +230,9 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
 
     Noiseless mode and the noisy density-matrix path (2n+1 <= 9 qubits) draw
     the shot outcomes from the exact ancilla-zero probability, which is
-    distributionally identical to simulating shots one by one.  Larger noisy
+    distributionally identical to simulating shots one by one.  Noiseless
+    mode takes that probability in closed form, (1 + |<psi|phi>|^2) / 2,
+    with one binomial draw, as the circuit route did.  Larger noisy
     registers fall back to per-shot stochastic trajectories.
     """
     if shots < 1:
@@ -237,7 +246,7 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
     n = psi.n_qubits
     noisy = noise is not None and not noise.is_noiseless
     if not noisy:
-        p_true = swap_test_exact(psi, phi).p0
+        p_true = (1.0 + fidelity_oracle(psi, phi)) / 2.0
         zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
     elif 2 * n + 1 <= DM_QUBIT_CAP:
         p_true = _noisy_exact_p0(psi, phi, noise)
@@ -391,18 +400,23 @@ def score_candidate(candidate, target, mode: FidelityMode,
                     rng: RngStream | None = None, objective: str = "swap") -> float:
     """Fidelity signal for one candidate against the target.
 
-    Pure-vs-pure goes through the estimator circuit per ``mode``.  When
-    either side is a density matrix the evaluation is exact and the
-    ``objective`` chooses what "fidelity" means there: "swap" gives the
-    Hilbert-Schmidt overlap the circuit would actually report, "uhlmann"
-    the proper mixed-state fidelity.
+    Pure-vs-pure with the "swap" objective is the SWAP-test reading per
+    ``mode``: exact mode returns the noiseless reading in closed form,
+    |<psi|phi>|^2 via ``fidelity_oracle`` (the circuit, ``swap_test_exact``,
+    is its tested reference); sampled and noisy modes go through
+    ``swap_test_sampled``.  Pure-vs-pure with "uhlmann" is the same
+    |<psi|phi>|^2, which is what the Uhlmann fidelity of two pure states
+    equals.  When either side is a density matrix the evaluation is exact
+    and the ``objective`` chooses what "fidelity" means there: "swap" gives
+    the Hilbert-Schmidt overlap the circuit would actually report,
+    "uhlmann" the proper mixed-state fidelity.
     """
     check_objective(objective)
     cand_pure = isinstance(candidate, PureState)
     targ_pure = isinstance(target, PureState)
-    if cand_pure and targ_pure and objective == "swap":
-        if mode.kind == "exact":
-            return swap_test_exact(target, candidate).fidelity_estimate
+    if cand_pure and targ_pure:
+        if objective == "uhlmann" or mode.kind == "exact":
+            return fidelity_oracle(target, candidate)
         return swap_test_sampled(
             target, candidate, shots=mode.shots, noise=mode.noise, rng=rng
         ).fidelity_estimate

@@ -8,6 +8,7 @@ in exactly one of the two routes.
 
 import numpy as np
 from scipy.linalg import sqrtm
+from scipy.sparse import csr_matrix
 
 SQ2 = np.sqrt(2.0)
 
@@ -109,6 +110,33 @@ def apply_kraus_dense(rho, operators, n_qubits, qubits):
     for K in operators:
         big = embed(K, n_qubits, qubits)
         out += big @ rho @ big.conj().T
+    return out
+
+
+def run_dense_dm_noisy(rho, ops, n_qubits, model):
+    """Noisy evolution gate by gate: U rho U+, then the unreduced Kraus sum.
+
+    The same arithmetic as op_matrix followed by apply_kraus_dense with
+    ``model.channel_for(kind, reduced=False)``, except that each gate's
+    embedded Kraus operators are built once per (kind, qubits) and kept
+    sparse: the unreduced cx channel has 144 operators, and a 7-qubit
+    register would otherwise take minutes.
+    """
+    embedded = {}
+    out = np.array(rho, dtype=complex)
+    for op in ops:
+        u = op_matrix(op, n_qubits)
+        out = u @ out @ u.conj().T
+        ch = model.channel_for(op.kind, reduced=False)
+        if ch is None:
+            continue
+        key = (op.kind, op.qubits)
+        if key not in embedded:
+            embedded[key] = [csr_matrix(embed(K, n_qubits, op.qubits)) for K in ch.operators]
+        acc = np.zeros_like(out)
+        for big in embedded[key]:
+            acc += big @ (big @ out.conj().T).conj().T  # big @ out @ big+
+        out = acc
     return out
 
 

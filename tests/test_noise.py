@@ -1,7 +1,12 @@
 """Channel algebra, the calibrated model, and the noisy executors."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from swapfit.noise import (
@@ -22,6 +27,7 @@ from swapfit.noise import (
     tensor_channels,
     thermal_relaxation_channel,
 )
+from swapfit.prep import sample_random_state
 from swapfit.sim import (
     DensityMatrix,
     GateOp,
@@ -30,6 +36,7 @@ from swapfit.sim import (
     lower_ops,
     zero_state,
 )
+from swapfit.swap_test import _noisy_exact_p0, noisy_circuit_ops
 
 
 def all_default_channels():
@@ -243,6 +250,13 @@ class TestModel:
         back = NoiseModelSpec.from_json(model.to_json())
         assert back == model
 
+    def test_fields_frozen(self):
+        """Cached channels cannot go stale: the budget is fixed at construction."""
+        model = default_noise_model()
+        model.gate_transfer(GateOp.x(0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.p_bitflip = 0.3
+
     def test_invalid_t2_rejected(self):
         with pytest.raises(ValueError):
             NoiseModelSpec(t1_us=10.0, t2_us=25.0)
@@ -335,3 +349,76 @@ class TestNoisyExecutors:
         out = run_circuit_dm_noisy(zero_state(2).density(), ops, model)
         purity = float(np.real(np.trace(out.entries @ out.entries)))
         assert purity < 1.0 - 1e-4
+
+
+# Models the fused executor is checked under: the default budget, no noise,
+# and a heavy budget whose channels move every entry well past 1e-12.
+MODELS = (
+    default_noise_model(),
+    noiseless_model(),
+    NoiseModelSpec(p_bitflip=0.05, p_dep1=0.1, p_dep2=0.2, t1_us=1.0, t2_us=1.5,
+                   t_gate_ns=300.0),
+)
+
+
+@st.composite
+def lowered_circuits(draw):
+    """(n_qubits, ops): a random circuit in {rz, sx, x, cx} on 1-3 qubits."""
+    n = draw(st.integers(1, 3))
+    kinds = ("rz", "sx", "x", "cx") if n > 1 else ("rz", "sx", "x")
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "cx":
+            control, target = draw(st.permutations(range(n)))[:2]
+            ops.append(GateOp.cx(control, target))
+        elif kind == "rz":
+            angle = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+            ops.append(GateOp.rz(angle, draw(st.integers(0, n - 1))))
+        else:
+            ops.append(GateOp(kind, (draw(st.integers(0, n - 1)),)))
+    return n, ops
+
+
+class TestFusedExecutor:
+    """run_circuit_dm_noisy applies each gate fused with its channel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=lowered_circuits(), model=st.sampled_from(MODELS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_kraus_oracle(self, circuit, model, seed):
+        n, ops = circuit
+        rho = oracles.random_density_dense(n, np.random.default_rng(seed))
+        got = run_circuit_dm_noisy(DensityMatrix(n, rho), ops, model)
+        want = rho
+        for op in ops:
+            u = oracles.op_matrix(op, n)
+            want = u @ want @ u.conj().T
+            ch = model.channel_for(op.kind, reduced=False)
+            if ch is not None:
+                want = oracles.apply_kraus_dense(want, ch.operators, n, op.qubits)
+        np.testing.assert_allclose(got.entries, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS[:2], ids=["default", "noiseless"])
+    @pytest.mark.parametrize("op", [GateOp.sx(2), GateOp.sx(-1), GateOp.rz(0.3, 2),
+                                    GateOp.x(-1), GateOp.cx(0, 2), GateOp.cx(-1, 0)],
+                             ids=lambda op: f"{op.kind}{op.qubits}")
+    def test_out_of_range_qubit_rejected(self, model, op):
+        with pytest.raises(ValueError, match="out of range"):
+            run_circuit_dm_noisy(zero_state(2).density(), [op], model)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_cached_p0_matches_dense_full_circuit(self, n_qubits):
+        """_noisy_exact_p0 against the dense oracle over every lowered op."""
+        model = default_noise_model()
+        rng = RngStream(500 + n_qubits)
+        psi = sample_random_state(n_qubits, rng)
+        phi = sample_random_state(n_qubits, rng)
+        total = 2 * n_qubits + 1
+        dim = 1 << total
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+        rho = oracles.run_dense_dm_noisy(rho, noisy_circuit_ops(psi, phi), total, model)
+        # ancilla is qubit 0, the most significant bit: P(0) is the top half
+        p0 = float(np.real(np.trace(rho[: dim // 2, : dim // 2])))
+        np.testing.assert_allclose(_noisy_exact_p0(psi, phi, model),
+                                   model.flip_readout(p0), rtol=0, atol=1e-12)

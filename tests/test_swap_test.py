@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from swapfit.metrics import hs_overlap
@@ -23,6 +25,16 @@ from swapfit.swap_test import (
     swap_test_exact,
     swap_test_sampled,
 )
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_pair(n_qubits, seed, same):
+    """(psi, phi) drawn from one seed; ``same`` makes phi a copy of psi."""
+    rng = RngStream(seed)
+    psi = sample_random_state(n_qubits, rng)
+    return psi, (psi if same else sample_random_state(n_qubits, rng))
+
 
 # Calibration constants for the default model, frozen from this
 # implementation's own density-matrix runs (see noisy_floor_estimate).
@@ -79,6 +91,33 @@ class TestExact:
         assert ops[0].kind == "h" and ops[-1].kind == "h"
         assert [op.kind for op in ops[1:-1]] == ["cswap"] * 3
         assert ops[1].qubits == (0, 1, 4)
+
+
+class TestClosedForm:
+    """Noiseless readings in closed form agree with the simulated circuit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=SEEDS, same=st.booleans())
+    def test_exact_score_equals_circuit(self, n, seed, same):
+        psi, phi = random_pair(n, seed, same)
+        got = score_candidate(phi, psi, FidelityMode.exact())
+        want = swap_test_exact(psi, phi).fidelity_estimate
+        assert abs(got - want) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=SEEDS, same=st.booleans(),
+           draw_seed=SEEDS, shots=st.integers(1, 4096),
+           noise=st.sampled_from([None, noiseless_model()]))
+    def test_sampled_zero_count_equals_circuit_binomial(self, n, seed, same,
+                                                         draw_seed, shots, noise):
+        """One binomial on the circuit's p0 from an identically seeded stream."""
+        psi, phi = random_pair(n, seed, same)
+        out = swap_test_sampled(psi, phi, shots=shots, noise=noise,
+                                rng=RngStream(draw_seed))
+        p0 = swap_test_exact(psi, phi).p0
+        want = int(RngStream(draw_seed).gen.binomial(shots, min(1.0, max(0.0, p0))))
+        assert not out.noisy
+        assert round(out.p0 * shots) == want
 
 
 class TestOutcome:
@@ -271,6 +310,17 @@ class TestScoreCandidate:
         np.testing.assert_allclose(got, oracles.uhlmann_scipy(rho.entries,
                                                               sig.entries),
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("mode", [FidelityMode.exact(), FidelityMode.sampled(64),
+                                      FidelityMode.noisy(default_noise_model(), 64)],
+                             ids=lambda m: m.kind)
+    def test_pure_uhlmann_is_overlap(self, mode):
+        """Pure/pure Uhlmann fidelity is |<psi|phi>|^2, not a matrix-root value."""
+        rng = RngStream(44)
+        for n_qubits in (1, 2, 3):
+            psi, phi = sample_random_state(n_qubits, rng), sample_random_state(n_qubits, rng)
+            got = score_candidate(phi, psi, mode, RngStream(1), objective="uhlmann")
+            assert abs(got - fidelity_oracle(psi, phi)) <= 1e-12
 
     def test_unknown_objective(self):
         psi = basis_state(1, 0)
