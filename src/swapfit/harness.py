@@ -74,6 +74,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         check_run_limits(self.max_iters, self.thresholds)
         check_objective(self.objective)
 

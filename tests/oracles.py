@@ -225,6 +225,34 @@ def adam_naive(layers, grads, m, v, t, *, lr, betas, eps, scale):
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def adam_layer_slices(params, grads, *, lr, betas, eps, scale):
+    """One Adam step over an MlpParams, one layer slice at a time.
+
+    The slice-wise form the blocked ``adam_step`` replaced: the same ufunc
+    sequence per element, so the two must agree bit for bit.
+    """
+    b1, b2 = betas
+    params.step += 1
+    t = params.step
+    for sl in params.slices:
+        p, m, v = params.theta[sl], params.m[sl], params.v[sl]
+        g = scale * grads[sl]
+        tmp = (1.0 - b1) * g
+        m *= b1
+        m += tmp
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, 1.0 - b2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, 1.0 - b1**t, out=g)
+        g *= lr
+        g /= tmp
+        p -= g
+
+
 def uhlmann_scipy(rho, sigma):
     """Uhlmann fidelity via scipy's matrix square root, squared convention."""
     root = sqrtm(rho)

@@ -73,6 +73,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(method="es", qubit_range=(2, 9))
 
+    def test_bad_max_workers(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            ExperimentConfig(method="es", max_workers=0)
+
     def test_parse_error_location(self):
         with pytest.raises(ValueError, match="line"):
             ExperimentConfig.from_json("{\n  broken\n}")

@@ -1,5 +1,7 @@
 """The MLP generator: forward/backward, the FD bridge, Adam, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import oracles
+from swapfit import neural
 from swapfit.neural import (
     GeneratorConfig,
     MlpParams,
@@ -67,6 +70,25 @@ class TestConfig:
         """Same stopping-rule checks as ESParams, at construction time."""
         with pytest.raises(ValueError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-4},
+        {"learning_rate": float("nan")},
+        {"adam_betas": (1.0, 0.999)},
+        {"adam_betas": (0.9, 1.0)},
+        {"adam_betas": (-0.1, 0.999)},
+        {"adam_betas": (0.9,)},
+        {"adam_betas": (0.9, 0.999, 0.5)},
+        {"adam_epsilon": 0.0},
+        {"adam_epsilon": -1e-8},
+        {"adam_epsilon": float("nan")},
+    ])
+    def test_bad_adam_hyperparameters_rejected(self, overrides):
+        """Rejected at construction: each would otherwise write NaN into
+        theta, or fail, inside the first Adam step."""
+        with pytest.raises(ValueError):
+            default_config(1, Representation.STATEVECTOR, **overrides)
 
 
 class TestInitAndForward:
@@ -282,6 +304,71 @@ class TestAdam:
         for mine, ref in zip(got, layers):
             np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
         assert params.step == steps
+
+    @staticmethod
+    def _run_both(shapes, steps, cfg, gen):
+        """``steps`` Adam steps through adam_step and through the layer-slice
+        oracle, from one theta and one gradient sequence."""
+        theta = gen.normal(size=sum(r * c + r for r, c in shapes))
+        mine = MlpParams(shapes, theta=theta.copy())
+        ref = MlpParams(shapes, theta=theta.copy())
+        for _ in range(steps):
+            grads = gen.normal(size=theta.shape)
+            adam_step(mine, grads, cfg)
+            oracles.adam_layer_slices(
+                ref, grads, lr=cfg.learning_rate, betas=cfg.adam_betas,
+                eps=cfg.adam_epsilon, scale=cfg.scaling_factor,
+            )
+        return mine, ref
+
+    @staticmethod
+    def _assert_bit_identical(mine, ref):
+        for name in ("theta", "m", "v"):
+            assert np.array_equal(getattr(mine, name), getattr(ref, name)), name
+        assert mine.step == ref.step
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        steps=st.integers(1, 6),
+        block=st.sampled_from(["1", "3", "7", "size-1", "size", "size+1"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_edges_change_nothing(self, widths, steps, block, seed):
+        """Blocks that cut through layers, or cover the whole vector, give
+        the same bits as the layer-slice loop."""
+        shapes = list(zip(widths[1:], widths[:-1]))
+        size = sum(r * c + r for r, c in shapes)
+        n_block = {"1": 1, "3": 3, "7": 7, "size-1": size - 1,
+                   "size": size, "size+1": size + 1}[block]
+        cfg = tiny_config(learning_rate=1e-2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "ADAM_BLOCK", n_block)
+            mine, ref = self._run_both(shapes, steps, cfg, np.random.default_rng(seed))
+        self._assert_bit_identical(mine, ref)
+
+    def test_default_shape_matches_layer_slices(self):
+        """The nn-exact architecture spans several real blocks."""
+        cfg = default_config(2, Representation.STATEVECTOR)
+        shapes = init_mlp(cfg, RngStream(21)).shapes
+        assert sum(r * c + r for r, c in shapes) == 567_240 > 2 * neural.ADAM_BLOCK
+        mine, ref = self._run_both(shapes, 3, cfg, np.random.default_rng(22))
+        self._assert_bit_identical(mine, ref)
+
+    def test_temporaries_stay_block_sized(self):
+        """A warm step allocates two block buffers, not layer-sized arrays."""
+        cfg = default_config(2, Representation.STATEVECTOR)
+        params = init_mlp(cfg, RngStream(23))
+        grads = RngStream(24).gen.normal(size=params.theta.shape)
+        adam_step(params, grads, cfg)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            adam_step(params, grads, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * neural.ADAM_BLOCK + 64 * 1024
 
 
 class TestCheckpoint:
