@@ -24,6 +24,12 @@ from .sim import PureState, RngStream
 from .swap_test import FidelityMode, fidelity_oracle, score_candidate
 
 
+def check_threshold(value: float, name: str = "thresholds") -> None:
+    """A fidelity threshold lies in (0, 1]; NaN fails the comparison too."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 def check_run_limits(max_iters: int, thresholds, name: str = "max_iters") -> None:
     """The stopping rule every optimizer shares: >= 1 epoch, thresholds in (0, 1]."""
     if max_iters < 1:
@@ -31,8 +37,7 @@ def check_run_limits(max_iters: int, thresholds, name: str = "max_iters") -> Non
     if not thresholds:
         raise ValueError("at least one threshold is required")
     for t in thresholds:
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"thresholds must lie in (0, 1], got {t}")
+        check_threshold(t)
 
 
 @dataclass(frozen=True)

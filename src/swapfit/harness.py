@@ -30,7 +30,7 @@ from .noise import (
     thermal_relaxation_channel,
 )
 from .prep import Representation, TargetSpec, sample_random_state
-from .sim import PureState, RngStream, basis_state, zero_state
+from .sim import DensityMatrix, PureState, RngStream, basis_state, zero_state
 from .swap_test import FidelityMode, check_objective
 
 MIN_QUBITS, MAX_QUBITS = 1, 6
@@ -47,6 +47,17 @@ def splitmix64(x: int) -> int:
 def derive_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: base XOR splitmix64(index); independent streams."""
     return (base_seed ^ splitmix64(index)) & 0xFFFFFFFFFFFFFFFF
+
+
+def check_mode(representation: Representation, mode: FidelityMode,
+               target_state=None) -> None:
+    """Density matrices, as candidates or as the target, are scored exactly."""
+    density = (representation is Representation.DENSITY
+               or isinstance(target_state, DensityMatrix))
+    if density and mode.kind != "exact":
+        raise ValueError(
+            f"density matrices are scored exactly; {mode.label()} mode is not supported"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,7 @@ class ExperimentConfig:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         check_run_limits(self.max_iters, self.thresholds)
         check_objective(self.objective)
+        check_mode(self.representation, self.mode)
 
     def to_json(self) -> str:
         payload = {
@@ -388,9 +400,11 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 store: "SnapshotStore | None" = None, label: str | None = None,
                 objective: str = "swap") -> dict:
     """One reconstruction run; optionally deposits the solution in a store."""
+    mode = mode or FidelityMode.exact()
+    check_mode(representation, mode, target.state)
     solution, record = _optimize(
-        target, method, representation, mode or FidelityMode.exact(),
-        RngStream(seed), thresholds, max_iters, objective,
+        target, method, representation, mode, RngStream(seed), thresholds,
+        max_iters, objective,
     )
     stored_as = None
     if store is not None and isinstance(solution, PureState):

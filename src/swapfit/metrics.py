@@ -9,6 +9,11 @@ explicitly.
 Entropies are reported in bits (log base 2) unless the natural-log flag is
 set.  Matrix square roots go through Hermitian eigendecomposition with
 eigenvalue clamping at zero, which stays stable for near-singular inputs.
+That root costs two eigendecompositions and lands a few 1e-8 off when one
+side is pure, where the fidelity is exactly <psi|sigma|psi>; so the
+training loop scores pure/mixed pairs in closed form
+(``swap_test.score_candidate``), and ``uhlmann_fidelity`` serves mixed/mixed
+pairs, the end-of-trial re-score and the tests.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .evolution import EpochLog, TrialRecord, check_run_limits
+from .evolution import EpochLog, TrialRecord, check_run_limits, check_threshold
 from .prep import Representation, TargetSpec
 from .sim import RngStream
 from .swap_test import FidelityMode, score_candidate
@@ -72,6 +72,7 @@ class GeneratorConfig:
         if not self.adam_epsilon > 0.0:
             raise ValueError("adam_epsilon must be positive")
         check_run_limits(self.max_epochs, self.thresholds, "max_epochs")
+        check_threshold(self.stop_threshold, "stop_threshold")
 
     @property
     def output_dim(self) -> int:

@@ -406,9 +406,12 @@ def score_candidate(candidate, target, mode: FidelityMode,
     is its tested reference); sampled and noisy modes go through
     ``swap_test_sampled``.  Pure-vs-pure with "uhlmann" is the same
     |<psi|phi>|^2, which is what the Uhlmann fidelity of two pure states
-    equals.  When either side is a density matrix the evaluation is exact
-    and the ``objective`` chooses what "fidelity" means there: "swap" gives
-    the Hilbert-Schmidt overlap the circuit would actually report,
+    equals.  When either side is a density matrix the evaluation is exact,
+    so any other mode is rejected.  A pure side psi against a density
+    matrix sigma reads <psi|sigma|psi> in closed form under both
+    objectives: it is the overlap Tr(rho sigma) the circuit would report
+    and also the Uhlmann fidelity (Jozsa 1994).  Two density matrices keep
+    the matrix-root forms: "swap" gives the Hilbert-Schmidt overlap,
     "uhlmann" the proper mixed-state fidelity.
     """
     check_objective(objective)
@@ -420,8 +423,19 @@ def score_candidate(candidate, target, mode: FidelityMode,
         return swap_test_sampled(
             target, candidate, shots=mode.shots, noise=mode.noise, rng=rng
         ).fidelity_estimate
-    rho = candidate.density() if cand_pure else candidate
-    sig = target.density() if targ_pure else target
+    if mode.kind != "exact":
+        raise ValueError(
+            f"density-matrix inputs are scored exactly; {mode.label()} mode is not supported"
+        )
+    if cand_pure or targ_pure:
+        psi, sigma = (candidate, target) if cand_pure else (target, candidate)
+        if psi.n_qubits != sigma.n_qubits:
+            raise ValueError(
+                f"qubit-count mismatch: {candidate.n_qubits} vs {target.n_qubits}"
+            )
+        a = psi.amplitudes
+        f = float(np.real(np.vdot(a, sigma.entries @ a)))
+        return min(1.0, max(0.0, f))
     if objective == "swap":
-        return hs_overlap(rho, sig)
-    return uhlmann_fidelity(rho, sig)
+        return hs_overlap(candidate, target)
+    return uhlmann_fidelity(candidate, target)

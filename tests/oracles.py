@@ -253,6 +253,11 @@ def adam_layer_slices(params, grads, *, lr, betas, eps, scale):
         p -= g
 
 
+def pure_expectation(psi, sigma):
+    """<psi|sigma|psi> as a row-vector product, from raw arrays."""
+    return float(np.real(psi.conj() @ sigma @ psi))
+
+
 def uhlmann_scipy(rho, sigma):
     """Uhlmann fidelity via scipy's matrix square root, squared convention."""
     root = sqrtm(rho)

@@ -41,6 +41,9 @@ class TestConfigValidation:
         ["--thresholds", "0.95,0"],
         ["--max-iters", "0"],
         ["--method", "nn", "--max-iters", "0"],
+        ["--repr", "density", "--mode", "sampled", "--shots", "64"],
+        ["--method", "es", "--repr", "density", "--mode", "noisy", "--noise", "default",
+         "--shots", "64"],
     ])
     def test_bad_run_flags(self, tmp_path, capsys, flags):
         out = tmp_path / "exp"
@@ -66,6 +69,20 @@ class TestConfigValidation:
         assert code == 1
         assert "error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_density_reconstruct_rejects_stochastic_mode(self, tmp_path, capsys):
+        """Density matrices are scored exactly, so a shot label would be false."""
+        code = main(["reconstruct", "--target", "zero", "--repr", "density",
+                     "--mode", "noisy", "--noise", "default", "--shots", "64"])
+        assert code == 1
+        assert "exactly" in capsys.readouterr().err
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"n_qubits": 1, "kind": "density",
+                                    "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4}))
+        code = main(["reconstruct", "--target", str(path), "--mode", "sampled",
+                     "--shots", "64"])
+        assert code == 1
+        assert "exactly" in capsys.readouterr().err
 
     def test_bogus_objective_rejected_at_construction(self):
         from swapfit.harness import ExperimentConfig

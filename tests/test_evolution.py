@@ -16,8 +16,9 @@ from swapfit.evolution import (
     run_es,
     standardized_advantages,
 )
+from swapfit.metrics import uhlmann_fidelity
 from swapfit.neural import GeneratorConfig, train_generator
-from swapfit.prep import Representation, TargetSpec, sample_random_state
+from swapfit.prep import Representation, TargetSpec, sample_random_density, sample_random_state
 from swapfit.sim import PureState, RngStream
 from swapfit.swap_test import FidelityMode, fidelity_oracle
 
@@ -226,6 +227,22 @@ class TestEpochLog:
         assert rec.oracle_fidelity == fidelity_oracle(states[best], target.state)
         assert (rec.trial_id, rec.seed) == (4, 3)
         assert_log_invariants(seen, rec.epochs_to_threshold, thresholds, stop_at, len(trace))
+
+    def test_finish_rescores_density_by_matrix_root(self):
+        """The closed form scores pure/density pairs during training only.
+
+        The record's oracle fidelity stays the matrix-root value, because the
+        benchmark recomputes every density solution's oracle_fidelity with that
+        formula and requires agreement to 1e-12; the closed form is up to ~3e-8
+        away from it.
+        """
+        rng = RngStream(5)
+        target = TargetSpec(2, sample_random_state(2, rng), seed=5)
+        solution = sample_random_density(2, rng)
+        log = EpochLog((0.99,), 0.99)
+        log.record(1, 0.5, solution)
+        rec = log.finish(target, Representation.DENSITY, FidelityMode.exact(), rng, 0)
+        assert rec.oracle_fidelity == uhlmann_fidelity(solution, target.state.density())
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), thresholds=THRESHOLDS,

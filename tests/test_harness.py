@@ -186,6 +186,18 @@ class TestRunExperiment:
         assert (a_dir / "results.csv").read_bytes() == (b_dir / "results.csv").read_bytes()
         assert (a_dir / "summary.json").read_bytes() == (b_dir / "summary.json").read_bytes()
 
+    def test_density_rerun_is_byte_identical(self, tmp_path):
+        """The closed-form pure/density score under the default thread pool."""
+        cfg = ExperimentConfig(method="nn", representation=Representation.DENSITY,
+                               qubit_range=(1, 1), trials=4, base_seed=78,
+                               max_iters=15, objective="uhlmann")
+        assert cfg.max_workers == 4
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        for out in (a_dir, b_dir):
+            assert run_experiment(cfg, out)["failures"] == []
+        assert (a_dir / "results.csv").read_bytes() == (b_dir / "results.csv").read_bytes()
+        assert (a_dir / "summary.json").read_bytes() == (b_dir / "summary.json").read_bytes()
+
     def test_traces_hold_wall_time(self, tmp_path):
         run_experiment(self.small_config(), tmp_path)
         traces = json.loads((tmp_path / "traces.json").read_text())

@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config(1, Representation.STATEVECTOR, **overrides)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.5, float("nan")])
+    def test_bad_stop_threshold_rejected(self, value):
+        """0 would stop every trial at epoch 1; 1.5 and NaN would never stop."""
+        with pytest.raises(ValueError, match="stop_threshold"):
+            default_config(1, Representation.STATEVECTOR, stop_threshold=value)
+
+    def test_stop_threshold_one_accepted(self):
+        cfg = default_config(1, Representation.STATEVECTOR, stop_threshold=1.0)
+        assert cfg.stop_threshold == 1.0
+
 
 class TestInitAndForward:
     def test_shapes(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from swapfit.metrics import hs_overlap
+from swapfit.metrics import hs_overlap, uhlmann_fidelity
 from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
 from swapfit.prep import TargetSpec, sample_random_density, sample_random_state
 from swapfit.sim import PureState, RngStream, basis_state, expectation_z, zero_state
@@ -326,3 +326,60 @@ class TestScoreCandidate:
         psi = basis_state(1, 0)
         with pytest.raises(ValueError):
             score_candidate(psi, psi, FidelityMode.exact(), objective="trace")
+
+    @pytest.mark.parametrize("mode", [FidelityMode.sampled(64),
+                                      FidelityMode.noisy(default_noise_model(), 64)],
+                             ids=lambda m: m.kind)
+    def test_density_rejects_stochastic_mode(self, mode):
+        """A density side is scored exactly, so a shot or noise label would lie."""
+        rng = RngStream(45)
+        psi, rho = sample_random_state(1, rng), sample_random_density(1, rng)
+        for cand, targ in ((rho, psi), (psi, rho), (rho, rho)):
+            with pytest.raises(ValueError, match="exactly"):
+                score_candidate(cand, targ, mode, RngStream(1))
+
+
+class TestPureMixed:
+    """A pure side against a density matrix reads <psi|sigma|psi> in closed form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), seed=SEEDS, pure_candidate=st.booleans(),
+           objective=st.sampled_from(["swap", "uhlmann"]))
+    def test_matches_references(self, n, seed, pure_candidate, objective):
+        rng = RngStream(seed)
+        psi, sigma = sample_random_state(n, rng), sample_random_density(n, rng)
+        cand, targ = (psi, sigma) if pure_candidate else (sigma, psi)
+        got = score_candidate(cand, targ, FidelityMode.exact(), objective=objective)
+        want = oracles.pure_expectation(psi.amplitudes, sigma.entries)
+        assert abs(got - want) <= 1e-12
+        # The matrix-root forms carry up to ~3e-8 of eigendecomposition error
+        # against a rank-one side, so they agree only to 1e-7.
+        assert abs(got - oracles.uhlmann_scipy(sigma.entries, psi.density().entries)) <= 1e-7
+        assert abs(got - uhlmann_fidelity(psi.density(), sigma)) <= 1e-7
+
+    @pytest.mark.parametrize("objective", ["swap", "uhlmann"])
+    def test_clipped_into_unit_interval(self, objective):
+        """<psi|psi><psi|psi> rounds above 1 for about a third of random psi."""
+        for seed in range(30):
+            psi = sample_random_state(1 + seed % 6, RngStream(seed))
+            for cand, targ in ((psi, psi.density()), (psi.density(), psi)):
+                got = score_candidate(cand, targ, FidelityMode.exact(), objective=objective)
+                assert 1.0 - 1e-12 <= got <= 1.0
+
+    @pytest.mark.parametrize("objective", ["swap", "uhlmann"])
+    def test_qubit_mismatch(self, objective):
+        rng = RngStream(46)
+        psi, sigma = sample_random_state(1, rng), sample_random_density(2, rng)
+        for cand, targ in ((psi, sigma), (sigma, psi)):
+            with pytest.raises(ValueError, match="qubit-count mismatch"):
+                score_candidate(cand, targ, FidelityMode.exact(), objective=objective)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), seed=SEEDS)
+    def test_mixed_pair_keeps_matrix_forms(self, n, seed):
+        rng = RngStream(seed)
+        rho, sigma = sample_random_density(n, rng), sample_random_density(n, rng)
+        exact = FidelityMode.exact()
+        assert score_candidate(rho, sigma, exact, objective="swap") == hs_overlap(rho, sigma)
+        assert (score_candidate(rho, sigma, exact, objective="uhlmann")
+                == uhlmann_fidelity(rho, sigma))
