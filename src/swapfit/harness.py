@@ -49,14 +49,22 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (base_seed ^ splitmix64(index)) & 0xFFFFFFFFFFFFFFFF
 
 
-def check_mode(representation: Representation, mode: FidelityMode,
+def check_mode(representation: Representation, mode: FidelityMode, objective: str,
                target_state=None) -> None:
-    """Density matrices, as candidates or as the target, are scored exactly."""
+    """Reject a stochastic mode where the reading is exact anyway.
+
+    Density matrices, as candidates or as the target, and the Uhlmann
+    objective are scored exactly, so a shot-count label would be false.
+    """
     density = (representation is Representation.DENSITY
                or isinstance(target_state, DensityMatrix))
     if density and mode.kind != "exact":
         raise ValueError(
             f"density matrices are scored exactly; {mode.label()} mode is not supported"
+        )
+    if objective == "uhlmann" and mode.kind != "exact":
+        raise ValueError(
+            f"the uhlmann objective is scored exactly; {mode.label()} mode is not supported"
         )
 
 
@@ -89,7 +97,7 @@ class ExperimentConfig:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         check_run_limits(self.max_iters, self.thresholds)
         check_objective(self.objective)
-        check_mode(self.representation, self.mode)
+        check_mode(self.representation, self.mode, self.objective)
 
     def to_json(self) -> str:
         payload = {
@@ -401,7 +409,7 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 objective: str = "swap") -> dict:
     """One reconstruction run; optionally deposits the solution in a store."""
     mode = mode or FidelityMode.exact()
-    check_mode(representation, mode, target.state)
+    check_mode(representation, mode, objective, target.state)
     solution, record = _optimize(
         target, method, representation, mode, RngStream(seed), thresholds,
         max_iters, objective,

@@ -8,8 +8,9 @@ application:
 * measure: a classical flip of the outcome bit,
 * reset: noiseless.
 
-Channels are plain Kraus-operator lists; application embeds them on the
-listed qubits with the same bit-masked kernels the simulator uses.
+Channels are plain Kraus-operator lists.  The noisy executor fuses each
+basis gate with its channel into one transfer matrix and applies that on
+the listed qubits.
 """
 
 from __future__ import annotations
@@ -29,12 +30,8 @@ from .sim import (
     X_MAT,
     DensityMatrix,
     GateOp,
-    PureState,
-    RngStream,
     _apply_matrix_axis0,
     _mask,
-    apply_gate,
-    apply_gate_dm,
     reset_qubits,
 )
 
@@ -149,26 +146,6 @@ def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     )
 
 
-def reduce_channel(ch: KrausChannel) -> KrausChannel:
-    """Equivalent channel with at most 4^arity operators.
-
-    Eigendecomposition of the Choi matrix; operators come out ordered by
-    decreasing weight, which keeps trajectory sampling fast.  Action agrees
-    with the original within numerical precision.
-    """
-    d = 2**ch.arity
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for K in ch.operators:
-        v = K.reshape(-1)
-        choi += np.outer(v, v.conj())
-    vals, vecs = np.linalg.eigh(choi)
-    ops = []
-    for lam, v in sorted(zip(vals, vecs.T), key=lambda t: -t[0]):
-        if lam > 1e-14:
-            ops.append(math.sqrt(lam) * v.reshape(d, d))
-    return KrausChannel(ch.arity, tuple(ops), name=f"{ch.name} (reduced)")
-
-
 def apply_channel_dm(rho: DensityMatrix, ch: KrausChannel,
                      qubits: Sequence[int]) -> DensityMatrix:
     """rho -> sum_K K rho K+ with the channel embedded on ``qubits``."""
@@ -220,36 +197,6 @@ def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
     return np.ascontiguousarray(out.reshape(dim, dim))
 
 
-def sample_trajectory_op(state: PureState, ch: KrausChannel,
-                         qubits: Sequence[int], rng: RngStream) -> PureState:
-    """Monte-Carlo unraveling: pick K with probability |K|psi>|^2.
-
-    Shot-averaging |out><out| converges to the density-matrix channel.
-    """
-    if len(qubits) != ch.arity:
-        raise ValueError(f"channel arity {ch.arity} but {len(qubits)} qubit(s) listed")
-    n = state.n_qubits
-    u = rng.gen.random()
-    acc = 0.0
-    chosen = None
-    last = None
-    for K in ch.operators:
-        cand = _apply_matrix_axis0(state.amplitudes, n, tuple(qubits), K)
-        w = float(np.real(np.vdot(cand, cand)))
-        last = (cand, w)
-        acc += w
-        if u < acc:
-            chosen = (cand, w)
-            break
-    if chosen is None:
-        # u landed in the completeness rounding gap; take the final operator
-        chosen = last
-    cand, w = chosen
-    if w < 1e-30:
-        raise RuntimeError("trajectory sampling selected a zero-probability branch")
-    return PureState(n, cand / math.sqrt(w), check=False)
-
-
 # ---------------------------------------------------------------------------
 # The calibrated model
 # ---------------------------------------------------------------------------
@@ -282,6 +229,8 @@ class NoiseModelSpec:
             raise ValueError(
                 f"T2 must satisfy 0 < T2 <= 2*T1, got T2={self.t2_us}, T1={self.t1_us}"
             )
+        if not 0.0 <= self.t_gate_ns < math.inf:
+            raise ValueError(f"t_gate_ns must be finite and >= 0, got {self.t_gate_ns}")
 
     @property
     def is_noiseless(self) -> bool:
@@ -308,20 +257,12 @@ class NoiseModelSpec:
         )
 
     @cached_property
-    def _single_qubit_reduced(self) -> KrausChannel:
-        return reduce_channel(self.single_qubit_channel)
-
-    @cached_property
-    def _cx_reduced(self) -> KrausChannel:
-        return reduce_channel(self.cx_channel)
-
-    @cached_property
     def _single_qubit_superop(self) -> np.ndarray:
-        return channel_superop(self._single_qubit_reduced)
+        return channel_superop(self.single_qubit_channel)
 
     @cached_property
     def _cx_superop(self) -> np.ndarray:
-        return channel_superop(self._cx_reduced)
+        return channel_superop(self.cx_channel)
 
     # each fixed basis gate fused with the channel that follows it
     @cached_property
@@ -336,31 +277,24 @@ class NoiseModelSpec:
     def _cx_transfer(self) -> np.ndarray:
         return self._cx_superop @ unitary_superop(CX_MAT)
 
-    def channel_for(self, kind: str, *, reduced: bool = True) -> KrausChannel | None:
+    def channel_for(self, kind: str) -> KrausChannel | None:
         """Channel attached after a gate of this kind, or None if noiseless."""
         if self.is_noiseless or kind not in NOISY_KINDS:
             return None
         if kind == "cx":
-            return self._cx_reduced if reduced else self.cx_channel
+            return self.cx_channel
         if kind == "measure":
             return None  # classical outcome flip, handled by flip_readout
-        return self._single_qubit_reduced if reduced else self.single_qubit_channel
+        return self.single_qubit_channel
 
-    def superop_for(self, kind: str) -> np.ndarray | None:
-        """Transfer matrix of channel_for(kind), or None where that is None."""
-        if self.is_noiseless or kind not in NOISY_KINDS or kind == "measure":
-            return None
-        return self._cx_superop if kind == "cx" else self._single_qubit_superop
-
-    def gate_transfer(self, op: GateOp) -> np.ndarray | None:
+    def gate_transfer(self, op: GateOp) -> np.ndarray:
         """Transfer matrix of the basis gate ``op`` then its channel.
 
-        None for a noiseless model.  rz's own transfer matrix is
+        A noiseless model's channels prune to the identity, so it gets the
+        bare gate's transfer matrix.  rz's own transfer matrix is
         diag(1, e^{-i theta}, e^{i theta}, 1), so its product is a column
         scaling built per op; sx, x and cx products are cached.
         """
-        if self.is_noiseless:
-            return None
         if op.kind == "rz":
             return self._single_qubit_superop * np.exp(_RZ_PHASE * op.angle)
         if op.kind == "sx":
@@ -419,18 +353,14 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
 
     Each noisy gate is one pass over the density matrix: its fused transfer
     matrix ``model.gate_transfer(op)`` (channel after unitary) is applied
-    in a single ``apply_superop_dm`` call.  A noiseless model applies the
-    bare unitary.  The op list must already be lowered to {rz, sx, x, cx}
-    (plus reset); anything else is rejected so noise cannot silently skip
-    a gate.
+    in a single ``apply_superop_dm`` call.  The op list must already be
+    lowered to {rz, sx, x, cx} (plus reset); anything else is rejected so
+    noise cannot silently skip a gate.
     """
     out = rho
     for op in ops:
         if op.kind in ("rz", "sx", "x", "cx"):
             s = model.gate_transfer(op)
-            if s is None:
-                out = apply_gate_dm(out, op)
-                continue
             n = out.n_qubits
             for q in op.qubits:
                 _mask(n, q)  # range check: moveaxis would wrap a bad index
@@ -438,25 +368,6 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
                                 check=False)
         elif op.kind == "reset":
             out = reset_qubits(out, op.qubits, None)
-        else:
-            raise ValueError(
-                f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"
-            )
-    return out
-
-
-def run_circuit_trajectory(state: PureState, ops, model: NoiseModelSpec,
-                           rng: RngStream) -> PureState:
-    """One stochastic pure-state trajectory through a noisy circuit."""
-    out = state
-    for op in ops:
-        if op.kind in ("rz", "sx", "x", "cx"):
-            out = apply_gate(out, op)
-            ch = model.channel_for(op.kind)
-            if ch is not None:
-                out = sample_trajectory_op(out, ch, op.qubits, rng)
-        elif op.kind == "reset":
-            out = reset_qubits(out, op.qubits, rng)
         else:
             raise ValueError(
                 f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"

@@ -37,10 +37,6 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Density matrices above this many total qubits are refused by default;
-# larger noisy circuits must use trajectory sampling instead.
-DM_QUBIT_CAP = 9
-
 
 class RngStream:
     """A named, seeded random stream (PCG64 under the hood).
@@ -564,19 +560,3 @@ def lower_ops(ops: Iterable[GateOp]) -> list[GateOp]:
     for op in ops:
         out.extend(lower_op(op))
     return out
-
-
-def invert_ops(ops: Sequence[GateOp]) -> list[GateOp]:
-    """Gate list realizing the inverse unitary (for round-trip checks)."""
-    inv: list[GateOp] = []
-    for op in reversed(ops):
-        if op.kind in ("h", "x", "cx", "cswap"):
-            inv.append(op)
-        elif op.kind == "rz":
-            inv.append(GateOp.rz(-op.angle, op.qubits[0]))
-        elif op.kind == "sx":
-            q = op.qubits[0]
-            inv.extend([GateOp.sx(q), GateOp.sx(q), GateOp.sx(q)])
-        else:
-            raise ValueError(f"{op.kind} has no inverse gate sequence")
-    return inv

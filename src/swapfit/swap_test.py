@@ -11,13 +11,17 @@ Noiseless pure readings are scored in closed form: P(0) = (1 + |<psi|phi>|^2)/2
 (Buhrman et al., quant-ph/0102001), so ``score_candidate`` and the
 noiseless branch of ``swap_test_sampled`` use ``fidelity_oracle`` and
 simulate no circuit.  ``swap_test_exact`` still simulates the gadget; it
-is the reference the tests hold the closed form to.  Noisy readings run
-the whole lowered circuit on the density-matrix path.
+is the reference the tests hold the closed form to.  Noisy readings are
+the exact ancilla-zero probability of the whole lowered circuit under the
+noise model, factorized per qubit pair (``_target_observable``) so that
+no (2n+1)-qubit density matrix is built; ``noisy_circuit_ops`` is the full
+circuit the tests hold it to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,18 +31,13 @@ from .noise import (
     apply_superop_dm,
     default_noise_model,
     run_circuit_dm_noisy,
-    run_circuit_trajectory,
 )
 from .prep import TargetSpec, prepare_on
 from .sim import (
-    DM_QUBIT_CAP,
-    DensityMatrix,
     GateOp,
     PureState,
     RngStream,
-    apply_gate_dm,
     expectation_z,
-    invert_ops,
     lower_ops,
     run_circuit,
     zero_state,
@@ -156,71 +155,69 @@ def noisy_circuit_ops(psi: PureState, phi: PureState) -> list[GateOp]:
     return ops
 
 
-# During optimization the target register stays fixed while thousands of
-# candidates stream past, so the expensive fixed pieces of the noisy circuit
-# are cached: the target-preparation density matrix, and the gadget pulled
-# back onto the ancilla-zero projector (Heisenberg picture).  Per candidate
-# only its own preparation ops touch the density matrix.
-_PREP_CACHE: dict = {}
-_PREP_CACHE_CAP = 128
-_PULLBACK_CACHE: dict = {}
-
-
-def _model_key(noise: NoiseModelSpec) -> tuple:
-    return (noise.p_bitflip, noise.p_dep1, noise.p_dep2,
-            noise.t1_us, noise.t2_us, noise.t_gate_ns)
-
-
-def _gadget_observable(n_qubits: int, noise: NoiseModelSpec) -> np.ndarray:
-    """Ancilla-zero projector conjugated backward through the noisy gadget."""
-    key = (n_qubits, _model_key(noise))
-    hit = _PULLBACK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    total = 2 * n_qubits + 1
-    dim = 1 << total
-    obs = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(obs[: dim // 2, : dim // 2], 1.0)  # ancilla is the MSB
-    for op in reversed(lower_ops(swap_gadget_ops(n_qubits))):
-        s = noise.superop_for(op.kind)
-        if s is not None:
-            obs = apply_superop_dm(obs, total, op.qubits, s.conj().T)
-        carrier = DensityMatrix(total, obs, check=False)
-        for inv in invert_ops([op]):
-            carrier = apply_gate_dm(carrier, inv)
-        obs = carrier.entries
-    _PULLBACK_CACHE[key] = obs
+def _pull_back(obs: np.ndarray, n_qubits: int, ops, noise: NoiseModelSpec) -> np.ndarray:
+    """Heisenberg picture: ``obs`` conjugated backward through the noisy ops."""
+    for op in reversed(ops):
+        obs = apply_superop_dm(obs, n_qubits, op.qubits, noise.gate_transfer(op).conj().T)
     return obs
 
 
-def _prepared_density(psi: PureState, noise: NoiseModelSpec) -> DensityMatrix:
-    """|0..0><0..0| with psi noisily Mottonen-prepared on the target register."""
-    n = psi.n_qubits
-    key = (n, _model_key(noise), psi.amplitudes.tobytes())
-    hit = _PREP_CACHE.get(key)
-    if hit is None:
-        total = 2 * n + 1
-        rho = zero_state(total).density()
-        hit = run_circuit_dm_noisy(rho, prepare_on(total, psi, offset=1), noise)
-        if len(_PREP_CACHE) >= _PREP_CACHE_CAP:
-            _PREP_CACHE.clear()
-        _PREP_CACHE[key] = hit
-    return hit
+@lru_cache(maxsize=128)
+def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) -> np.ndarray:
+    """M_psi with p0 = Tr(M_psi rho_phi), before the readout flip.
+
+    The two preparations act on disjoint registers, every channel acts on
+    its own gate's qubits, and the lowered cswap of pair i touches only
+    (ancilla, t_i, c_i).  So the gadget's pulled-back ancilla-zero projector
+    is a chain over the pairs, linked by the ancilla's 4-dimensional
+    operator space (a matrix product operator of bond 4, Schollwoeck,
+    arXiv:1008.3477).  Its one site tensor is each ancilla matrix unit
+    (x) I pulled back through the lowered cswap.  Contracted site by site
+    with the noisy target state, between the first H's ancilla state and
+    the second H's pulled-back projector, it leaves an operator on the
+    candidate register; intermediates hold 4^(n+1) entries.  Cached per
+    (model, n, target): a run scores thousands of candidates per target.
+    """
+    p_zero = np.array([[1, 0], [0, 0]], dtype=complex)
+    h = lower_ops([GateOp.h(0)])
+    rho_a = p_zero
+    for op in h:
+        rho_a = apply_superop_dm(rho_a, 1, op.qubits, noise.gate_transfer(op))
+    closing = _pull_back(p_zero, 1, h, noise).reshape(4)
+    block = lower_ops([GateOp.cswap(0, 1, 2)])
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    site = np.stack([_pull_back(np.kron(u, np.eye(4)), 3, block, noise) for u in units])
+    # [unit, a_r, t_r, c_r, a_c, t_c, c_c] -> [unit, (c_r c_c), (a_r a_c), (t_c t_r)]
+    site = site.reshape((4,) + (2,) * 6).transpose(0, 3, 6, 1, 4, 5, 2).reshape(4, 4, 4, 4)
+
+    n = n_qubits
+    psi = PureState(n, np.frombuffer(amplitudes, dtype=complex), check=False)
+    rho_t = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, psi), noise).entries
+    # one (row, col) index pair per qubit, qubit 0 first; the bond starts as
+    # Tr(rho_a E_kl) = rho_a[l, k] for the matrix unit E_kl
+    pairs = rho_t.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
+    acc = np.outer(rho_a.T.reshape(4), pairs.reshape(-1))
+    for _ in range(n):
+        # trace out the next target pair; its candidate pair goes to the back
+        acc = np.tensordot(site, acc.reshape(4, 4, -1), axes=([2, 3], [0, 1]))
+        acc = acc.transpose(0, 2, 1)
+    m = (closing @ acc.reshape(4, -1)).reshape((2,) * (2 * n))
+    m = m.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    m = np.ascontiguousarray(m.reshape(1 << n, 1 << n))
+    m.flags.writeable = False
+    return m
 
 
 def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec) -> float:
-    """Exact ancilla-zero probability of the noisy circuit, readout flip included."""
+    """Exact ancilla-zero probability of the noisy circuit, readout flip included.
+
+    Equal to the full (2n+1)-qubit density-matrix run of ``noisy_circuit_ops``;
+    per candidate only its own n-qubit noisy preparation is evolved.
+    """
     n = psi.n_qubits
-    total = 2 * n + 1
-    if total > DM_QUBIT_CAP:
-        raise ValueError(
-            f"density-matrix path supports at most {DM_QUBIT_CAP} qubits, "
-            f"got {total}; use sampled trajectories"
-        )
-    rho = _prepared_density(psi, noise)
-    rho = run_circuit_dm_noisy(rho, prepare_on(total, phi, offset=n + 1), noise)
-    p0 = float(np.real(np.vdot(_gadget_observable(n, noise), rho.entries)))
-    return noise.flip_readout(p0)
+    m = _target_observable(noise, n, psi.amplitudes.tobytes())
+    rho = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, phi), noise)
+    return noise.flip_readout(float(np.real(np.vdot(m, rho.entries))))
 
 
 def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS,
@@ -228,12 +225,10 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
                       rng: RngStream | None = None) -> SwapTestOutcome:
     """Shot-sampled fidelity estimate, optionally through the noise model.
 
-    Noiseless mode and the noisy density-matrix path (2n+1 <= 9 qubits) draw
-    the shot outcomes from the exact ancilla-zero probability, which is
-    distributionally identical to simulating shots one by one.  Noiseless
-    mode takes that probability in closed form, (1 + |<psi|phi>|^2) / 2,
-    with one binomial draw, as the circuit route did.  Larger noisy
-    registers fall back to per-shot stochastic trajectories.
+    The shot outcomes are one binomial draw from the exact ancilla-zero
+    probability, which is distributionally identical to simulating shots
+    one by one.  Noiseless mode takes that probability in closed form,
+    (1 + |<psi|phi>|^2) / 2; noisy mode takes it from ``_noisy_exact_p0``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -243,25 +238,12 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
         raise ValueError(
             f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
         )
-    n = psi.n_qubits
     noisy = noise is not None and not noise.is_noiseless
-    if not noisy:
-        p_true = (1.0 + fidelity_oracle(psi, phi)) / 2.0
-        zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
-    elif 2 * n + 1 <= DM_QUBIT_CAP:
+    if noisy:
         p_true = _noisy_exact_p0(psi, phi, noise)
-        zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
     else:
-        ops = noisy_circuit_ops(psi, phi)
-        init = zero_state(2 * n + 1)
-        zeros = 0
-        for _ in range(shots):
-            out = run_circuit_trajectory(init, ops, noise, rng)
-            p0 = (1.0 + expectation_z(out, 0)) / 2.0
-            bit = 0 if rng.gen.random() < p0 else 1
-            if rng.gen.random() < noise.p_bitflip:
-                bit ^= 1
-            zeros += 1 - bit
+        p_true = (1.0 + fidelity_oracle(psi, phi)) / 2.0
+    zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
     p0_hat = zeros / shots
     return SwapTestOutcome(
         fidelity_estimate=2.0 * p0_hat - 1.0, p0=p0_hat, mode="sampled",
@@ -272,7 +254,7 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
 def noisy_floor_estimate(n_qubits: int, noise: NoiseModelSpec) -> float:
     """Expected sampled estimate for identical |0..0> inputs under noise.
 
-    Computed exactly on the density-matrix path.  It is the ceiling for
+    Computed exactly by ``_noisy_exact_p0``.  It is the ceiling for
     |0..0> only: that target's Mottonen preparation emits no gates, so just
     the gadget is noisy.  Targets whose preparation emits gates read lower
     for identical inputs (random 1-qubit targets under the default model:

@@ -114,12 +114,12 @@ def apply_kraus_dense(rho, operators, n_qubits, qubits):
 
 
 def run_dense_dm_noisy(rho, ops, n_qubits, model):
-    """Noisy evolution gate by gate: U rho U+, then the unreduced Kraus sum.
+    """Noisy evolution gate by gate: U rho U+, then the composite Kraus sum.
 
     The same arithmetic as op_matrix followed by apply_kraus_dense with
-    ``model.channel_for(kind, reduced=False)``, except that each gate's
+    ``model.channel_for(kind)``, except that each gate's
     embedded Kraus operators are built once per (kind, qubits) and kept
-    sparse: the unreduced cx channel has 144 operators, and a 7-qubit
+    sparse: the composite cx channel has 144 operators, and a 7-qubit
     register would otherwise take minutes.
     """
     embedded = {}
@@ -127,7 +127,7 @@ def run_dense_dm_noisy(rho, ops, n_qubits, model):
     for op in ops:
         u = op_matrix(op, n_qubits)
         out = u @ out @ u.conj().T
-        ch = model.channel_for(op.kind, reduced=False)
+        ch = model.channel_for(op.kind)
         if ch is None:
             continue
         key = (op.kind, op.qubits)

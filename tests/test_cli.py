@@ -5,7 +5,7 @@ import json
 import pytest
 
 from swapfit.cli import main
-from swapfit.noise import default_noise_model
+from swapfit.noise import NoiseModelSpec, default_noise_model
 
 
 class TestExitCodes:
@@ -43,6 +43,9 @@ class TestConfigValidation:
         ["--method", "nn", "--max-iters", "0"],
         ["--repr", "density", "--mode", "sampled", "--shots", "64"],
         ["--method", "es", "--repr", "density", "--mode", "noisy", "--noise", "default",
+         "--shots", "64"],
+        ["--objective", "uhlmann", "--mode", "sampled", "--shots", "64"],
+        ["--method", "nn", "--objective", "uhlmann", "--mode", "noisy", "--noise", "default",
          "--shots", "64"],
     ])
     def test_bad_run_flags(self, tmp_path, capsys, flags):
@@ -83,6 +86,26 @@ class TestConfigValidation:
                      "--shots", "64"])
         assert code == 1
         assert "exactly" in capsys.readouterr().err
+
+    def test_uhlmann_reconstruct_rejects_stochastic_mode(self, capsys):
+        """The Uhlmann objective reads exactly, so a shot label would be false."""
+        code = main(["reconstruct", "--target", "zero", "--objective", "uhlmann",
+                     "--mode", "sampled", "--shots", "64"])
+        assert code == 1
+        assert "exactly" in capsys.readouterr().err
+
+    def test_negative_gate_time_rejected(self, tmp_path, capsys):
+        """A bad noise file exits 1 before any trial, not 2 from every trial."""
+        raw = json.loads(NoiseModelSpec().to_json())
+        raw["t_gate_ns"] = -5.0
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "exp"
+        code = main(["run", "--mode", "noisy", "--noise", str(path), "--shots", "64",
+                     "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert "t_gate_ns" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_bogus_objective_rejected_at_construction(self):
         from swapfit.harness import ExperimentConfig

@@ -20,12 +20,10 @@ from swapfit.noise import (
     default_noise_model,
     depolarizing_channel,
     noiseless_model,
-    reduce_channel,
     run_circuit_dm_noisy,
-    run_circuit_trajectory,
-    sample_trajectory_op,
     tensor_channels,
     thermal_relaxation_channel,
+    unitary_superop,
 )
 from swapfit.prep import sample_random_state
 from swapfit.sim import (
@@ -142,29 +140,12 @@ class TestChannelAlgebra:
 
 class TestReduction:
     def test_operator_counts(self):
-        """Composition blows up the operator count; reduction caps it at 16."""
+        """Composition multiplies the operator counts.  Nothing reduces them:
+        the fused transfer matrix is 16x16 or 4x4 whatever the count."""
         model = default_noise_model()
         assert len(model.cx_channel.operators) == 144
-        assert len(reduce_channel(model.cx_channel).operators) <= 16
-        assert len(reduce_channel(model.single_qubit_channel).operators) <= 4
-
-    def test_reduced_action_agrees(self):
-        rng = np.random.default_rng(31)
-        model = default_noise_model()
-        for ch in (model.single_qubit_channel, model.cx_channel):
-            red = reduce_channel(ch)
-            rho = oracles.random_density_dense(ch.arity, rng)
-            a = apply_channel_dm(DensityMatrix(ch.arity, rho), ch,
-                                 tuple(range(ch.arity)))
-            b = apply_channel_dm(DensityMatrix(ch.arity, rho), red,
-                                 tuple(range(ch.arity)))
-            np.testing.assert_allclose(a.entries, b.entries, atol=1e-12)
-
-    def test_reduction_sorted_by_weight(self):
-        red = reduce_channel(default_noise_model().cx_channel)
-        weights = [float(np.sum(np.abs(K) ** 2)) for K in red.operators]
-        for a, b in zip(weights, weights[1:]):
-            assert a >= b - 1e-12
+        assert len(model.single_qubit_channel.operators) == 8
+        assert model.gate_transfer(GateOp.cx(0, 1)).shape == (16, 16)
 
 
 class TestSuperops:
@@ -175,13 +156,6 @@ class TestSuperops:
             want = oracles.channel_transfer_dense(ch.operators, ch.arity,
                                                   tuple(range(ch.arity)))
             np.testing.assert_allclose(s, want, atol=1e-12)
-
-    def test_raw_and_reduced_superops_match(self):
-        """Two Kraus presentations of the same map share one transfer matrix."""
-        model = default_noise_model()
-        np.testing.assert_allclose(channel_superop(model.cx_channel),
-                                   channel_superop(reduce_channel(model.cx_channel)),
-                                   atol=1e-12)
 
     @pytest.mark.parametrize("qubits", [(0,), (2,), (0, 1), (2, 0), (1, 2)])
     def test_apply_superop_matches_kraus(self, qubits):
@@ -232,13 +206,23 @@ class TestModel:
         model = noiseless_model()
         assert model.is_noiseless
         assert model.channel_for("cx") is None
-        assert model.superop_for("sx") is None
 
     def test_superop_for_mapping(self):
+        """gate_transfer gives each basis gate's superoperator, channel after
+        gate; a noiseless model leaves the bare gate's."""
         model = default_noise_model()
-        assert model.superop_for("rz").shape == (4, 4)
-        assert model.superop_for("cx").shape == (16, 16)
-        assert model.superop_for("measure") is None
+        for op in (GateOp.rz(0.3, 0), GateOp.sx(0), GateOp.x(0)):
+            assert model.gate_transfer(op).shape == (4, 4)
+        dense = oracles.channel_transfer_dense(model.single_qubit_channel.operators, 1, (0,))
+        np.testing.assert_allclose(model.gate_transfer(GateOp.x(0)),
+                                   dense @ np.kron(oracles.X, oracles.X), atol=1e-15)
+        with pytest.raises(ValueError, match="not a noisy basis gate"):
+            model.gate_transfer(GateOp.measure(0))
+        bare = noiseless_model()
+        for op, u in ((GateOp.sx(0), oracles.SX), (GateOp.rz(0.3, 0), oracles.rz(0.3)),
+                      (GateOp.cx(0, 1), oracles.cx_matrix())):
+            np.testing.assert_allclose(bare.gate_transfer(op), unitary_superop(u),
+                                       rtol=0, atol=1e-15)
 
     def test_flip_readout(self):
         model = NoiseModelSpec(p_bitflip=0.25)
@@ -261,6 +245,12 @@ class TestModel:
         with pytest.raises(ValueError):
             NoiseModelSpec(t1_us=10.0, t2_us=25.0)
 
+    @pytest.mark.parametrize("t_gate_ns", [-5.0, math.nan, math.inf])
+    def test_bad_gate_time_rejected(self, t_gate_ns):
+        """Caught at construction, not as a failure of every trial's first reading."""
+        with pytest.raises(ValueError, match="t_gate_ns"):
+            NoiseModelSpec(t_gate_ns=t_gate_ns)
+
     def test_delay_channel_durations(self):
         """Longer idle time damps harder."""
         model = default_noise_model()
@@ -270,32 +260,6 @@ class TestModel:
         long = apply_channel_dm(
             rho, thermal_relaxation_channel(model.t1_us, model.t2_us, 5000.0), (0,))
         assert long.entries[1, 1].real < short.entries[1, 1].real
-
-
-class TestTrajectories:
-    def test_mean_converges_to_channel(self):
-        """Averaged trajectory projectors approximate the channel output."""
-        rng = RngStream(2024)
-        model = default_noise_model()
-        ch = model.channel_for("cx")
-        state = PureState(2, np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        acc = np.zeros((4, 4), dtype=complex)
-        shots = 3000
-        for _ in range(shots):
-            out = sample_trajectory_op(state, ch, (0, 1), rng)
-            acc += np.outer(out.amplitudes, out.amplitudes.conj())
-        acc /= shots
-        want = apply_channel_dm(state.density(), ch, (0, 1))
-        assert np.max(np.abs(acc - want.entries)) < 0.05
-
-    def test_trajectory_preserves_norm(self):
-        rng = RngStream(8)
-        model = default_noise_model()
-        state = PureState(1, np.array([0.6, 0.8j], dtype=complex))
-        for _ in range(50):
-            out = sample_trajectory_op(state, model.channel_for("x"), (0,), rng)
-            np.testing.assert_allclose(np.linalg.norm(out.amplitudes), 1.0,
-                                       atol=1e-12)
 
 
 class TestNoisyExecutors:
@@ -324,24 +288,10 @@ class TestNoisyExecutors:
         for op in ops:
             u = oracles.op_matrix(op, 2)
             rho = u @ rho @ u.conj().T
-            ch = model.channel_for(op.kind, reduced=False)
+            ch = model.channel_for(op.kind)
             if ch is not None:
                 rho = oracles.apply_kraus_dense(rho, ch.operators, 2, op.qubits)
         np.testing.assert_allclose(got.entries, rho, atol=1e-12)
-
-    def test_trajectory_executor_mean(self):
-        """Trajectory averages land near the density-matrix executor."""
-        model = default_noise_model()
-        ops = lower_ops([GateOp.h(0)])
-        rng = RngStream(55)
-        acc = np.zeros((2, 2), dtype=complex)
-        shots = 2000
-        for _ in range(shots):
-            out = run_circuit_trajectory(zero_state(1), ops, model, rng)
-            acc += np.outer(out.amplitudes, out.amplitudes.conj())
-        acc /= shots
-        want = run_circuit_dm_noisy(zero_state(1).density(), ops, model)
-        assert np.max(np.abs(acc - want.entries)) < 0.05
 
     def test_purity_drops_under_noise(self):
         model = default_noise_model()
@@ -393,7 +343,7 @@ class TestFusedExecutor:
         for op in ops:
             u = oracles.op_matrix(op, n)
             want = u @ want @ u.conj().T
-            ch = model.channel_for(op.kind, reduced=False)
+            ch = model.channel_for(op.kind)
             if ch is not None:
                 want = oracles.apply_kraus_dense(want, ch.operators, n, op.qubits)
         np.testing.assert_allclose(got.entries, want, rtol=0, atol=1e-12)

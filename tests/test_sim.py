@@ -13,7 +13,6 @@ from swapfit.sim import (
     apply_gate_dm,
     basis_state,
     expectation_z,
-    invert_ops,
     lower_cswap,
     lower_h,
     lower_op,
@@ -267,14 +266,6 @@ class TestLowering:
         """Seven phase rotations plus two lowered Hadamards."""
         ops = lower_cswap(0, 1, 2)
         assert sum(1 for op in ops if op.kind != "cx") == 13
-
-    def test_invert_ops_roundtrip(self):
-        rng = np.random.default_rng(23)
-        amps = oracles.random_state_dense(3, rng)
-        ops = random_ops(3, 20, rng)
-        fwd = run_circuit(PureState(3, amps), ops)
-        back = run_circuit(fwd, invert_ops(ops))
-        np.testing.assert_allclose(back.amplitudes, amps, atol=1e-12)
 
     def test_lower_h_is_exported_sequence(self):
         kinds = [op.kind for op in lower_h(0)]

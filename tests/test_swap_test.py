@@ -1,11 +1,14 @@
 """The fidelity estimator circuit in all three modes, plus the loop shape."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_noise import MODELS
 from swapfit.metrics import hs_overlap, uhlmann_fidelity
 from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
 from swapfit.prep import TargetSpec, sample_random_density, sample_random_state
@@ -166,17 +169,28 @@ class TestSampled:
 
 class TestNoisy:
     def test_cached_route_equals_full_circuit(self):
-        """The pullback/cache fast path must match straight DM evolution."""
-        model = default_noise_model()
-        rng = RngStream(88)
-        for n_qubits in (1, 2):
+        """The factorized reading must match straight (2n+1)-qubit DM evolution,
+        for n = 1..4 under each of the three test models."""
+        for n_qubits in (1, 2, 3, 4):
+            rng = RngStream(88 + n_qubits)
             psi = sample_random_state(n_qubits, rng)
             phi = sample_random_state(n_qubits, rng)
-            fast = _noisy_exact_p0(psi, phi, model)
-            rho = zero_state(2 * n_qubits + 1).density()
-            rho = run_circuit_dm_noisy(rho, noisy_circuit_ops(psi, phi), model)
-            slow = model.flip_readout((1.0 + expectation_z(rho, 0)) / 2.0)
-            np.testing.assert_allclose(fast, slow, atol=1e-12)
+            for name, model in zip(("default", "noiseless", "heavy"), MODELS):
+                fast = _noisy_exact_p0(psi, phi, model)
+                rho = zero_state(2 * n_qubits + 1).density()
+                rho = run_circuit_dm_noisy(rho, noisy_circuit_ops(psi, phi), model)
+                slow = model.flip_readout((1.0 + expectation_z(rho, 0)) / 2.0)
+                np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12,
+                                           err_msg=f"n={n_qubits}, {name} model")
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_qubits=st.integers(1, 6), seed=SEEDS, same=st.booleans())
+    def test_noiseless_reading_is_closed_form(self, n_qubits, seed, same):
+        """With no noise the factorized route is the ideal (1 + |<psi|phi>|^2)/2."""
+        psi, phi = random_pair(n_qubits, seed, same)
+        np.testing.assert_allclose(_noisy_exact_p0(psi, phi, noiseless_model()),
+                                   (1.0 + fidelity_oracle(psi, phi)) / 2.0,
+                                   rtol=0, atol=1e-12)
 
     def test_floor_values_frozen(self):
         """Calibration numbers for the default budget stay put."""
@@ -207,13 +221,27 @@ class TestNoisy:
         assert good > bad + 0.3
 
     def test_trajectory_fallback_runs(self):
-        """Registers past the DM cap fall back to per-shot trajectories."""
-        rng = RngStream(11)
-        psi = sample_random_state(5, rng)  # 11 total qubits
-        out = swap_test_sampled(psi, psi, shots=4, noise=default_noise_model(),
-                                rng=rng)
-        assert out.noisy and out.shots == 4
-        assert -1.0 <= out.fidelity_estimate <= 1.0
+        """n=5 and 6 (11 and 13 circuit qubits) read exactly, like every n:
+        one binomial draw from _noisy_exact_p0, not per-shot trajectories."""
+        model = default_noise_model()
+        for n_qubits in (5, 6):
+            rng = RngStream(11)
+            psi = sample_random_state(n_qubits, rng)
+            phi = sample_random_state(n_qubits, rng)
+            out = swap_test_sampled(psi, phi, shots=1024, noise=model, rng=RngStream(12))
+            zeros = RngStream(12).gen.binomial(1024, _noisy_exact_p0(psi, phi, model))
+            assert out.noisy and out.shots == 1024
+            assert out.p0 == zeros / 1024
+
+    def test_six_qubit_noisy_score_is_fast(self):
+        """A cold n=6 noisy reading, target preparation included, takes under 1 s."""
+        rng = RngStream(13)
+        psi = sample_random_state(6, rng)
+        phi = sample_random_state(6, rng)
+        mode = FidelityMode.noisy(default_noise_model(), 1024)
+        start = time.perf_counter()
+        score_candidate(phi, psi, mode, rng)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMixed:
