@@ -14,7 +14,7 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +112,7 @@ class ExperimentConfig:
             "thresholds": list(self.thresholds),
             "base_seed": self.base_seed,
             "max_iters": self.max_iters,
+            "max_workers": self.max_workers,
             "objective": self.objective,
         }
         return json.dumps(payload, indent=2)
@@ -122,6 +123,12 @@ class ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config parse failure at line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        # a misspelled field would otherwise run silently with its default
+        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"config has unknown field(s) {unknown}")
         try:
             mode = FidelityMode.from_label(raw.get("mode", "exact"))
             if mode.kind == "noisy" and raw.get("noise") is not None:
@@ -137,12 +144,18 @@ class ExperimentConfig:
                 thresholds=tuple(raw.get("thresholds", [0.95, 0.99])),
                 base_seed=int(raw.get("base_seed", 0)),
                 max_iters=int(raw.get("max_iters", 100)),
+                max_workers=int(raw.get("max_workers", 4)),
                 objective=raw.get("objective", "swap"),
             )
         except KeyError as exc:
             raise ValueError(f"config missing required field {exc.args[0]!r}") from exc
         except TypeError as exc:
             raise ValueError(f"config field of the wrong type: {exc}") from exc
+
+
+# the keys ExperimentConfig.to_json writes: the fields, with the mode's noise
+# model under its own key
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"noise"}
 
 
 @dataclass(frozen=True)

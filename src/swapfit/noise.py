@@ -10,7 +10,9 @@ application:
 
 Channels are plain Kraus-operator lists.  The noisy executor fuses each
 basis gate with its channel into one transfer matrix and applies that on
-the listed qubits.
+the listed qubits.  ``run_circuit_dm_noisy`` does so for any lowered op
+list; ``prepare_dm_noisy`` does so for a Mottonen preparation straight from
+its compiled template, without building ops.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +32,12 @@ from .sim import (
     X_MAT,
     DensityMatrix,
     GateOp,
+    PureState,
     _apply_matrix_axis0,
     _mask,
     reset_qubits,
 )
+from .prep import mottonen_stages
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -178,6 +182,29 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u, u.conj())
 
 
+@lru_cache(maxsize=None)
+def _transfer_axes(n_qubits: int, qubits: tuple) -> tuple:
+    """Transposes of a (2,)*2n density tensor that bring the listed qubits'
+    row axes, then their column axes, to the front (other axes keep their
+    order), and back."""
+    front = qubits + tuple(n_qubits + q for q in qubits)
+    forward = front + tuple(a for a in range(2 * n_qubits) if a not in front)
+    back = tuple(int(a) for a in np.argsort(forward))
+    return forward, back
+
+
+def _apply_transfer(t: np.ndarray, n_qubits: int, qubits: tuple,
+                    transfer: np.ndarray) -> np.ndarray:
+    """``transfer`` on the listed qubits of the (2,)*2n density tensor ``t``.
+
+    One copy and one matrix product; the result is a transposed view, which
+    the next call's transpose-and-reshape consumes without a second copy.
+    """
+    forward, back = _transfer_axes(n_qubits, qubits)
+    out = transfer @ t.transpose(forward).reshape(transfer.shape[1], -1)
+    return out.reshape(t.shape).transpose(back)
+
+
 def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
                      superop: np.ndarray) -> np.ndarray:
     """Apply a transfer matrix to the row/column axes of the listed qubits.
@@ -185,16 +212,9 @@ def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
     The adjoint map (Heisenberg picture, for pulling observables backward
     through a channel) is the same call with ``superop.conj().T``.
     """
-    k = len(qubits)
     t = entries.reshape((2,) * (2 * n_qubits))
-    src = tuple(qubits) + tuple(n_qubits + q for q in qubits)
-    dst = tuple(range(2 * k))
-    t = np.moveaxis(t, src, dst)
-    rest = t.shape[2 * k:]
-    out = (superop @ t.reshape(1 << (2 * k), -1)).reshape((2,) * (2 * k) + rest)
-    out = np.moveaxis(out, dst, src)
     dim = 1 << n_qubits
-    return np.ascontiguousarray(out.reshape(dim, dim))
+    return _apply_transfer(t, n_qubits, tuple(qubits), superop).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +311,11 @@ class NoiseModelSpec:
         """Transfer matrix of the basis gate ``op`` then its channel.
 
         A noiseless model's channels prune to the identity, so it gets the
-        bare gate's transfer matrix.  rz's own transfer matrix is
-        diag(1, e^{-i theta}, e^{i theta}, 1), so its product is a column
-        scaling built per op; sx, x and cx products are cached.
+        bare gate's transfer matrix.  rz's product is built per op by
+        ``rz_transfer``; sx, x and cx products are cached.
         """
         if op.kind == "rz":
-            return self._single_qubit_superop * np.exp(_RZ_PHASE * op.angle)
+            return self.rz_transfer(op.angle)
         if op.kind == "sx":
             return self._sx_transfer
         if op.kind == "x":
@@ -304,6 +323,16 @@ class NoiseModelSpec:
         if op.kind == "cx":
             return self._cx_transfer
         raise ValueError(f"op kind {op.kind!r} is not a noisy basis gate")
+
+    def rz_transfer(self, theta) -> np.ndarray:
+        """Transfer matrix of rz(theta) then its channel.
+
+        rz's own transfer matrix is diag(1, e^{-i theta}, e^{i theta}, 1),
+        so the product is a column scaling of the channel's.  An array of
+        angles gives one matrix per angle, stacked along the leading axes.
+        """
+        phases = np.exp(np.multiply.outer(theta, _RZ_PHASE))
+        return self._single_qubit_superop * phases[..., None, :]
 
     def flip_readout(self, p0: float) -> float:
         """Probability of reading 0 after the classical measurement flip."""
@@ -363,7 +392,7 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
             s = model.gate_transfer(op)
             n = out.n_qubits
             for q in op.qubits:
-                _mask(n, q)  # range check: moveaxis would wrap a bad index
+                _mask(n, q)  # range check before the index reaches an axis permutation
             out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s),
                                 check=False)
         elif op.kind == "reset":
@@ -373,3 +402,24 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
                 f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"
             )
     return out
+
+
+def prepare_dm_noisy(target: PureState, model: NoiseModelSpec) -> DensityMatrix:
+    """The noisy Mottonen preparation of ``target`` from |0...0>.
+
+    Equal to ``run_circuit_dm_noisy(zero_state(n).density(),
+    mottonen_circuit(target), model)``, but no op is built: the kept
+    ``mottonen_stages`` are applied straight to the density tensor, the
+    fixed sx, x and cx as the model's cached fused transfers and each rz as
+    ``rz_transfer`` of its stage angle, one matrix product per gate.
+    """
+    n = target.n_qubits
+    t = np.zeros((2,) * (2 * n), dtype=complex)
+    t[(0,) * (2 * n)] = 1.0
+    for stage, thetas in mottonen_stages(target):
+        rz = model.rz_transfer(thetas)
+        for op, slot in stage.gates:
+            s = model.gate_transfer(op) if slot < 0 else rz[slot]
+            t = _apply_transfer(t, n, op.qubits, s)
+    dim = 1 << n
+    return DensityMatrix(n, t.reshape(dim, dim), check=False)

@@ -1,5 +1,11 @@
 """Target-state generation, Mottonen synthesis, and parameter decoding.
 
+Mottonen synthesis is compiled once per qubit count into a template of
+stages (``mottonen_template``); per state only the stages' rz angles are
+computed (``mottonen_stages``).  ``mottonen_circuit`` instantiates them as
+gate ops, and the noisy executor ``noise.prepare_dm_noisy`` runs them
+directly on a density matrix.
+
 Three candidate representations are supported, each decoded from a flat real
 parameter vector:
 
@@ -14,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,8 +131,9 @@ def sample_random_density(n_qubits: int, rng: RngStream) -> DensityMatrix:
 # (stage k rotates qubit n-k, controlled on all earlier qubits), then phases
 # by the analogous RZ cascade.  Each uniformly controlled rotation is
 # expanded with the Gray-code walk, so the emitted gate list uses only
-# {rz, sx, x, cx}.  A single global phase remains, which nothing downstream
-# can observe.
+# {rz, sx, x, cx}.  The walk's gates depend on n alone; only the rz angles
+# depend on the state.  A single global phase remains, which nothing
+# downstream can observe.
 
 
 def _gray(i: int) -> int:
@@ -146,74 +152,102 @@ def _angle_mixer(m: int) -> np.ndarray:
     return M / m
 
 
-def _alpha_y(a_abs: np.ndarray, n: int, k: int) -> np.ndarray:
-    out = np.zeros(2 ** (n - k))
-    half = 2 ** (k - 1)
-    for j in range(out.shape[0]):
-        num = float(np.sum(a_abs[(2 * j + 1) * half : (2 * j + 2) * half] ** 2))
-        den = float(np.sum(a_abs[2 * j * half : (2 * j + 2) * half] ** 2))
-        if den > 0.0:
-            out[j] = 2.0 * math.asin(min(1.0, math.sqrt(num / den)))
-    return out
+def _alpha_y(a_sq: np.ndarray, n: int, k: int) -> np.ndarray:
+    sq = a_sq.reshape(2 ** (n - k), 2, 2 ** (k - 1))
+    num = sq[:, 1].sum(axis=1)
+    den = sq.reshape(2 ** (n - k), -1).sum(axis=1)
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(ratio)))
 
 
 def _alpha_z(omega: np.ndarray, n: int, k: int) -> np.ndarray:
-    out = np.zeros(2 ** (n - k))
     half = 2 ** (k - 1)
-    for j in range(out.shape[0]):
-        upper = omega[(2 * j + 1) * half : (2 * j + 2) * half]
-        lower = omega[2 * j * half : (2 * j + 1) * half]
-        out[j] = float(np.sum(upper - lower)) / half
-    return out
+    w = omega.reshape(2 ** (n - k), 2, half)
+    return (w[:, 1] - w[:, 0]).sum(axis=1) / half
 
 
-def _multiplexer_ops(angles: np.ndarray, target: int, axis: str) -> list[GateOp]:
-    """Gray-code expansion of a uniformly controlled RY or RZ rotation.
+@dataclass(frozen=True)
+class MottonenStage:
+    """One uniformly controlled rotation of the cascade, with its angles open.
 
-    Controls are qubits 0..target-1; the Gray-code bit p that flips between
-    consecutive rotation slots selects control qubit target-1-p.
+    Stage k rotates qubit n-k about ``axis``, controlled on qubits
+    0..n-k-1, through the Gray-code walk over its m = 2^(n-k) slots.
+    ``gates`` pairs each emitted op with the slot whose angle it takes: an
+    rz carries a placeholder angle and its slot index, the fixed sx, x and
+    cx carry -1.  The Gray-code bit p that flips between consecutive slots
+    selects control qubit n-k-1-p.
     """
-    thetas = _angle_mixer(len(angles)) @ np.asarray(angles, dtype=float)
-    m = len(thetas)
 
-    def rot(theta: float) -> list[GateOp]:
-        if axis == "y":
-            return lower_ry(theta, target)
-        return [GateOp.rz(theta, target)]
+    axis: str  # "y" or "z"
+    k: int
+    gates: tuple  # ((GateOp, slot), ...)
 
-    if m == 1:
-        return rot(float(thetas[0]))
-    ops: list[GateOp] = []
-    for i in range(m):
-        ops += rot(float(thetas[i]))
-        changed = _gray(i) ^ _gray((i + 1) % m)
-        control = target - 1 - (changed.bit_length() - 1)
-        ops.append(GateOp.cx(control, target))
-    return ops
+    def ops(self, thetas: np.ndarray) -> list[GateOp]:
+        """The stage's gate list with slot i's rz rotating by ``thetas[i]``."""
+        return [op if slot < 0 else GateOp.rz(thetas[slot], op.qubits[0])
+                for op, slot in self.gates]
 
 
-def mottonen_circuit(target: PureState) -> list[GateOp]:
-    """Gate list over {rz, sx, x, cx} preparing ``target`` from |0...0>.
+@lru_cache(maxsize=None)
+def mottonen_template(n: int) -> tuple:
+    """Every stage the cascade on n qubits can emit, in emission order: the
+    RY stages for k = n..1, then the RZ stages for k = n..1."""
+    stages = []
+    for axis in ("y", "z"):
+        for k in range(n, 0, -1):
+            target = n - k
+            m = 2**target
+            rot = lower_ry(0.0, target) if axis == "y" else [GateOp.rz(0.0, target)]
+            gates = []
+            for i in range(m):
+                gates += [(op, i if op.kind == "rz" else -1) for op in rot]
+                if m > 1:
+                    changed = _gray(i) ^ _gray((i + 1) % m)
+                    control = target - 1 - (changed.bit_length() - 1)
+                    gates.append((GateOp.cx(control, target), -1))
+            stages.append(MottonenStage(axis, k, tuple(gates)))
+    return tuple(stages)
 
-    The result matches the target up to global phase; all-zero rotation
-    stages are dropped, so |0...0> compiles to an empty list.
+
+def mottonen_stages(target: PureState) -> list[tuple[MottonenStage, np.ndarray]]:
+    """The template stages ``target``'s circuit keeps, each with its rz angles.
+
+    A stage whose multiplexer angles are all zero is dropped, and so is
+    every RZ stage of a state with no phase.  A dropped gate also drops
+    the noise a noisy executor attaches to it, so every executor of the
+    cascade must drop exactly these.
     """
     norm = np.linalg.norm(target.amplitudes)
     if norm < 1e-12:
         raise ValueError("cannot synthesize a circuit for a zero-norm state")
     n = target.n_qubits
-    a_abs = np.abs(target.amplitudes)
+    a_sq = np.abs(target.amplitudes) ** 2
     omega = np.angle(target.amplitudes)
+    phased = omega.any()
+    kept = []
+    for stage in mottonen_template(n):
+        if stage.axis == "y":
+            alpha = _alpha_y(a_sq, n, stage.k)
+        elif phased:
+            alpha = _alpha_z(omega, n, stage.k)
+        else:
+            break
+        if alpha.any():
+            kept.append((stage, _angle_mixer(alpha.shape[0]) @ alpha))
+    return kept
+
+
+def mottonen_circuit(target: PureState) -> list[GateOp]:
+    """Gate list over {rz, sx, x, cx} preparing ``target`` from |0...0>.
+
+    The kept ``mottonen_stages`` instantiated in order.  The result matches
+    the target up to global phase; all-zero rotation stages are dropped,
+    so |0...0> compiles to an empty list.  The noisy executor
+    ``noise.prepare_dm_noisy`` runs the same stages without building ops.
+    """
     ops: list[GateOp] = []
-    for k in range(n, 0, -1):
-        ay = _alpha_y(a_abs, n, k)
-        if np.any(ay != 0.0):
-            ops += _multiplexer_ops(ay, n - k, "y")
-    if np.any(omega != 0.0):
-        for k in range(n, 0, -1):
-            az = _alpha_z(omega, n, k)
-            if np.any(az != 0.0):
-                ops += _multiplexer_ops(az, n - k, "z")
+    for stage, thetas in mottonen_stages(target):
+        ops += stage.ops(thetas)
     return ops
 
 

@@ -14,8 +14,10 @@ simulate no circuit.  ``swap_test_exact`` still simulates the gadget; it
 is the reference the tests hold the closed form to.  Noisy readings are
 the exact ancilla-zero probability of the whole lowered circuit under the
 noise model, factorized per qubit pair (``_target_observable``) so that
-no (2n+1)-qubit density matrix is built; ``noisy_circuit_ops`` is the full
-circuit the tests hold it to.
+no (2n+1)-qubit density matrix is built, with each side's noisy
+preparation run from the Mottonen template compiled for n
+(``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the full circuit
+the tests hold it to.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .noise import (
     NoiseModelSpec,
     apply_superop_dm,
     default_noise_model,
-    run_circuit_dm_noisy,
+    prepare_dm_noisy,
 )
 from .prep import TargetSpec, prepare_on
 from .sim import (
@@ -192,7 +194,7 @@ def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) 
 
     n = n_qubits
     psi = PureState(n, np.frombuffer(amplitudes, dtype=complex), check=False)
-    rho_t = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, psi), noise).entries
+    rho_t = prepare_dm_noisy(psi, noise).entries
     # one (row, col) index pair per qubit, qubit 0 first; the bond starts as
     # Tr(rho_a E_kl) = rho_a[l, k] for the matrix unit E_kl
     pairs = rho_t.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
@@ -212,11 +214,13 @@ def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec) -> fl
     """Exact ancilla-zero probability of the noisy circuit, readout flip included.
 
     Equal to the full (2n+1)-qubit density-matrix run of ``noisy_circuit_ops``;
-    per candidate only its own n-qubit noisy preparation is evolved.
+    per candidate only its own n-qubit noisy preparation is evolved, by
+    ``prepare_dm_noisy`` from the Mottonen template compiled for n: no gate
+    op is built and the general executor does not run.
     """
     n = psi.n_qubits
     m = _target_observable(noise, n, psi.amplitudes.tobytes())
-    rho = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, phi), noise)
+    rho = prepare_dm_noisy(phi, noise)
     return noise.flip_readout(float(np.real(np.vdot(m, rho.entries))))
 
 

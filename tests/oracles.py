@@ -3,12 +3,19 @@
 Everything in here is deliberately naive: dense matrices, explicit loops,
 no shared code with the package internals.  Slow is fine; these only run
 inside the test suite, and disagreement with the package is always a bug
-in exactly one of the two routes.
+in exactly one of the two routes.  The one exception is the Mottonen
+reference, which emits the package's own GateOp records (RY lowered by
+sim.lower_ry) so that its ops compare with the package's field by field.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import sqrtm
 from scipy.sparse import csr_matrix
+
+from swapfit.sim import GateOp, lower_ry
 
 SQ2 = np.sqrt(2.0)
 
@@ -293,3 +300,96 @@ def random_density_dense(n_qubits, rng, rank=None):
     l = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = l @ l.conj().T
     return rho / np.trace(rho).real
+
+
+# ---------------------------------------------------------------------------
+# Mottonen synthesis, op by op: the loop form the package's compiled template
+# must reproduce (same kinds and qubits, angles to 1e-15).
+# ---------------------------------------------------------------------------
+
+
+def _gray(i: int) -> int:
+    return i ^ (i >> 1)
+
+
+@lru_cache(maxsize=None)
+def _angle_mixer(m: int) -> np.ndarray:
+    """M with M[i, j] = (-1)^popcount(j & gray(i)) / m; maps multiplexer
+    angles to the rotation angles of the Gray-code expansion."""
+    M = np.empty((m, m))
+    for i in range(m):
+        gi = _gray(i)
+        for j in range(m):
+            M[i, j] = (-1) ** int(bin(j & gi).count("1"))
+    return M / m
+
+
+def _alpha_y(a_abs: np.ndarray, n: int, k: int) -> np.ndarray:
+    out = np.zeros(2 ** (n - k))
+    half = 2 ** (k - 1)
+    for j in range(out.shape[0]):
+        num = float(np.sum(a_abs[(2 * j + 1) * half : (2 * j + 2) * half] ** 2))
+        den = float(np.sum(a_abs[2 * j * half : (2 * j + 2) * half] ** 2))
+        if den > 0.0:
+            out[j] = 2.0 * math.asin(min(1.0, math.sqrt(num / den)))
+    return out
+
+
+def _alpha_z(omega: np.ndarray, n: int, k: int) -> np.ndarray:
+    out = np.zeros(2 ** (n - k))
+    half = 2 ** (k - 1)
+    for j in range(out.shape[0]):
+        upper = omega[(2 * j + 1) * half : (2 * j + 2) * half]
+        lower = omega[2 * j * half : (2 * j + 1) * half]
+        out[j] = float(np.sum(upper - lower)) / half
+    return out
+
+
+def _multiplexer_ops(angles: np.ndarray, target: int, axis: str) -> list[GateOp]:
+    """Gray-code expansion of a uniformly controlled RY or RZ rotation.
+
+    Controls are qubits 0..target-1; the Gray-code bit p that flips between
+    consecutive rotation slots selects control qubit target-1-p.
+    """
+    thetas = _angle_mixer(len(angles)) @ np.asarray(angles, dtype=float)
+    m = len(thetas)
+
+    def rot(theta: float) -> list[GateOp]:
+        if axis == "y":
+            return lower_ry(theta, target)
+        return [GateOp.rz(theta, target)]
+
+    if m == 1:
+        return rot(float(thetas[0]))
+    ops: list[GateOp] = []
+    for i in range(m):
+        ops += rot(float(thetas[i]))
+        changed = _gray(i) ^ _gray((i + 1) % m)
+        control = target - 1 - (changed.bit_length() - 1)
+        ops.append(GateOp.cx(control, target))
+    return ops
+
+
+def mottonen_circuit(target) -> list[GateOp]:
+    """Gate list over {rz, sx, x, cx} preparing ``target`` from |0...0>.
+
+    The result matches the target up to global phase; all-zero rotation
+    stages are dropped, so |0...0> compiles to an empty list.
+    """
+    norm = np.linalg.norm(target.amplitudes)
+    if norm < 1e-12:
+        raise ValueError("cannot synthesize a circuit for a zero-norm state")
+    n = target.n_qubits
+    a_abs = np.abs(target.amplitudes)
+    omega = np.angle(target.amplitudes)
+    ops: list[GateOp] = []
+    for k in range(n, 0, -1):
+        ay = _alpha_y(a_abs, n, k)
+        if np.any(ay != 0.0):
+            ops += _multiplexer_ops(ay, n - k, "y")
+    if np.any(omega != 0.0):
+        for k in range(n, 0, -1):
+            az = _alpha_z(omega, n, k)
+            if np.any(az != 0.0):
+                ops += _multiplexer_ops(az, n - k, "z")
+    return ops

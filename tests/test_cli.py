@@ -1,9 +1,14 @@
 """End-to-end command-line checks (exit codes and printed artifacts)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swapfit
 from swapfit.cli import main
 from swapfit.noise import NoiseModelSpec, default_noise_model
 
@@ -33,6 +38,28 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestModuleEntryPoint:
+    """``python -m swapfit`` runs the CLI from a checkout, no install needed."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(swapfit.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "swapfit", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_help_exits_zero(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert "run" in proc.stdout
+
+    def test_bad_flag_exits_one(self):
+        proc = self.run_module("run", "--bogus")
+        assert proc.returncode == 1
+        assert "error" in proc.stderr
+
+
 class TestConfigValidation:
     """Bad run settings exit 1 at validation time, before any trial runs."""
 
@@ -59,6 +86,7 @@ class TestConfigValidation:
         ("objective", "bogus"),
         ("thresholds", ["0.9"]),
         ("trials", None),
+        ("max_iter", 5),
     ])
     def test_bad_config_file_field(self, tmp_path, capsys, field, value):
         from swapfit.harness import ExperimentConfig
@@ -132,12 +160,15 @@ class TestRunCommand:
 
         cfg = ExperimentConfig(method="es", qubit_range=(1, 1), trials=1,
                                mode=FidelityMode.exact(), base_seed=6,
-                               max_iters=40)
+                               max_iters=40, max_workers=1)
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         code = main(["run", "--config", str(path),
                      "--out", str(tmp_path / "exp")])
         assert code == 0
+        summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+        assert summary["config"]["max_workers"] == 1
+        assert ExperimentConfig.from_json(json.dumps(summary["config"])) == cfg
 
     def test_summary_matches_csv(self, tmp_path):
         out = tmp_path / "exp"

@@ -53,7 +53,8 @@ class TestSeeds:
 class TestConfig:
     def test_json_roundtrip(self):
         cfg = ExperimentConfig(method="es", qubit_range=(1, 2), trials=7,
-                               mode=FidelityMode.sampled(256), base_seed=9)
+                               mode=FidelityMode.sampled(256), base_seed=9,
+                               max_workers=1)
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back == cfg
 
@@ -84,6 +85,18 @@ class TestConfig:
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="method"):
             ExperimentConfig.from_json("{}")
+
+    @pytest.mark.parametrize("key", ["max_iter", "workers", "seed"])
+    def test_unknown_field_rejected(self, key):
+        """A misspelled field is an error, not a silent default."""
+        raw = json.loads(ExperimentConfig(method="es").to_json())
+        raw[key] = 1
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json("[1, 2]")
 
 
 class TestTimingBudget:

@@ -20,12 +20,13 @@ from swapfit.noise import (
     default_noise_model,
     depolarizing_channel,
     noiseless_model,
+    prepare_dm_noisy,
     run_circuit_dm_noisy,
     tensor_channels,
     thermal_relaxation_channel,
     unitary_superop,
 )
-from swapfit.prep import sample_random_state
+from swapfit.prep import prepare_on, sample_random_state
 from swapfit.sim import (
     DensityMatrix,
     GateOp,
@@ -35,6 +36,7 @@ from swapfit.sim import (
     zero_state,
 )
 from swapfit.swap_test import _noisy_exact_p0, noisy_circuit_ops
+from test_prep import DEGENERATE_IDS, DEGENERATE_STATES
 
 
 def all_default_channels():
@@ -372,3 +374,30 @@ class TestFusedExecutor:
         p0 = float(np.real(np.trace(rho[: dim // 2, : dim // 2])))
         np.testing.assert_allclose(_noisy_exact_p0(psi, phi, model),
                                    model.flip_readout(p0), rtol=0, atol=1e-12)
+
+
+MODEL_IDS = ("default", "noiseless", "heavy")
+
+
+class TestCompiledPreparation:
+    """prepare_dm_noisy runs the compiled Mottonen template: it must equal
+    the general executor over the instantiated ops, dropped stages and
+    their noise included."""
+
+    @staticmethod
+    def assert_matches_executor(state, model):
+        n = state.n_qubits
+        want = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, state), model)
+        got = prepare_dm_noisy(state, model)
+        np.testing.assert_allclose(got.entries, want.entries, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(MODELS))
+    def test_matches_general_executor(self, n_qubits, seed, model):
+        self.assert_matches_executor(sample_random_state(n_qubits, RngStream(seed)), model)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("state", DEGENERATE_STATES, ids=DEGENERATE_IDS)
+    def test_degenerate_states(self, state, model):
+        self.assert_matches_executor(state, model)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from swapfit.prep import (
@@ -18,7 +20,48 @@ from swapfit.prep import (
     sample_random_density,
     sample_random_state,
 )
-from swapfit.sim import PureState, RngStream, lower_ops, run_circuit, zero_state
+from swapfit.sim import (
+    PureState,
+    RngStream,
+    basis_state,
+    lower_ops,
+    run_circuit,
+    zero_state,
+)
+
+
+def _product_state(factors):
+    """Tensor product of one-qubit amplitude pairs, qubit 0 first."""
+    amps = np.ones(1, dtype=complex)
+    for f in factors:
+        amps = np.kron(amps, np.asarray(f, dtype=complex))
+    return PureState(len(factors), amps / np.linalg.norm(amps))
+
+
+def _degenerate_states():
+    """States on which the Mottonen cascade drops stages: |0..0> (no ops at
+    all), every basis state for n <= 3, nonnegative real amplitudes (no RZ
+    stage), and products whose |0> factors zero out some RY stages."""
+    rng = np.random.default_rng(2024)
+    one = (0.6, 0.8j)
+    states = [zero_state(n) for n in range(1, 7)]
+    states += [basis_state(n, i) for n in (1, 2, 3) for i in range(1, 2**n)]
+    for n in range(1, 7):
+        v = np.abs(rng.normal(size=2**n))
+        states.append(PureState(n, (v / np.linalg.norm(v)).astype(complex)))
+    states += [
+        _product_state([(1, 0), one]),
+        _product_state([one, (1, 0)]),
+        _product_state([(0, 1), one, (1, 0)]),
+        _product_state([one, (1, 0), (0.3, -0.2 + 0.5j), (1, 0)]),
+        _product_state([(1, 0), (1, 0), one, (0, 1), one]),
+        _product_state([(1, 0), one, (1, 0), (1, 0), (0.8, 0.6), (1, 0)]),
+    ]
+    return states
+
+
+DEGENERATE_STATES = _degenerate_states()
+DEGENERATE_IDS = [f"n{s.n_qubits}-{i}" for i, s in enumerate(DEGENERATE_STATES)]
 
 
 def prep_fidelity(state):
@@ -91,6 +134,25 @@ class TestMottonen:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             mottonen_circuit(PureState(1, np.zeros(2, dtype=complex), check=False))
+
+    @staticmethod
+    def assert_matches_loop_form(state):
+        got = mottonen_circuit(state)
+        want = oracles.mottonen_circuit(state)
+        assert [(op.kind, op.qubits) for op in got] == [(op.kind, op.qubits) for op in want]
+        for g, w in zip(got, want):
+            if w.angle is not None:
+                assert abs(g.angle - w.angle) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_template_matches_loop_form(self, n_qubits, seed):
+        """The compiled template emits the loop form's circuit, op for op."""
+        self.assert_matches_loop_form(sample_random_state(n_qubits, RngStream(seed)))
+
+    @pytest.mark.parametrize("state", DEGENERATE_STATES, ids=DEGENERATE_IDS)
+    def test_template_drops_stages_like_loop_form(self, state):
+        self.assert_matches_loop_form(state)
 
     def test_prepare_on_offset(self):
         """Preparation embeds at the right register offset."""

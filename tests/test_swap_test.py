@@ -1,5 +1,6 @@
 """The fidelity estimator circuit in all three modes, plus the loop shape."""
 
+import collections
 import time
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from test_noise import MODELS
+from swapfit import noise as noise_module
+from swapfit import prep as prep_module
+from swapfit import swap_test as swap_test_module
 from swapfit.metrics import hs_overlap, uhlmann_fidelity
 from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
 from swapfit.prep import TargetSpec, sample_random_density, sample_random_state
@@ -232,6 +236,34 @@ class TestNoisy:
             zeros = RngStream(12).gen.binomial(1024, _noisy_exact_p0(psi, phi, model))
             assert out.noisy and out.shots == 1024
             assert out.p0 == zeros / 1024
+
+    def test_reading_builds_no_ops(self, monkeypatch):
+        """Noisy readings, cold and warm, run both preparations from the
+        compiled template: no op-level synthesis and no general executor."""
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{module.__name__}.{name}"] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(noise_module, "run_circuit_dm_noisy")
+        count(prep_module, "mottonen_circuit")
+        count(prep_module, "prepare_on")
+        count(swap_test_module, "prepare_on")
+        rng = RngStream(31)
+        psi = sample_random_state(2, rng)
+        mode = FidelityMode.noisy(default_noise_model(), 1024)
+        for _ in range(4):
+            score_candidate(sample_random_state(2, rng), psi, mode, rng)
+        assert not calls
+        noisy_circuit_ops(psi, psi)  # the counters do see the op-level route
+        assert calls == {"swapfit.swap_test.prepare_on": 2,
+                         "swapfit.prep.mottonen_circuit": 2}
 
     def test_six_qubit_noisy_score_is_fast(self):
         """A cold n=6 noisy reading, target preparation included, takes under 1 s."""
