@@ -1,8 +1,9 @@
 """Gradient-free evolutionary reconstruction driven by fidelity feedback.
 
 One optimizer iteration: perturb the parameter vector into a population of
-N candidates, score each with the SWAP-test signal, standardize the scores
-into advantages, and move the mean by
+N candidates (one N-row matrix, decoded in one pass), score each with its
+own SWAP-test reading, standardize the scores into advantages, and move
+the mean by
 
     w <- w + alpha/(N sigma) * sum_i A_i z_i.
 
@@ -31,13 +32,17 @@ def check_threshold(value: float, name: str = "thresholds") -> None:
 
 
 def check_run_limits(max_iters: int, thresholds, name: str = "max_iters") -> None:
-    """The stopping rule every optimizer shares: >= 1 epoch, thresholds in (0, 1]."""
+    """The stopping rule every optimizer shares: >= 1 epoch, distinct
+    thresholds in (0, 1]."""
     if max_iters < 1:
         raise ValueError(f"{name} must be >= 1, got {max_iters}")
     if not thresholds:
         raise ValueError("at least one threshold is required")
     for t in thresholds:
         check_threshold(t)
+    # each threshold is one results.csv column and one EpochLog key
+    if len(set(thresholds)) != len(thresholds):
+        raise ValueError(f"thresholds must be distinct, got {list(thresholds)}")
 
 
 @dataclass(frozen=True)
@@ -127,13 +132,14 @@ class EpochLog:
 
 
 def perturb_population(w: np.ndarray, params: ESParams,
-                       rng: RngStream) -> list[tuple[np.ndarray, np.ndarray]]:
-    """N pairs (z_i, w + sigma z_i) with z_i i.i.d. standard normal."""
+                       rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, W = w + sigma Z): N rows z_i i.i.d. standard normal, row i of W
+    the candidate w + sigma z_i."""
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("parameter vector contains non-finite entries")
     Z = rng.gen.normal(size=(params.population, w.shape[0]))
-    return [(Z[i], w + params.sigma * Z[i]) for i in range(params.population)]
+    return Z, w + params.sigma * Z
 
 
 def standardized_advantages(fidelities, epsilon: float = 1e-8) -> np.ndarray:
@@ -148,12 +154,13 @@ def standardized_advantages(fidelities, epsilon: float = 1e-8) -> np.ndarray:
     return (F - F.mean()) / (F.std() + epsilon)
 
 
-def es_update(w: np.ndarray, pairs, advantages, params: ESParams) -> np.ndarray:
-    """The quoted update, vectorized: w + alpha/(N sigma) sum A_i z_i."""
+def es_update(w: np.ndarray, Z: np.ndarray, advantages, params: ESParams) -> np.ndarray:
+    """The quoted update, vectorized: w + alpha/(N sigma) sum A_i z_i, with
+    z_i the rows of Z."""
     A = np.asarray(advantages, dtype=float)
-    if len(pairs) != A.shape[0]:
-        raise ValueError(f"{len(pairs)} pairs but {A.shape[0]} advantages")
-    Z = np.stack([z for z, _ in pairs])
+    Z = np.asarray(Z, dtype=float)
+    if Z.shape[0] != A.shape[0]:
+        raise ValueError(f"{Z.shape[0]} perturbations but {A.shape[0]} advantages")
     step = (params.alpha / (params.population * params.sigma)) * (A @ Z)
     return np.asarray(w, dtype=float) + step
 
@@ -190,18 +197,17 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
             raise RuntimeError(f"fidelity evaluation failed at epoch {epoch}") from exc
         if log.record(epoch, f_w, state_w):
             break
-        pairs = perturb_population(w, params, rng)
+        Z, W = perturb_population(w, params, rng)
         fids = []
-        for z_i, w_i in pairs:
-            try:
-                cand, _ = _decode_resampling(w_i, rep, n, rng)
+        try:
+            for w_i, cand in zip(W, rep.decode_rows(W, n)):
+                if cand is None:  # resampled at its own turn, as the RNG order needs
+                    cand, _ = _decode_resampling(w_i, rep, n, rng)
                 fids.append(score_candidate(cand, target.state, mode, rng, objective))
-            except RuntimeError:
-                raise
-            except Exception as exc:
-                raise RuntimeError(
-                    f"population evaluation failed at epoch {epoch}"
-                ) from exc
+        except RuntimeError:
+            raise
+        except Exception as exc:
+            raise RuntimeError(f"population evaluation failed at epoch {epoch}") from exc
         A = standardized_advantages(fids, params.advantage_epsilon)
-        w = es_update(w, pairs, A, params)
+        w = es_update(w, Z, A, params)
     return log.best_state, log.finish(target, rep, mode, rng, trial_id)

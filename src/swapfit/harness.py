@@ -169,6 +169,9 @@ class TimingBudget:
     margin_factor: float = 10.0
 
     def __post_init__(self):
+        for name in ("t_d_cq", "t_d_qc", "t_p_c", "tau_d", "margin_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("t_d_cq", "t_d_qc", "t_p_c", "tau_d"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -184,18 +187,17 @@ def check_timing_budget(budget: TimingBudget, iterations: int) -> dict:
     """Feasibility of running ``iterations`` feedback loops in the window.
 
     Feasible iff iterations * loop_time * margin <= tau_d.  A zero loop
-    time is always feasible with unbounded max iterations (reported None).
+    time is always feasible with unbounded max iterations (reported None),
+    and so is one too small for the window to count its loops in a float.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     L = budget.loop_time
     needed = iterations * L * budget.margin_factor
-    if L == 0.0:
-        max_iters = None
-        feasible = True
-    else:
-        max_iters = int(math.floor(budget.tau_d / (L * budget.margin_factor)))
-        feasible = needed <= budget.tau_d
+    per_loop = L * budget.margin_factor
+    loops = budget.tau_d / per_loop if per_loop > 0.0 else math.inf
+    max_iters = None if math.isinf(loops) else math.floor(loops)
+    feasible = needed <= budget.tau_d
     return {
         "loop_time_s": L,
         "iterations": iterations,

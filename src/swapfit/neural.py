@@ -179,22 +179,30 @@ def mlp_forward(params: MlpParams, z: np.ndarray, return_cache: bool = False):
     return h
 
 
-def fd_gradient(loss_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
-    """Symmetric finite differences: exactly 2*dim loss evaluations."""
+def fd_gradient(losses_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
+    """Symmetric finite differences over one 2*dim probe matrix.
+
+    Row 2k of the matrix is raw + eps e_k and row 2k+1 is raw - eps e_k.
+    ``losses_at`` maps the matrix to its 2*dim losses in row order, so
+    stochastic losses draw in the order of one probe at a time.
+    """
     if fd_epsilon <= 0.0:
         raise ValueError("fd_epsilon must be positive")
     raw = np.asarray(raw, dtype=float)
-    g = np.zeros_like(raw)
-    for k in range(raw.shape[0]):
-        probe = raw.copy()
-        probe[k] = raw[k] + fd_epsilon
-        up = loss_at(probe)
-        probe[k] = raw[k] - fd_epsilon
-        down = loss_at(probe)
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise ValueError(f"non-finite loss at coordinate {k}: {up}, {down}")
-        g[k] = (up - down) / (2.0 * fd_epsilon)
-    return g
+    dim = raw.shape[0]
+    probes = np.repeat(raw[None, :], 2 * dim, axis=0)
+    k = np.arange(dim)
+    probes[2 * k, k] = raw + fd_epsilon
+    probes[2 * k + 1, k] = raw - fd_epsilon
+    losses = np.asarray(losses_at(probes), dtype=float)
+    if losses.shape != (2 * dim,):
+        raise ValueError(f"expected {2 * dim} losses, got shape {losses.shape}")
+    up, down = losses[0::2], losses[1::2]
+    bad = np.flatnonzero(~(np.isfinite(up) & np.isfinite(down)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"non-finite loss at coordinate {k}: {up[k]}, {down[k]}")
+    return (up - down) / (2.0 * fd_epsilon)
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
@@ -276,9 +284,11 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     """Train until the stop threshold or max_epochs; returns the best state.
 
     Per epoch: draw (or reuse) the latent, forward, decode, score through
-    the SWAP signal, finite-difference the loss on the raw output, backprop,
-    Adam.  The trace holds the pre-update fidelity of each epoch's decoded
-    output, so early-stop bookkeeping matches the evolutionary records.
+    the SWAP signal, finite-difference the loss on the raw output (the
+    2*dim probes decoded as one matrix, each scored by its own reading),
+    backprop, Adam.  The trace holds the pre-update fidelity of each
+    epoch's decoded output, so early-stop bookkeeping matches the
+    evolutionary records.
     """
     if config.output_dim != representation.param_length(target.n_qubits):
         raise ValueError(
@@ -290,9 +300,13 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     fixed_z = rng.gen.random(config.latent_dim)
     n = target.n_qubits
 
-    def loss_at(raw_vec: np.ndarray) -> float:
-        state = representation.decode(raw_vec, n)
-        return 1.0 - score_candidate(state, target.state, mode, rng, objective)
+    def losses_at(probes: np.ndarray) -> np.ndarray:
+        losses = np.empty(probes.shape[0])
+        for i, state in enumerate(representation.decode_rows(probes, n)):
+            if state is None:
+                raise representation.degenerate_error()
+            losses[i] = 1.0 - score_candidate(state, target.state, mode, rng, objective)
+        return losses
 
     for epoch in range(1, config.max_epochs + 1):
         try:
@@ -302,7 +316,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             f = score_candidate(state, target.state, mode, rng, objective)
             if log.record(epoch, f, state):
                 break
-            g_out = fd_gradient(loss_at, raw, config.fd_epsilon)
+            g_out = fd_gradient(losses_at, raw, config.fd_epsilon)
             # inline, so each epoch's gradient is freed before the next is built
             params = adam_step(params, mlp_backward(params, cache, g_out), config)
         except RuntimeError:

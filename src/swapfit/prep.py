@@ -41,12 +41,38 @@ class Representation(enum.Enum):
         d = 2**n_qubits
         return 2 * d if self is Representation.STATEVECTOR else 2 * d * d
 
-    def decode(self, w: np.ndarray, n_qubits: int):
+    def decode_rows(self, W: np.ndarray, n_qubits: int) -> list:
+        """Decode every row of a (rows, param_length) matrix in one pass.
+
+        Returns one state per row, or None for a degenerate row: a
+        near-zero statevector, a singular unitary factor or a zero-trace
+        density factor.  A row's state does not depend on the other rows,
+        so ``decode`` of that row alone gives the same bits.
+        """
+        W = np.asarray(W, dtype=float)
+        length = self.param_length(n_qubits)
+        if W.ndim != 2 or W.shape[1] != length:
+            raise ValueError(f"parameter matrix has shape {W.shape}, expected (rows, {length})")
         if self is Representation.STATEVECTOR:
-            return decode_statevector(w, n_qubits)
+            return _statevector_rows(W, n_qubits)
         if self is Representation.UNITARY:
-            return decode_unitary(w, n_qubits)
-        return decode_density(w, n_qubits)
+            return _unitary_rows(W, n_qubits)
+        return _density_rows(W, n_qubits)
+
+    def decode(self, w: np.ndarray, n_qubits: int):
+        """``decode_rows`` of the one vector w; a degenerate w raises ValueError."""
+        w = np.asarray(w, dtype=float)
+        length = self.param_length(n_qubits)
+        if w.shape != (length,):
+            raise ValueError(f"parameter vector has shape {w.shape}, expected ({length},)")
+        state = self.decode_rows(w[None, :], n_qubits)[0]
+        if state is None:
+            raise self.degenerate_error()
+        return state
+
+    def degenerate_error(self) -> ValueError:
+        """The error a degenerate parameter vector of this representation raises."""
+        return ValueError(_DEGENERATE[self.value])
 
 
 @dataclass(frozen=True)
@@ -254,22 +280,57 @@ def mottonen_circuit(target: PureState) -> list[GateOp]:
 # ---------------------------------------------------------------------------
 # Parameter decoding
 # ---------------------------------------------------------------------------
+#
+# Each representation decodes a whole parameter matrix with stacked numpy
+# calls; the one-vector decoders are one-row calls of it.  Every stacked
+# call works matrix by matrix or row by row, so a row decodes to the same
+# bits alone or in a batch.
+
+_DEGENERATE = {
+    "statevector": "parameter vector has near-zero norm; resample the candidate",
+    "unitary": "decoded matrix is singular; resample the candidate",
+    "density": "decoded factor is numerically zero; resample the candidate",
+}
 
 
-def _split_complex(w: np.ndarray, half: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (2 * half,):
-        raise ValueError(f"parameter vector has shape {w.shape}, expected ({2 * half},)")
-    return w[:half] + 1j * w[half:]
+def _complex_rows(W: np.ndarray, half: int) -> np.ndarray:
+    return W[:, :half] + 1j * W[:, half:]
+
+
+def _statevector_rows(W: np.ndarray, n_qubits: int) -> list:
+    C = _complex_rows(W, 2**n_qubits)
+    # vecdot runs BLAS ddot on each row's strided real and imaginary parts,
+    # which is what np.linalg.norm does for one complex vector
+    norms = np.sqrt(np.vecdot(C.real, C.real) + np.vecdot(C.imag, C.imag))
+    degenerate = norms <= 1e-12
+    amps = C / np.where(degenerate, 1.0, norms)[:, None]
+    return [None if bad else PureState(n_qubits, a, check=False)
+            for a, bad in zip(amps, degenerate)]
+
+
+def _unitary_rows(W: np.ndarray, n_qubits: int) -> list:
+    d = 2**n_qubits
+    M = _complex_rows(W, d * d).reshape(-1, d, d)
+    u, s, vh = np.linalg.svd(M)
+    cols = (u @ vh)[:, :, 0]
+    return [None if bad else PureState(n_qubits, col, check=False)
+            for col, bad in zip(cols, s[:, -1] <= 1e-10)]
+
+
+def _density_rows(W: np.ndarray, n_qubits: int) -> list:
+    d = 2**n_qubits
+    L = _complex_rows(W, d * d).reshape(-1, d, d)
+    rho = L @ L.conj().transpose(0, 2, 1)
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    degenerate = tr <= 1e-12
+    rho = rho / np.where(degenerate, 1.0, tr)[:, None, None]
+    return [None if bad else DensityMatrix(n_qubits, r, check=False)
+            for r, bad in zip(rho, degenerate)]
 
 
 def decode_statevector(w: np.ndarray, n_qubits: int) -> PureState:
     """First half real parts, second half imaginary parts, normalized."""
-    c = _split_complex(w, 2**n_qubits)
-    norm = np.linalg.norm(c)
-    if norm <= 1e-12:
-        raise ValueError("parameter vector has near-zero norm; resample the candidate")
-    return PureState(n_qubits, c / norm, check=False)
+    return Representation.STATEVECTOR.decode(w, n_qubits)
 
 
 def decode_unitary(w: np.ndarray, n_qubits: int) -> PureState:
@@ -278,24 +339,12 @@ def decode_unitary(w: np.ndarray, n_qubits: int) -> PureState:
     Polar projection U = M (M+M)^{-1/2} via SVD; the prepared state is U's
     first column.
     """
-    d = 2**n_qubits
-    M = _split_complex(w, d * d).reshape(d, d)
-    u, s, vh = np.linalg.svd(M)
-    if s[-1] <= 1e-10:
-        raise ValueError("decoded matrix is singular; resample the candidate")
-    col = (u @ vh)[:, 0]
-    return PureState(n_qubits, col, check=False)
+    return Representation.UNITARY.decode(w, n_qubits)
 
 
 def decode_density(w: np.ndarray, n_qubits: int) -> DensityMatrix:
     """rho = L L+ / Tr(L L+) from the decoded factor L."""
-    d = 2**n_qubits
-    L = _split_complex(w, d * d).reshape(d, d)
-    rho = L @ L.conj().T
-    tr = rho.trace().real
-    if tr <= 1e-12:
-        raise ValueError("decoded factor is numerically zero; resample the candidate")
-    return DensityMatrix(n_qubits, rho / tr, check=False)
+    return Representation.DENSITY.decode(w, n_qubits)
 
 
 def prepare_on(n_qubits: int, target: PureState, offset: int = 0) -> list[GateOp]:

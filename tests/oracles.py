@@ -393,3 +393,127 @@ def mottonen_circuit(target) -> list[GateOp]:
             if np.any(az != 0.0):
                 ops += _multiplexer_ops(az, n - k, "z")
     return ops
+
+
+# ---------------------------------------------------------------------------
+# Per-candidate references for the batched decode, the ES population loop
+# and the finite-difference gradient
+# ---------------------------------------------------------------------------
+#
+# The replaced package code, kept verbatim (names suffixed): one decode per
+# parameter vector, one (z_i, w_i) pair per population member, one loss call
+# per probe.  The ES loop runs on the package's EpochLog, resampling and
+# scoring, so it differs from run_es only in how candidates are built and
+# decoded.
+
+
+def _split_complex(w: np.ndarray, half: int) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != (2 * half,):
+        raise ValueError(f"parameter vector has shape {w.shape}, expected ({2 * half},)")
+    return w[:half] + 1j * w[half:]
+
+
+def decode_statevector_vector(w, n_qubits):
+    """First half real parts, second half imaginary parts, normalized."""
+    c = _split_complex(w, 2**n_qubits)
+    norm = np.linalg.norm(c)
+    if norm <= 1e-12:
+        raise ValueError("parameter vector has near-zero norm; resample the candidate")
+    return c / norm
+
+
+def decode_unitary_vector(w, n_qubits):
+    """U|0...0> of the polar projection U of the decoded matrix."""
+    d = 2**n_qubits
+    M = _split_complex(w, d * d).reshape(d, d)
+    u, s, vh = np.linalg.svd(M)
+    if s[-1] <= 1e-10:
+        raise ValueError("decoded matrix is singular; resample the candidate")
+    return (u @ vh)[:, 0]
+
+
+def decode_density_vector(w, n_qubits):
+    """rho = L L+ / Tr(L L+) from the decoded factor L."""
+    d = 2**n_qubits
+    L = _split_complex(w, d * d).reshape(d, d)
+    rho = L @ L.conj().T
+    tr = rho.trace().real
+    if tr <= 1e-12:
+        raise ValueError("decoded factor is numerically zero; resample the candidate")
+    return rho / tr
+
+
+def perturb_population_pairs(w, params, rng):
+    """N pairs (z_i, w + sigma z_i) with z_i i.i.d. standard normal."""
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("parameter vector contains non-finite entries")
+    Z = rng.gen.normal(size=(params.population, w.shape[0]))
+    return [(Z[i], w + params.sigma * Z[i]) for i in range(params.population)]
+
+
+def es_update_pairs(w, pairs, advantages, params):
+    """The quoted update, vectorized: w + alpha/(N sigma) sum A_i z_i."""
+    A = np.asarray(advantages, dtype=float)
+    if len(pairs) != A.shape[0]:
+        raise ValueError(f"{len(pairs)} pairs but {A.shape[0]} advantages")
+    Z = np.stack([z for z, _ in pairs])
+    step = (params.alpha / (params.population * params.sigma)) * (A @ Z)
+    return np.asarray(w, dtype=float) + step
+
+
+def run_es_per_candidate(target, params, mode, rng, trial_id=0, objective="swap"):
+    """run_es with one decode and one reading per (z_i, w_i) pair."""
+    from swapfit.evolution import (
+        EpochLog,
+        _decode_resampling,
+        score_candidate,
+        standardized_advantages,
+    )
+
+    n = target.n_qubits
+    rep = params.representation
+    log = EpochLog(params.thresholds, stop_at=max(params.thresholds))
+    w = rng.gen.normal(size=rep.param_length(n))
+    for epoch in range(1, params.max_iters + 1):
+        try:
+            state_w, w = _decode_resampling(w, rep, n, rng)
+            f_w = score_candidate(state_w, target.state, mode, rng, objective)
+        except Exception as exc:
+            raise RuntimeError(f"fidelity evaluation failed at epoch {epoch}") from exc
+        if log.record(epoch, f_w, state_w):
+            break
+        pairs = perturb_population_pairs(w, params, rng)
+        fids = []
+        for z_i, w_i in pairs:
+            try:
+                cand, _ = _decode_resampling(w_i, rep, n, rng)
+                fids.append(score_candidate(cand, target.state, mode, rng, objective))
+            except RuntimeError:
+                raise
+            except Exception as exc:
+                raise RuntimeError(
+                    f"population evaluation failed at epoch {epoch}"
+                ) from exc
+        A = standardized_advantages(fids, params.advantage_epsilon)
+        w = es_update_pairs(w, pairs, A, params)
+    return log.best_state, log.finish(target, rep, mode, rng, trial_id)
+
+
+def fd_gradient_per_probe(loss_at, raw, fd_epsilon):
+    """Symmetric finite differences: exactly 2*dim loss evaluations."""
+    if fd_epsilon <= 0.0:
+        raise ValueError("fd_epsilon must be positive")
+    raw = np.asarray(raw, dtype=float)
+    g = np.zeros_like(raw)
+    for k in range(raw.shape[0]):
+        probe = raw.copy()
+        probe[k] = raw[k] + fd_epsilon
+        up = loss_at(probe)
+        probe[k] = raw[k] - fd_epsilon
+        down = loss_at(probe)
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise ValueError(f"non-finite loss at coordinate {k}: {up}, {down}")
+        g[k] = (up - down) / (2.0 * fd_epsilon)
+    return g

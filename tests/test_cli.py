@@ -74,6 +74,8 @@ class TestConfigValidation:
         ["--objective", "uhlmann", "--mode", "sampled", "--shots", "64"],
         ["--method", "nn", "--objective", "uhlmann", "--mode", "noisy", "--noise", "default",
          "--shots", "64"],
+        ["--thresholds", "0.95,0.95"],
+        ["--method", "nn", "--thresholds", "0.99,0.95,0.99"],
     ])
     def test_bad_run_flags(self, tmp_path, capsys, flags):
         out = tmp_path / "exp"
@@ -87,6 +89,7 @@ class TestConfigValidation:
         ("thresholds", ["0.9"]),
         ("trials", None),
         ("max_iter", 5),
+        ("thresholds", [0.95, 0.99, 0.95]),
     ])
     def test_bad_config_file_field(self, tmp_path, capsys, field, value):
         from swapfit.harness import ExperimentConfig
@@ -271,3 +274,18 @@ class TestTimingBudgetCommand:
 
     def test_missing_required_flag(self, capsys):
         assert main(["timing-budget", "--tau-d", "1.0"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-d-cq", "nan"), ("--t-d-qc", "inf"), ("--t-p-c", "nan"),
+        ("--tau-d", "inf"), ("--margin", "nan"),
+    ])
+    def test_non_finite_value_exits_one(self, capsys, flag, value):
+        """A NaN or infinite budget is rejected by name, not a runtime failure."""
+        argv = {"--t-d-cq": "0", "--t-d-qc": "0", "--t-p-c": "1", "--tau-d": "10"}
+        argv[flag] = value
+        code = main(["timing-budget", *(x for kv in argv.items() for x in kv),
+                     "--iterations", "3"])
+        assert code == 1
+        field = flag.lstrip("-").replace("-", "_")
+        field = "margin_factor" if field == "margin" else field
+        assert f"{field} must be finite" in capsys.readouterr().err

@@ -16,7 +16,9 @@ from swapfit.evolution import (
     run_es,
     standardized_advantages,
 )
+from swapfit import evolution
 from swapfit.metrics import uhlmann_fidelity
+from swapfit.noise import default_noise_model
 from swapfit.neural import GeneratorConfig, train_generator
 from swapfit.prep import Representation, TargetSpec, sample_random_density, sample_random_state
 from swapfit.sim import PureState, RngStream
@@ -40,15 +42,22 @@ class TestParams:
         with pytest.raises(ValueError):
             ESParams(max_iters=0)
 
+    def test_duplicate_thresholds_rejected(self):
+        """Each threshold is one results.csv column and one EpochLog key."""
+        with pytest.raises(ValueError, match="distinct"):
+            ESParams(thresholds=(0.95, 0.95))
+        with pytest.raises(ValueError, match="distinct"):
+            ESParams(thresholds=(0.9, 0.99, 0.9))
+
 
 class TestPerturb:
     def test_shapes_and_arithmetic(self):
         rng = RngStream(1)
         w = np.zeros(6)
         params = ESParams(population=20, sigma=0.5)
-        pop = perturb_population(w, params, rng)
-        assert len(pop) == 20
-        for z, cand in pop:
+        Z, W = perturb_population(w, params, rng)
+        assert len(Z) == len(W) == 20
+        for z, cand in zip(Z, W):
             assert z.shape == (6,)
             np.testing.assert_allclose(cand, w + 0.5 * z, atol=1e-15)
 
@@ -59,9 +68,8 @@ class TestPerturb:
 
     def test_moments_are_standard_normal(self):
         rng = RngStream(3)
-        pop = perturb_population(np.zeros(4), ESParams(population=4000, sigma=1.0),
-                                 rng)
-        zs = np.stack([z for z, _ in pop])
+        zs, _ = perturb_population(np.zeros(4), ESParams(population=4000, sigma=1.0),
+                                   rng)
         assert abs(zs.mean()) < 0.05
         assert abs(zs.std() - 1.0) < 0.05
 
@@ -90,7 +98,7 @@ class TestUpdate:
         zs = [rng.normal(size=8) for _ in range(12)]
         adv = rng.normal(size=12)
         params = ESParams(population=12, sigma=0.1, alpha=0.05)
-        got = es_update(w, list(zip(zs, [w + z for z in zs])), adv, params)
+        got = es_update(w, np.stack(zs), adv, params)
         want = oracles.es_update_naive(w, 0.1, 0.05, zs, adv)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -98,8 +106,7 @@ class TestUpdate:
         rng = np.random.default_rng(6)
         w = rng.normal(size=5)
         zs = [rng.normal(size=5) for _ in range(7)]
-        got = es_update(w, list(zip(zs, [w + z for z in zs])), np.zeros(7),
-                        ESParams(population=7))
+        got = es_update(w, np.stack(zs), np.zeros(7), ESParams(population=7))
         np.testing.assert_array_equal(got, w)
 
     def test_length_mismatch(self):
@@ -107,8 +114,7 @@ class TestUpdate:
         w = rng.normal(size=3)
         zs = [rng.normal(size=3) for _ in range(4)]
         with pytest.raises(ValueError):
-            es_update(w, list(zip(zs, [w + z for z in zs])), np.zeros(3),
-                      ESParams(population=4))
+            es_update(w, np.stack(zs), np.zeros(3), ESParams(population=4))
 
 
 class TestRunES:
@@ -273,3 +279,105 @@ class TestEpochLog:
         assert rec.final_fidelity == rec.fidelity_trace[-1]
         np.testing.assert_allclose(rec.oracle_fidelity, max(rec.fidelity_trace), atol=1e-12)
         assert rec.oracle_fidelity == fidelity_oracle(sol, target.state)
+
+
+def _same_record(a, b):
+    """Every TrialRecord field but the wall clock."""
+    return {**vars(a), "wall_time": 0.0} == {**vars(b), "wall_time": 0.0}
+
+
+def _both_runs(rep, n, mode, seed, **params):
+    """run_es and the per-candidate reference from identical streams."""
+    params = ESParams(representation=rep, **params)
+    runs = []
+    for run in (run_es, oracles.run_es_per_candidate):
+        rng = RngStream(seed)
+        target = TargetSpec(n, sample_random_state(n, rng), seed=seed)
+        sol, rec = run(target, params, mode, rng)
+        runs.append((sol, rec, rng.gen.bit_generator.state))
+    return runs
+
+
+class TestBatchedPopulation:
+    """run_es decodes the population as one matrix; the reference loop decodes
+    one (z_i, w_i) pair at a time.  Readings and draws must not change."""
+
+    @pytest.mark.parametrize("rep,n,mode", [
+        (Representation.DENSITY, 1, FidelityMode.exact()),
+        (Representation.DENSITY, 2, FidelityMode.exact()),
+        (Representation.STATEVECTOR, 1, FidelityMode.sampled(64)),
+        (Representation.STATEVECTOR, 1, FidelityMode.noisy(default_noise_model(), 256)),
+    ])
+    def test_identical_records(self, rep, n, mode):
+        (sol, rec, state), (sol_ref, rec_ref, state_ref) = _both_runs(
+            rep, n, mode, 4100 + n, max_iters=12)
+        assert _same_record(rec, rec_ref)
+        assert state == state_ref
+        payload = "amplitudes" if rep is Representation.STATEVECTOR else "entries"
+        np.testing.assert_array_equal(getattr(sol, payload), getattr(sol_ref, payload))
+
+    @settings(max_examples=12, deadline=None)
+    @given(rep=st.sampled_from([Representation.STATEVECTOR, Representation.UNITARY]),
+           n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_exact_readings_agree(self, rep, n, seed):
+        (_, rec, _), (_, rec_ref, _) = _both_runs(
+            rep, n, FidelityMode.exact(), seed, max_iters=15)
+        assert rec.epochs_to_threshold == rec_ref.epochs_to_threshold
+        assert len(rec.fidelity_trace) == len(rec_ref.fidelity_trace)
+        np.testing.assert_allclose(rec.fidelity_trace, rec_ref.fidelity_trace,
+                                   rtol=0, atol=1e-12)
+        assert abs(rec.oracle_fidelity - rec_ref.oracle_fidelity) <= 1e-12
+
+    def test_zero_row_resamples_at_its_turn(self, monkeypatch):
+        """A degenerate population row redraws between the same two readings."""
+        real_pairs, real_matrix = oracles.perturb_population_pairs, perturb_population
+
+        def zero_pair(w, params, rng):
+            pairs = real_pairs(w, params, rng)
+            pairs[3] = (pairs[3][0], np.zeros_like(w))
+            return pairs
+
+        def zero_row(w, params, rng):
+            Z, W = real_matrix(w, params, rng)
+            W[3] = 0.0
+            return Z, W
+
+        monkeypatch.setattr(oracles, "perturb_population_pairs", zero_pair)
+        monkeypatch.setattr(evolution, "perturb_population", zero_row)
+        # the second epoch's reading follows from the first epoch's readings
+        mode = FidelityMode.sampled(64)
+        params = dict(max_iters=2, population=6, thresholds=(1.0,))
+        (_, rec, state), (_, rec_ref, state_ref) = _both_runs(
+            Representation.STATEVECTOR, 2, mode, 4242, **params)
+        assert len(rec.fidelity_trace) == 2
+        assert _same_record(rec, rec_ref)
+        assert state == state_ref
+        monkeypatch.setattr(evolution, "perturb_population", real_matrix)
+        (_, _, untouched), _ = _both_runs(
+            Representation.STATEVECTOR, 2, mode, 4242, **params)
+        assert untouched != state  # the zero row did draw a replacement
+
+
+class TestReadingCount:
+    """One SWAP-test reading per candidate: the count the benchmark reads."""
+
+    @pytest.mark.parametrize("rep,n", [
+        (Representation.STATEVECTOR, 2),
+        (Representation.UNITARY, 1),
+        (Representation.DENSITY, 1),
+    ])
+    def test_es_epoch_reads_population_plus_one(self, monkeypatch, rep, n):
+        calls = []
+        real = evolution.score_candidate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "score_candidate", counting)
+        rng = RngStream(77)
+        target = TargetSpec(n, sample_random_state(n, rng), seed=77)
+        params = ESParams(population=9, max_iters=4, thresholds=(1.0,), representation=rep)
+        _, rec = run_es(target, params, FidelityMode.exact(), rng)
+        assert len(rec.fidelity_trace) == 4
+        assert len(calls) == 4 * (params.population + 1)

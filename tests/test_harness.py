@@ -1,6 +1,7 @@
 """Batch orchestration: seeds, configs, persistence, stores, reports."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(method="es", qubit_range=(2, 9))
 
+    def test_duplicate_thresholds_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentConfig(method="es", thresholds=(0.95, 0.95))
+
     def test_bad_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
             ExperimentConfig(method="es", max_workers=0)
@@ -122,6 +127,22 @@ class TestTimingBudget:
     def test_loop_time_sum(self):
         budget = TimingBudget(t_d_cq=1.0, t_d_qc=2.0, t_p_c=3.0, tau_d=100.0)
         assert budget.loop_time == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("field", ["t_d_cq", "t_d_qc", "t_p_c", "tau_d", "margin_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(t_d_cq=0.0, t_d_qc=0.0, t_p_c=1.0, tau_d=100.0, margin_factor=10.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TimingBudget(**fields)
+
+    def test_window_counting_overflow_is_unbounded(self):
+        """tau_d / (loop * margin) overflowing a float counts as unbounded."""
+        budget = TimingBudget(t_d_cq=0.0, t_d_qc=0.0, t_p_c=1e-300, tau_d=1e300,
+                              margin_factor=1.0)
+        out = check_timing_budget(budget, 3)
+        assert out["feasible"]
+        assert out["max_feasible_iterations"] is None
 
 
 class TestCsvFormat:

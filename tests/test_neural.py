@@ -26,7 +26,8 @@ from swapfit.neural import (
     mlp_forward,
     train_generator,
 )
-from swapfit.prep import Representation, TargetSpec, sample_random_state
+from swapfit.noise import default_noise_model
+from swapfit.prep import Representation, TargetSpec, decode_statevector, sample_random_state
 from swapfit.sim import RngStream
 from swapfit.swap_test import FidelityMode
 
@@ -95,6 +96,11 @@ class TestConfig:
         """0 would stop every trial at epoch 1; 1.5 and NaN would never stop."""
         with pytest.raises(ValueError, match="stop_threshold"):
             default_config(1, Representation.STATEVECTOR, stop_threshold=value)
+
+    def test_duplicate_thresholds_rejected(self):
+        """Each threshold is one results.csv column and one EpochLog key."""
+        with pytest.raises(ValueError, match="distinct"):
+            default_config(1, Representation.STATEVECTOR, thresholds=(0.95, 0.95))
 
     def test_stop_threshold_one_accepted(self):
         cfg = default_config(1, Representation.STATEVECTOR, stop_threshold=1.0)
@@ -178,22 +184,59 @@ class TestFdGradient:
         """Exactly 2*dim evaluations, no more."""
         calls = []
 
-        def loss(v):
-            calls.append(1)
-            return float(np.sum(v**2))
+        def losses(probes):
+            calls.extend(probes)
+            return np.sum(probes**2, axis=1)
 
-        fd_gradient(loss, np.ones(5), 1e-3)
+        fd_gradient(losses, np.ones(5), 1e-3)
         assert len(calls) == 10
 
     def test_quadratic_exact(self):
         """Symmetric differences are exact for quadratics."""
         raw = np.array([0.3, -1.2, 2.0])
-        g = fd_gradient(lambda v: float(np.sum(v**2)), raw, 1e-3)
+        g = fd_gradient(lambda probes: np.sum(probes**2, axis=1), raw, 1e-3)
         np.testing.assert_allclose(g, 2 * raw, atol=1e-9)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            fd_gradient(lambda v: float("nan"), np.ones(2), 1e-3)
+            fd_gradient(lambda probes: np.full(len(probes), np.nan), np.ones(2), 1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           eps=st.sampled_from([1e-3, 1e-6, 0.25]))
+    def test_matches_per_probe_reference(self, dim, seed, eps):
+        """Same probes in the same order, same gradient bits."""
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=dim)
+        c = rng.normal(size=dim)
+
+        def loss(v):
+            return float(np.sin(v @ c) + v @ v)
+
+        seen, seen_ref = [], []
+
+        def losses(probes):
+            seen.extend(p.copy() for p in probes)
+            return [loss(p) for p in probes]
+
+        def loss_ref(v):
+            seen_ref.append(v.copy())
+            return loss(v)
+
+        got = fd_gradient(losses, raw, eps)
+        want = oracles.fd_gradient_per_probe(loss_ref, raw, eps)
+        assert np.array_equal(np.array(seen), np.array(seen_ref))
+        assert np.array_equal(got, want)
+
+    def test_nonfinite_names_first_bad_coordinate(self):
+        def losses(probes):
+            out = np.zeros(len(probes))
+            out[5] = np.inf  # the minus probe of coordinate 2
+            out[7] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="coordinate 2: 0.0, inf"):
+            fd_gradient(losses, np.ones(4), 1e-3)
 
 
 class TestBackward:
@@ -460,3 +503,86 @@ class TestTrainGenerator:
         cfg = default_config(1, Representation.STATEVECTOR)
         with pytest.raises(ValueError):
             train_generator(target, cfg, FidelityMode.exact(), rng)
+
+
+def _per_probe_fd(losses_at, raw, fd_epsilon):
+    """The replaced gradient: one one-row loss call per probe."""
+    return oracles.fd_gradient_per_probe(lambda v: losses_at(v[None, :])[0], raw, fd_epsilon)
+
+
+def _train_both(monkeypatch, rep, n, mode, seed, objective="swap"):
+    """train_generator with the probe matrix, then with one probe per call."""
+    cfg = tiny_config(out_dim=rep.param_length(n), learning_rate=1e-2, max_epochs=12)
+    runs = []
+    for fd in (fd_gradient, _per_probe_fd):
+        monkeypatch.setattr(neural, "fd_gradient", fd)
+        rng = RngStream(seed)
+        target = TargetSpec(n, sample_random_state(n, rng), seed=seed)
+        sol, params, rec = train_generator(target, cfg, mode, rng, representation=rep,
+                                           objective=objective)
+        runs.append((sol, params, rec, rng.gen.bit_generator.state))
+    return runs
+
+
+class TestProbeMatrix:
+    """train_generator decodes the 2*dim probes as one matrix and still reads
+    each probe once, in the order the per-probe loop read them."""
+
+    @pytest.mark.parametrize("rep,n,mode,objective", [
+        (Representation.DENSITY, 1, FidelityMode.exact(), "swap"),
+        (Representation.DENSITY, 2, FidelityMode.exact(), "uhlmann"),
+        (Representation.STATEVECTOR, 1, FidelityMode.sampled(64), "swap"),
+        (Representation.STATEVECTOR, 1, FidelityMode.noisy(default_noise_model(), 256),
+         "swap"),
+    ])
+    def test_identical_records(self, monkeypatch, rep, n, mode, objective):
+        (sol, params, rec, state), (sol_ref, params_ref, rec_ref, state_ref) = _train_both(
+            monkeypatch, rep, n, mode, 5100 + n, objective)
+        assert {**vars(rec), "wall_time": 0} == {**vars(rec_ref), "wall_time": 0}
+        assert state == state_ref
+        assert np.array_equal(params.theta, params_ref.theta)
+
+    @pytest.mark.parametrize("rep,n", [
+        (Representation.STATEVECTOR, 1),
+        (Representation.STATEVECTOR, 2),
+        (Representation.UNITARY, 1),
+    ])
+    def test_exact_readings_agree(self, monkeypatch, rep, n):
+        (_, _, rec, _), (_, _, rec_ref, _) = _train_both(
+            monkeypatch, rep, n, FidelityMode.exact(), 5200 + n)
+        assert rec.epochs_to_threshold == rec_ref.epochs_to_threshold
+        np.testing.assert_allclose(rec.fidelity_trace, rec_ref.fidelity_trace,
+                                   rtol=0, atol=1e-12)
+
+    def test_degenerate_probe_raises_decode_error(self, monkeypatch):
+        """A zero probe fails the epoch with the one-vector decode's error."""
+        eps = tiny_config().fd_epsilon
+        raw = np.array([eps, 0.0, 0.0, 0.0])  # its minus probe on coordinate 0 is zero
+        monkeypatch.setattr(neural, "mlp_forward", lambda *a, **k: (raw.copy(), None))
+        with pytest.raises(ValueError) as want:
+            decode_statevector(np.zeros(4), 1)
+        rng = RngStream(5300)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=5300)
+        cfg = tiny_config(stop_threshold=1.0)
+        with pytest.raises(RuntimeError, match="training failed at epoch 1") as got:
+            train_generator(target, cfg, FidelityMode.exact(), rng)
+        assert type(got.value.__cause__) is ValueError
+        assert str(got.value.__cause__) == str(want.value)
+
+    @pytest.mark.parametrize("rep", [Representation.STATEVECTOR, Representation.DENSITY])
+    def test_epoch_reads_two_dim_plus_one(self, monkeypatch, rep):
+        calls = []
+        real = neural.score_candidate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "score_candidate", counting)
+        dim = rep.param_length(1)
+        cfg = tiny_config(out_dim=dim, max_epochs=3, thresholds=(1.0,), stop_threshold=1.0)
+        rng = RngStream(5400)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=5400)
+        _, _, rec = train_generator(target, cfg, FidelityMode.exact(), rng, representation=rep)
+        assert len(rec.fidelity_trace) == 3
+        assert len(calls) == 3 * (2 * dim + 1)

@@ -229,6 +229,81 @@ class TestRepresentation:
                                    atol=1e-15)
 
 
+def _payload(state):
+    return state.amplitudes if isinstance(state, PureState) else state.entries
+
+
+def _degenerate_row(rep, n, kind, rng):
+    """A parameter row that ``rep`` must refuse: zero, tiny, or singular."""
+    length = rep.param_length(n)
+    if kind == "zero":
+        return np.zeros(length)
+    if kind == "tiny":  # norm or trace below the decoders' cut-offs
+        return 1e-15 * rng.normal(size=length)
+    d = 2**n  # unitary only: a repeated column makes the matrix singular
+    M = rng.normal(size=(2, d, d))
+    M[:, :, 1] = M[:, :, 0]
+    return M.reshape(-1)
+
+
+_VECTOR_REFERENCE = {
+    Representation.STATEVECTOR: oracles.decode_statevector_vector,
+    Representation.UNITARY: oracles.decode_unitary_vector,
+    Representation.DENSITY: oracles.decode_density_vector,
+}
+
+
+class TestDecodeRows:
+    """The batched decode against the one-row decode and the replaced one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rep=st.sampled_from(list(Representation)),
+        n=st.integers(1, 6),
+        rows=st.integers(1, 7),
+        degenerate=st.lists(st.sampled_from(["zero", "tiny", "singular"]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_one_row_decodes(self, rep, n, rows, degenerate, seed):
+        if rep is Representation.UNITARY:
+            n = 1 + (n - 1) % 3
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(rows, rep.param_length(n)))
+        bad = set()
+        for kind in degenerate:
+            if kind == "singular" and rep is not Representation.UNITARY:
+                continue
+            i = int(rng.integers(rows))
+            W[i] = _degenerate_row(rep, n, kind, rng)
+            bad.add(i)
+        states = rep.decode_rows(W, n)
+        assert len(states) == rows
+        for i, state in enumerate(states):
+            if i in bad:
+                assert state is None
+                with pytest.raises(ValueError, match="resample the candidate") as one:
+                    rep.decode(W[i], n)
+                with pytest.raises(ValueError) as old:
+                    _VECTOR_REFERENCE[rep](W[i], n)
+                assert str(one.value) == str(old.value)
+                continue
+            alone = rep.decode(W[i], n)
+            assert type(state) is type(alone)
+            assert state.n_qubits == alone.n_qubits == n
+            assert np.array_equal(_payload(state), _payload(alone))
+            assert np.array_equal(_payload(state), _VECTOR_REFERENCE[rep](W[i], n))
+
+    def test_shapes_checked(self):
+        rep = Representation.STATEVECTOR
+        with pytest.raises(ValueError, match="parameter matrix has shape"):
+            rep.decode_rows(np.zeros(4), 1)
+        with pytest.raises(ValueError, match="parameter matrix has shape"):
+            rep.decode_rows(np.zeros((3, 5)), 1)
+        with pytest.raises(ValueError, match=r"parameter vector has shape \(5,\)"):
+            rep.decode(np.zeros(5), 1)
+        assert rep.decode_rows(np.zeros((0, 4)), 1) == []
+
+
 class TestTargetSpec:
     def test_json_roundtrip_pure(self):
         rng = RngStream(90)
