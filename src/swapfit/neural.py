@@ -32,6 +32,10 @@ HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
 # fast single-threaded but lose most of the gain to GIL hand-offs between the
 # trial threads; one whole-vector block falls out of cache.
 ADAM_BLOCK = 65536
+# Coordinates per finite-difference probe block (2*FD_BLOCK probe rows).  At
+# the largest output, density on 6 qubits (dim 8192), one block's probes and
+# each of its decoded arrays take 8 MiB; the whole probe set would take 1 GiB.
+FD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -180,29 +184,34 @@ def mlp_forward(params: MlpParams, z: np.ndarray, return_cache: bool = False):
 
 
 def fd_gradient(losses_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
-    """Symmetric finite differences over one 2*dim probe matrix.
+    """Symmetric finite differences over the 2*dim probes, in blocks.
 
-    Row 2k of the matrix is raw + eps e_k and row 2k+1 is raw - eps e_k.
-    ``losses_at`` maps the matrix to its 2*dim losses in row order, so
-    stochastic losses draw in the order of one probe at a time.
+    Row 2k of the probe matrix is raw + eps e_k and row 2k+1 is raw - eps e_k.
+    The rows of ``FD_BLOCK`` coordinates at a time go to ``losses_at``, which
+    maps them to their losses in row order, so stochastic losses draw in the
+    order of one probe at a time and peak memory is O(FD_BLOCK * dim).
     """
     if fd_epsilon <= 0.0:
         raise ValueError("fd_epsilon must be positive")
     raw = np.asarray(raw, dtype=float)
     dim = raw.shape[0]
-    probes = np.repeat(raw[None, :], 2 * dim, axis=0)
-    k = np.arange(dim)
-    probes[2 * k, k] = raw + fd_epsilon
-    probes[2 * k + 1, k] = raw - fd_epsilon
-    losses = np.asarray(losses_at(probes), dtype=float)
-    if losses.shape != (2 * dim,):
-        raise ValueError(f"expected {2 * dim} losses, got shape {losses.shape}")
-    up, down = losses[0::2], losses[1::2]
-    bad = np.flatnonzero(~(np.isfinite(up) & np.isfinite(down)))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"non-finite loss at coordinate {k}: {up[k]}, {down[k]}")
-    return (up - down) / (2.0 * fd_epsilon)
+    grad = np.empty(dim)
+    for lo in range(0, dim, FD_BLOCK):
+        k = np.arange(lo, min(lo + FD_BLOCK, dim))
+        rows = np.arange(k.size)
+        probes = np.repeat(raw[None, :], 2 * k.size, axis=0)
+        probes[2 * rows, k] = raw[k] + fd_epsilon
+        probes[2 * rows + 1, k] = raw[k] - fd_epsilon
+        losses = np.asarray(losses_at(probes), dtype=float)
+        if losses.shape != (2 * k.size,):
+            raise ValueError(f"expected {2 * k.size} losses, got shape {losses.shape}")
+        up, down = losses[0::2], losses[1::2]
+        bad = np.flatnonzero(~(np.isfinite(up) & np.isfinite(down)))
+        if bad.size:
+            b = bad[0]
+            raise ValueError(f"non-finite loss at coordinate {k[b]}: {up[b]}, {down[b]}")
+        grad[k] = (up - down) / (2.0 * fd_epsilon)
+    return grad
 
 
 def mlp_backward(params: MlpParams, cache: ForwardCache,
@@ -285,8 +294,8 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
 
     Per epoch: draw (or reuse) the latent, forward, decode, score through
     the SWAP signal, finite-difference the loss on the raw output (the
-    2*dim probes decoded as one matrix, each scored by its own reading),
-    backprop, Adam.  The trace holds the pre-update fidelity of each
+    2*dim probes decoded one block of rows at a time, each probe scored by
+    its own reading), backprop, Adam.  The trace holds the pre-update fidelity of each
     epoch's decoded output, so early-stop bookkeeping matches the
     evolutionary records.
     """

@@ -238,6 +238,66 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="coordinate 2: 0.0, inf"):
             fd_gradient(losses, np.ones(4), 1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_per_probe_reference(self, dim, block, seed):
+        """Small blocks: every call holds at most 2*block rows, and the probes,
+        their order and the gradient bits are the per-probe reference's."""
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=dim)
+        c = rng.normal(size=dim)
+
+        def loss(v):
+            return float(np.sin(v @ c) + v @ v)
+
+        seen, seen_ref, sizes = [], [], []
+
+        def losses(probes):
+            sizes.append(len(probes))
+            seen.extend(p.copy() for p in probes)
+            return [loss(p) for p in probes]
+
+        def loss_ref(v):
+            seen_ref.append(v.copy())
+            return loss(v)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "FD_BLOCK", block)
+            got = fd_gradient(losses, raw, 1e-3)
+        want = oracles.fd_gradient_per_probe(loss_ref, raw, 1e-3)
+        assert max(sizes) <= 2 * block
+        assert sum(sizes) == 2 * dim
+        assert np.array_equal(np.array(seen), np.array(seen_ref))
+        assert np.array_equal(got, want)
+
+    def test_nonfinite_in_later_block_names_global_coordinate(self, monkeypatch):
+        monkeypatch.setattr(neural, "FD_BLOCK", 2)
+
+        def losses(probes):
+            out = np.zeros(len(probes))
+            if probes[0, 4] != 1.0:  # the block of coordinates 4 and 5
+                out[3] = np.inf  # the minus probe of coordinate 5
+            return out
+
+        with pytest.raises(ValueError, match="coordinate 5: 0.0, inf"):
+            fd_gradient(losses, np.ones(6), 1e-3)
+
+    def test_widest_output_stays_in_blocks(self):
+        """Density matrices on 6 qubits (dim 8192): no call sees more than
+        2*FD_BLOCK probe rows, where one matrix would hold 1 GiB."""
+        dim = Representation.DENSITY.param_length(6)
+        raw = np.linspace(-1.0, 1.0, dim)
+        sizes = []
+
+        def losses(probes):
+            sizes.append(len(probes))
+            return np.sum(probes**2, axis=1)
+
+        g = fd_gradient(losses, raw, 1e-3)
+        assert max(sizes) == 2 * neural.FD_BLOCK
+        assert sum(sizes) == 2 * dim
+        np.testing.assert_allclose(g, 2 * raw, atol=1e-6)
+
 
 class TestBackward:
     def test_against_parameter_fd(self):
@@ -553,6 +613,21 @@ class TestProbeMatrix:
         assert rec.epochs_to_threshold == rec_ref.epochs_to_threshold
         np.testing.assert_allclose(rec.fidelity_trace, rec_ref.fidelity_trace,
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rep,n,mode,block", [
+        (Representation.DENSITY, 3, FidelityMode.exact(), 5),
+        (Representation.STATEVECTOR, 2, FidelityMode.sampled(64), 3),
+    ])
+    def test_small_blocks_identical_records(self, monkeypatch, rep, n, mode, block):
+        """Probe sets decoded over many small blocks train exactly as one
+        probe at a time."""
+        monkeypatch.setattr(neural, "FD_BLOCK", block)
+        assert rep.param_length(n) > 2 * block
+        (sol, params, rec, state), (sol_ref, params_ref, rec_ref, state_ref) = _train_both(
+            monkeypatch, rep, n, mode, 5500 + n)
+        assert {**vars(rec), "wall_time": 0} == {**vars(rec_ref), "wall_time": 0}
+        assert state == state_ref
+        assert np.array_equal(params.theta, params_ref.theta)
 
     def test_degenerate_probe_raises_decode_error(self, monkeypatch):
         """A zero probe fails the epoch with the one-vector decode's error."""
