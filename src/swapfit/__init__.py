@@ -2,7 +2,7 @@
 
 The package is organized along the reconstruction pipeline:
 
-* sim: statevector/density-matrix substrate with bit-masked gate kernels
+* sim: statevector/density-matrix substrate on one axis-transpose matmul kernel
 * prep: random targets, Mottonen synthesis, parameter-vector decoding
 * noise: calibrated Kraus channels and noisy executors
 * swap_test: the fidelity estimator circuit, the only feedback signal

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -68,6 +69,11 @@ def check_mode(representation: Representation, mode: FidelityMode, objective: st
         )
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer; a bool or a float is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One batch configuration: method x representation x qubit range."""
@@ -86,6 +92,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in ("es", "nn"):
             raise ValueError(f"method must be 'es' or 'nn', got {self.method!r}")
+        # int() or range() would truncate a float or fail at run time
+        for name in ("trials", "base_seed", "max_iters", "max_workers"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if len(self.qubit_range) != 2 or not all(map(_is_integer, self.qubit_range)):
+            raise ValueError(f"qubit_range must be two integers, got {self.qubit_range!r}")
         lo, hi = self.qubit_range
         if not (MIN_QUBITS <= lo <= hi <= MAX_QUBITS):
             raise ValueError(
@@ -139,12 +152,12 @@ class ExperimentConfig:
                 method=raw["method"],
                 representation=Representation(raw.get("representation", "statevector")),
                 qubit_range=tuple(raw.get("qubit_range", [1, 1])),
-                trials=int(raw.get("trials", 100)),
+                trials=raw.get("trials", 100),
                 mode=mode,
                 thresholds=tuple(raw.get("thresholds", [0.95, 0.99])),
-                base_seed=int(raw.get("base_seed", 0)),
-                max_iters=int(raw.get("max_iters", 100)),
-                max_workers=int(raw.get("max_workers", 4)),
+                base_seed=raw.get("base_seed", 0),
+                max_iters=raw.get("max_iters", 100),
+                max_workers=raw.get("max_workers", 4),
                 objective=raw.get("objective", "swap"),
             )
         except KeyError as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +33,10 @@ from .sim import (
     DensityMatrix,
     GateOp,
     PureState,
-    _apply_matrix_axis0,
-    _mask,
+    _check_qubits,
+    apply_on_axes,
+    dm_axes,
+    kraus_map_dm,
     reset_qubits,
 )
 from .prep import mottonen_stages
@@ -155,13 +157,7 @@ def apply_channel_dm(rho: DensityMatrix, ch: KrausChannel,
     """rho -> sum_K K rho K+ with the channel embedded on ``qubits``."""
     if len(qubits) != ch.arity:
         raise ValueError(f"channel arity {ch.arity} but {len(qubits)} qubit(s) listed")
-    n = rho.n_qubits
-    acc = None
-    for K in ch.operators:
-        term = _apply_matrix_axis0(rho.entries, n, tuple(qubits), K)
-        term = _apply_matrix_axis0(term.T, n, tuple(qubits), K.conj()).T
-        acc = term if acc is None else acc + term
-    return DensityMatrix(n, acc, check=False)
+    return kraus_map_dm(rho, qubits, ch.operators)
 
 
 def channel_superop(ch: KrausChannel) -> np.ndarray:
@@ -182,29 +178,6 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u, u.conj())
 
 
-@lru_cache(maxsize=None)
-def _transfer_axes(n_qubits: int, qubits: tuple) -> tuple:
-    """Transposes of a (2,)*2n density tensor that bring the listed qubits'
-    row axes, then their column axes, to the front (other axes keep their
-    order), and back."""
-    front = qubits + tuple(n_qubits + q for q in qubits)
-    forward = front + tuple(a for a in range(2 * n_qubits) if a not in front)
-    back = tuple(int(a) for a in np.argsort(forward))
-    return forward, back
-
-
-def _apply_transfer(t: np.ndarray, n_qubits: int, qubits: tuple,
-                    transfer: np.ndarray) -> np.ndarray:
-    """``transfer`` on the listed qubits of the (2,)*2n density tensor ``t``.
-
-    One copy and one matrix product; the result is a transposed view, which
-    the next call's transpose-and-reshape consumes without a second copy.
-    """
-    forward, back = _transfer_axes(n_qubits, qubits)
-    out = transfer @ t.transpose(forward).reshape(transfer.shape[1], -1)
-    return out.reshape(t.shape).transpose(back)
-
-
 def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
                      superop: np.ndarray) -> np.ndarray:
     """Apply a transfer matrix to the row/column axes of the listed qubits.
@@ -213,8 +186,7 @@ def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
     through a channel) is the same call with ``superop.conj().T``.
     """
     t = entries.reshape((2,) * (2 * n_qubits))
-    dim = 1 << n_qubits
-    return _apply_transfer(t, n_qubits, tuple(qubits), superop).reshape(dim, dim)
+    return apply_on_axes(t, dm_axes(n_qubits, qubits), superop).reshape(entries.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +363,7 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
         if op.kind in ("rz", "sx", "x", "cx"):
             s = model.gate_transfer(op)
             n = out.n_qubits
-            for q in op.qubits:
-                _mask(n, q)  # range check before the index reaches an axis permutation
+            _check_qubits(n, op.qubits)  # before the index reaches an axis permutation
             out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s),
                                 check=False)
         elif op.kind == "reset":
@@ -420,6 +391,6 @@ def prepare_dm_noisy(target: PureState, model: NoiseModelSpec) -> DensityMatrix:
         rz = model.rz_transfer(thetas)
         for op, slot in stage.gates:
             s = model.gate_transfer(op) if slot < 0 else rz[slot]
-            t = _apply_transfer(t, n, op.qubits, s)
+            t = apply_on_axes(t, dm_axes(n, op.qubits), s)
     dim = 1 << n
     return DensityMatrix(n, t.reshape(dim, dim), check=False)

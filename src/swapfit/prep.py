@@ -175,7 +175,9 @@ def _angle_mixer(m: int) -> np.ndarray:
         gi = _gray(i)
         for j in range(m):
             M[i, j] = (-1) ** int(bin(j & gi).count("1"))
-    return M / m
+    M /= m
+    M.flags.writeable = False  # cached: one in-place write would corrupt every later call
+    return M
 
 
 def _alpha_y(a_sq: np.ndarray, n: int, k: int) -> np.ndarray:

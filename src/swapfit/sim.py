@@ -6,9 +6,12 @@ state |q0 q1 q2> = |011> sits at amplitude index 0b011 = 3, and qubit 0
 owns the bitmask ``1 << 2``.  Tensor products follow the same rule:
 ``tensor(a, b)`` puts ``a`` on the lower (more significant) qubit indices.
 
-Gates are applied in place on the amplitude vector with bit-masked index
-arithmetic; no 2^n x 2^n matrix is ever materialized.  Density matrices
-get the same kernels applied to their row and column indices.
+One kernel, ``apply_on_axes``, multiplies every gate, Kraus operator and
+transfer matrix into a register: the register is a (2,)*m tensor, the
+operator's qubit axes are transposed to the front, and one matrix product
+with the small 2^k x 2^k operator does the rest, so no 2^n x 2^n matrix is
+ever materialized.  A density matrix is the tensor of its n row axes
+followed by its n column axes.
 """
 
 from __future__ import annotations
@@ -226,6 +229,9 @@ CX_MAT = np.array(  # control is the first listed qubit, the more significant bi
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
+CSWAP_MAT = np.eye(8, dtype=complex)  # control first: swaps |101> and |110>
+CSWAP_MAT[[5, 6]] = CSWAP_MAT[[6, 5]]
+
 
 def rz_mat(theta: float) -> np.ndarray:
     return np.array(
@@ -233,115 +239,86 @@ def rz_mat(theta: float) -> np.ndarray:
     )
 
 
-# ---------------------------------------------------------------------------
-# Bit-masked kernels
-# ---------------------------------------------------------------------------
+_FIXED_GATES = {"h": H_MAT, "x": X_MAT, "sx": SX_MAT, "cx": CX_MAT, "cswap": CSWAP_MAT}
 
 
-def _mask(n: int, q: int) -> int:
-    if not 0 <= q < n:
-        raise ValueError(f"qubit index {q} out of range for {n} qubit(s)")
-    return 1 << (n - 1 - q)
+def _gate_matrix(op: GateOp) -> np.ndarray:
+    """The 2^k x 2^k unitary of a unitary-kind op on its listed qubits."""
+    if op.kind == "rz":
+        return rz_mat(op.angle)
+    if op.kind not in _FIXED_GATES:
+        raise ValueError(f"{op.kind} is not a unitary gate; use measure_z/reset_qubits")
+    return _FIXED_GATES[op.kind]
+
+
+# ---------------------------------------------------------------------------
+# The register kernel
+# ---------------------------------------------------------------------------
+#
+# A register is a (2,)*m tensor: one axis per qubit for a statevector, and
+# for a density matrix the n row axes followed by the n column axes.  Every
+# gate, Kraus operator and transfer matrix reaches a register through
+# ``apply_on_axes``.
+
+
+def _check_qubits(n: int, qubits: Sequence[int]) -> None:
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubit(s)")
+
+
+def dm_axes(n: int, qubits: Sequence[int]) -> tuple:
+    """The row axes, then the column axes, of ``qubits`` in a density tensor."""
+    return (*qubits, *[n + q for q in qubits])
 
 
 @lru_cache(maxsize=None)
-def _group_indices(n: int, qubits: tuple) -> tuple:
-    """Index arrays splitting 0..2^n-1 by the bit values of ``qubits``.
+def _axis_order(ndim: int, axes: tuple) -> tuple:
+    """Transposes of an ndim-axis tensor that bring ``axes`` to the front in
+    the listed order (the other axes keep theirs), and back."""
+    forward = axes + tuple(a for a in range(ndim) if a not in axes)
+    back = tuple(int(a) for a in np.argsort(forward))
+    return forward, back
 
-    Returns 2^k arrays (k = len(qubits)); group g holds every index whose
-    bits at the listed qubits spell g (first listed qubit = most
-    significant bit of g).
+
+def apply_on_axes(t: np.ndarray, axes: tuple, mat: np.ndarray) -> np.ndarray:
+    """``mat`` on the listed axes of the register tensor ``t``; the first
+    listed axis is the most significant bit of ``mat``'s index.
+
+    One copy and one matrix product; the result is a transposed view, which
+    the next call's transpose-and-reshape consumes without a second copy.
     """
-    masks = [_mask(n, q) for q in qubits]
-    idx = np.arange(2**n)
-    key = np.zeros(2**n, dtype=np.int64)
-    for m in masks:
-        key = (key << 1) | ((idx & m) != 0)
-    return tuple(np.nonzero(key == g)[0] for g in range(2 ** len(qubits)))
+    forward, back = _axis_order(t.ndim, axes)
+    out = mat @ t.transpose(forward).reshape(mat.shape[1], -1)
+    return out.reshape(t.shape).transpose(back)
 
 
-def _apply_matrix_axis0(arr: np.ndarray, n: int, qubits: Sequence[int], mat: np.ndarray):
-    """Apply a 2^k x 2^k matrix on the listed qubits of axis 0 of ``arr``.
-
-    ``arr`` may be a vector (statevector) or a matrix (density-matrix rows).
-    Returns a new array; linearity only, so Kraus operators work too.
-    """
-    groups = _group_indices(n, tuple(qubits))
-    stacked = np.stack([arr[g] for g in groups])
-    mixed = np.tensordot(mat, stacked, axes=(1, 0))
-    out = np.empty_like(arr)
-    for g, row in zip(groups, mixed):
-        out[g] = row
-    return out
-
-
-@lru_cache(maxsize=None)
-def _perm_indices(n: int, kind: str, qubits: tuple) -> np.ndarray:
-    """Permutation array for classical-reversible gates: new[i] = old[perm[i]]."""
-    idx = np.arange(2**n)
-    if kind == "x":
-        return idx ^ _mask(n, qubits[0])
-    if kind == "cx":
-        c, t = (_mask(n, q) for q in qubits)
-        return np.where(idx & c, idx ^ t, idx)
-    if kind == "cswap":
-        c, a, b = (_mask(n, q) for q in qubits)
-        differ = ((idx & a) != 0) != ((idx & b) != 0)
-        return np.where((idx & c != 0) & differ, idx ^ a ^ b, idx)
-    raise ValueError(kind)
-
-
-def _apply_unitary_vec(vec: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    kind = op.kind
-    if kind in ("x", "cx", "cswap"):
-        return vec[_perm_indices(n, kind, op.qubits)]
-    if kind == "h":
-        return _apply_matrix_axis0(vec, n, op.qubits, H_MAT)
-    if kind == "sx":
-        return _apply_matrix_axis0(vec, n, op.qubits, SX_MAT)
-    if kind == "rz":
-        return _apply_matrix_axis0(vec, n, op.qubits, rz_mat(op.angle))
-    raise ValueError(f"{kind} is not a unitary gate; use measure_z/reset_qubits")
+def kraus_map_dm(rho: DensityMatrix, qubits: Sequence[int], operators) -> DensityMatrix:
+    """rho -> sum_K K rho K+ with each K on ``qubits``: K on the row axes,
+    then conj(K) on the column axes."""
+    n = rho.n_qubits
+    _check_qubits(n, qubits)
+    t = rho.entries.reshape((2,) * (2 * n))
+    rows, cols = tuple(qubits), tuple(n + q for q in qubits)
+    acc = None
+    for K in operators:
+        term = apply_on_axes(apply_on_axes(t, rows, K), cols, K.conj())
+        acc = term if acc is None else acc + term
+    return DensityMatrix(n, acc.reshape(rho.entries.shape), check=False)
 
 
 def apply_gate(state: PureState, op: GateOp) -> PureState:
     """U|psi> for a unitary-kind op embedded on the listed qubits."""
-    if op.kind not in UNITARY_KINDS:
-        raise ValueError(f"{op.kind} is not a unitary gate; use measure_z/reset_qubits")
-    for q in op.qubits:
-        _mask(state.n_qubits, q)
-    return PureState(
-        state.n_qubits, _apply_unitary_vec(state.amplitudes, state.n_qubits, op),
-        check=False,
-    )
-
-
-def _apply_unitary_dm(rho: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    kind = op.kind
-    if kind in ("x", "cx", "cswap"):
-        perm = _perm_indices(n, kind, op.qubits)
-        return rho[np.ix_(perm, perm)]
-    if kind == "h":
-        mat = H_MAT
-    elif kind == "sx":
-        mat = SX_MAT
-    elif kind == "rz":
-        mat = rz_mat(op.angle)
-    else:
-        raise ValueError(f"{kind} is not a unitary gate")
-    rho = _apply_matrix_axis0(rho, n, op.qubits, mat)
-    return _apply_matrix_axis0(rho.T, n, op.qubits, mat.conj()).T
+    mat = _gate_matrix(op)
+    n = state.n_qubits
+    _check_qubits(n, op.qubits)
+    t = apply_on_axes(state.amplitudes.reshape((2,) * n), op.qubits, mat)
+    return PureState(n, t.reshape(-1), check=False)
 
 
 def apply_gate_dm(rho: DensityMatrix, op: GateOp) -> DensityMatrix:
     """U rho U+ for a unitary-kind op."""
-    if op.kind not in UNITARY_KINDS:
-        raise ValueError(f"{op.kind} is not a unitary gate; use reset_qubits")
-    for q in op.qubits:
-        _mask(rho.n_qubits, q)
-    return DensityMatrix(
-        rho.n_qubits, _apply_unitary_dm(rho.entries, rho.n_qubits, op), check=False
-    )
+    return kraus_map_dm(rho, op.qubits, (_gate_matrix(op),))
 
 
 def run_circuit(state: PureState, ops: Iterable[GateOp],
@@ -384,24 +361,27 @@ def run_circuit_dm(rho: DensityMatrix, ops: Iterable[GateOp]) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _bit_view(values: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """A length-2^n axis as (2^qubit, 2, rest): axis 1 is ``qubit``'s bit."""
+    _check_qubits(n, (qubit,))
+    return values.reshape(1 << qubit, 2, -1)
+
+
 def measure_z(state: PureState, qubit: int, rng: RngStream) -> tuple[int, PureState]:
     """Projective Z measurement: returns (bit, collapsed renormalized state)."""
     n = state.n_qubits
-    g0, g1 = _group_indices(n, (qubit,))
-    amps = state.amplitudes
-    p0 = float(np.sum(np.abs(amps[g0]) ** 2))
+    amps = _bit_view(state.amplitudes, n, qubit)
+    p0 = float(np.sum(np.abs(amps[:, 0]) ** 2))
     bit = 0 if rng.gen.random() < p0 else 1
-    keep, drop = (g0, g1) if bit == 0 else (g1, g0)
     prob = p0 if bit == 0 else 1.0 - p0
     divisor = math.sqrt(prob)
     if divisor < 1e-15:
         raise RuntimeError(
             f"measurement selected a branch with probability {prob} (qubit {qubit})"
         )
-    out = amps.copy()
-    out[drop] = 0.0
-    out[keep] /= divisor
-    return bit, PureState(n, out, check=False)
+    out = np.zeros_like(amps)
+    out[:, bit] = amps[:, bit] / divisor
+    return bit, PureState(n, out.reshape(-1), check=False)
 
 
 _RESET_KRAUS = (
@@ -426,34 +406,23 @@ def reset_qubits(state, qubits: Sequence[int], rng: RngStream | None):
                 out = apply_gate(out, GateOp.x(q))
         return out
     if isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        rho = state.entries
+        out = state
         for q in qubits:
-            _mask(n, q)
-            acc = None
-            for K in _RESET_KRAUS:
-                term = _apply_matrix_axis0(rho, n, (q,), K)
-                term = _apply_matrix_axis0(term.T, n, (q,), K.conj()).T
-                acc = term if acc is None else acc + term
-            rho = acc
-        return DensityMatrix(n, rho, check=False)
+            out = kraus_map_dm(out, (q,), _RESET_KRAUS)
+        return out
     raise TypeError(f"unsupported state type {type(state)}")
 
 
 def expectation_z(state, qubit: int) -> float:
     """Exact <Z> on one qubit (+1 for |0>, -1 for |1>); no sampling."""
     if isinstance(state, PureState):
-        n = state.n_qubits
-        g0, _ = _group_indices(n, (qubit,))
-        p0 = float(np.sum(np.abs(state.amplitudes[g0]) ** 2))
-        return 2.0 * p0 - 1.0
-    if isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        g0, _ = _group_indices(n, (qubit,))
-        diag = np.real(np.diagonal(state.entries))
-        p0 = float(np.sum(diag[g0]))
-        return 2.0 * p0 - 1.0
-    raise TypeError(f"unsupported state type {type(state)}")
+        probs = np.abs(state.amplitudes) ** 2
+    elif isinstance(state, DensityMatrix):
+        probs = np.real(np.diagonal(state.entries))
+    else:
+        raise TypeError(f"unsupported state type {type(state)}")
+    p0 = float(np.sum(_bit_view(probs, state.n_qubits, qubit)[:, 0]))
+    return 2.0 * p0 - 1.0
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -464,8 +433,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
         raise ValueError("keep list must be nonempty")
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate qubit indices in {keep}")
-    for q in keep:
-        _mask(n, q)
+    _check_qubits(n, keep)
     if sorted(keep) == list(range(n)) and keep == list(range(n)):
         return rho.copy()
     traced = sorted(set(range(n)) - set(keep), reverse=True)

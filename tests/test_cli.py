@@ -104,6 +104,29 @@ class TestConfigValidation:
         assert "error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.7),
+        ("trials", True),
+        ("max_iters", 5.0),
+        ("max_workers", False),
+        ("base_seed", "3"),
+        ("qubit_range", [1.5, 2]),
+        ("qubit_range", [1, True]),
+    ])
+    def test_non_integer_config_field(self, tmp_path, capsys, field, value):
+        """A float or bool integer field is rejected by name, not truncated."""
+        from swapfit.harness import ExperimentConfig
+
+        raw = json.loads(ExperimentConfig(method="es", trials=1, max_iters=5).to_json())
+        raw[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "exp"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_density_reconstruct_rejects_stochastic_mode(self, tmp_path, capsys):
         """Density matrices are scored exactly, so a shot label would be false."""
         code = main(["reconstruct", "--target", "zero", "--repr", "density",

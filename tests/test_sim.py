@@ -1,9 +1,17 @@
 """Simulator substrate: gate kernels, measurement, partial trace, lowering."""
 
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import swapfit
+from swapfit import noise, prep, sim, swap_test
 from swapfit.sim import (
     DensityMatrix,
     GateOp,
@@ -11,6 +19,7 @@ from swapfit.sim import (
     RngStream,
     apply_gate,
     apply_gate_dm,
+    apply_on_axes,
     basis_state,
     expectation_z,
     lower_cswap,
@@ -46,6 +55,15 @@ def random_ops(n_qubits, count, rng):
             c, a, b = rng.choice(n_qubits, size=3, replace=False)
             ops.append(GateOp.cswap(int(c), int(a), int(b)))
     return ops
+
+
+@st.composite
+def kernel_cases(draw):
+    """(m, axes, seed): up to 3 distinct axes of an m <= 8 axis tensor, any order."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(3, m)))
+    axes = tuple(draw(st.permutations(range(m)))[:k])
+    return m, axes, draw(st.integers(0, 2**32 - 1))
 
 
 class TestStates:
@@ -103,15 +121,40 @@ class TestGateKernels:
         want = oracles.run_dense_dm(rho, ops, n_qubits)
         np.testing.assert_allclose(got.entries, want, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=kernel_cases())
+    @example(case=(8, (7, 3, 0), 1))  # reversed and non-adjacent
+    def test_kernel_matches_dense_embedding(self, case):
+        """The one register kernel, with a non-unitary matrix on any axes."""
+        m, axes, seed = case
+        rng = np.random.default_rng(seed)
+        d = 1 << len(axes)
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        flat = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        got = apply_on_axes(flat.reshape((2,) * m), axes, mat).reshape(-1)
+        want = oracles.embed(mat, m, axes) @ flat
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    PERMUTATION_OPS = [GateOp.x(2), GateOp.cx(3, 0), GateOp.cx(0, 3),
+                       GateOp.cswap(1, 3, 0), GateOp.cswap(3, 0, 2)]
+
     def test_permutation_gates_on_scrambled_qubits(self):
-        """x/cx/cswap fast paths at every qubit position, against dense."""
+        """x/cx/cswap at every qubit position move amplitudes bit for bit."""
         rng = np.random.default_rng(31)
         amps = oracles.random_state_dense(4, rng)
-        for op in [GateOp.x(2), GateOp.cx(3, 0), GateOp.cx(0, 3),
-                   GateOp.cswap(1, 3, 0), GateOp.cswap(3, 0, 2)]:
+        for op in self.PERMUTATION_OPS:
             got = apply_gate(PureState(4, amps), op)
             want = oracles.run_dense(amps, [op], 4)
-            np.testing.assert_allclose(got.amplitudes, want, atol=1e-14)
+            np.testing.assert_array_equal(got.amplitudes, want)
+
+    def test_permutation_gates_on_scrambled_qubits_dm(self):
+        """The same on a density matrix: rows and columns move bit for bit."""
+        rng = np.random.default_rng(37)
+        rho = oracles.random_density_dense(4, rng)
+        for op in self.PERMUTATION_OPS:
+            got = apply_gate_dm(DensityMatrix(4, rho), op)
+            want = oracles.run_dense_dm(rho, [op], 4)
+            np.testing.assert_array_equal(got.entries, want)
 
     def test_unitarity_preserved(self):
         rng = np.random.default_rng(5)
@@ -161,6 +204,21 @@ class TestMeasurement:
         plus = PureState(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
         bit, post = measure_z(plus, 0, rng)
         np.testing.assert_allclose(abs(post.amplitudes[bit]), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_measure_and_expectation_against_projectors(self, qubit):
+        """<Z> and the collapsed state on every qubit, against embedded projectors."""
+        amps = oracles.random_state_dense(3, np.random.default_rng(53 + qubit))
+        state = PureState(3, amps)
+        z = np.diag([1, -1]).astype(complex)
+        want_z = np.real(np.vdot(amps, oracles.embed(z, 3, (qubit,)) @ amps))
+        np.testing.assert_allclose(expectation_z(state, qubit), want_z, atol=1e-13)
+        bit, post = measure_z(state, qubit, RngStream(qubit))
+        proj = np.zeros((2, 2), dtype=complex)
+        proj[bit, bit] = 1.0
+        kept = oracles.embed(proj, 3, (qubit,)) @ amps
+        np.testing.assert_allclose(post.amplitudes, kept / np.linalg.norm(kept),
+                                   atol=1e-13)
 
     def test_reset_pure(self):
         rng = RngStream(17)
@@ -295,3 +353,38 @@ class TestRngStream:
 
     def test_streams_differ(self):
         assert RngStream(1).gen.random() != RngStream(2).gen.random()
+
+
+def _immutable(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple):
+        return all(_immutable(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__dataclass_params__.frozen
+                and all(_immutable(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    return isinstance(value, (int, float, str, type(None)))
+
+
+class TestModuleCaches:
+    CACHED = {
+        "swapfit.prep._angle_mixer": lambda: prep._angle_mixer(4),
+        "swapfit.prep.mottonen_template": lambda: prep.mottonen_template(3),
+        "swapfit.sim._axis_order": lambda: sim._axis_order(6, (4, 1)),
+        "swapfit.swap_test._target_observable": lambda: swap_test._target_observable(
+            noise.default_noise_model(), 2, oracles.random_state_dense(
+                2, np.random.default_rng(3)).tobytes()),
+    }
+
+    def test_every_cache_is_listed(self):
+        found = set()
+        for info in pkgutil.iter_modules(swapfit.__path__, "swapfit."):
+            module = importlib.import_module(info.name)
+            found |= {f"{module.__name__}.{name}" for name, fn in vars(module).items()
+                      if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+        assert found == set(self.CACHED)
+
+    @pytest.mark.parametrize("name", sorted(CACHED))
+    def test_cached_values_are_immutable(self, name):
+        """A cache hands the same value to every caller, so none may be writeable."""
+        assert _immutable(self.CACHED[name]())
