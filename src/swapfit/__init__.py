@@ -47,9 +47,6 @@ from .noise import (
 from .prep import (
     Representation,
     TargetSpec,
-    decode_density,
-    decode_statevector,
-    decode_unitary,
     mottonen_circuit,
     sample_random_state,
 )
@@ -57,7 +54,6 @@ from .sim import DensityMatrix, GateOp, PureState, RngStream
 from .swap_test import (
     FidelityMode,
     RegisterLayout,
-    SwapTestOutcome,
     fidelity_oracle,
     iterate_snapshot,
     swap_test_exact,

@@ -30,7 +30,7 @@ from .noise import (
     depolarizing_channel,
     thermal_relaxation_channel,
 )
-from .prep import Representation, TargetSpec, sample_random_state
+from .prep import MAX_TARGET_QUBITS, Representation, TargetSpec, sample_random_state
 from .sim import DensityMatrix, PureState, RngStream, basis_state, zero_state
 from .swap_test import FidelityMode, check_objective
 
@@ -401,6 +401,9 @@ def _amplitude_payload(state) -> dict:
 
 def preset_target(name: str, n_qubits: int = 1, seed: int = 0) -> TargetSpec:
     """Named targets: zero, one, hadamard, random."""
+    # checked before a 2**n_qubits amplitude vector is allocated
+    if not 1 <= n_qubits <= MAX_TARGET_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_TARGET_QUBITS}], got {n_qubits}")
     if name == "zero":
         return TargetSpec(n_qubits, zero_state(n_qubits), seed=None)
     if name == "one":

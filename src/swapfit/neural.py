@@ -14,7 +14,6 @@ fixed-size blocks, independent of the layer edges.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -334,34 +333,3 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             raise RuntimeError(f"training failed at epoch {epoch}") from exc
     record = log.finish(target, representation, mode, rng, trial_id)
     return log.best_state, params, record
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_to_json(params: MlpParams) -> str:
-    """JSON snapshot: layer shapes, the flat theta, m and v, the step counter.
-
-    Python's shortest-round-trip float repr makes the load bit-exact.
-    """
-    payload = {
-        "shapes": [list(shape) for shape in params.shapes],
-        "theta": params.theta.tolist(),
-        "m": params.m.tolist(),
-        "v": params.v.tolist(),
-        "step": params.step,
-    }
-    return json.dumps(payload)
-
-
-def checkpoint_from_json(text: str) -> MlpParams:
-    raw = json.loads(text)
-    return MlpParams(
-        shapes=raw["shapes"],
-        theta=np.asarray(raw["theta"], dtype=float),
-        m=np.asarray(raw["m"], dtype=float),
-        v=np.asarray(raw["v"], dtype=float),
-        step=int(raw["step"]),
-    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -36,7 +36,6 @@ from .sim import (
     _check_qubits,
     apply_on_axes,
     dm_axes,
-    kraus_map_dm,
     reset_qubits,
 )
 from .prep import mottonen_stages
@@ -150,14 +149,6 @@ def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     return KrausChannel(
         first.arity, tuple(ops), name=f"{second.name} after {first.name}"
     )
-
-
-def apply_channel_dm(rho: DensityMatrix, ch: KrausChannel,
-                     qubits: Sequence[int]) -> DensityMatrix:
-    """rho -> sum_K K rho K+ with the channel embedded on ``qubits``."""
-    if len(qubits) != ch.arity:
-        raise ValueError(f"channel arity {ch.arity} but {len(qubits)} qubit(s) listed")
-    return kraus_map_dm(rho, qubits, ch.operators)
 
 
 def channel_superop(ch: KrausChannel) -> np.ndarray:
@@ -324,15 +315,18 @@ class NoiseModelSpec:
 
     @staticmethod
     def from_json(text: str) -> "NoiseModelSpec":
+        """Every field is required and no other key is allowed, as in ``to_json``."""
         raw = json.loads(text)
-        return NoiseModelSpec(
-            p_bitflip=float(raw["p_bitflip"]),
-            p_dep1=float(raw["p_dep1"]),
-            p_dep2=float(raw["p_dep2"]),
-            t1_us=float(raw["t1_us"]),
-            t2_us=float(raw["t2_us"]),
-            t_gate_ns=float(raw["t_gate_ns"]),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError("noise model must be a JSON object")
+        names = [f.name for f in fields(NoiseModelSpec)]
+        unknown = sorted(set(raw) - set(names))
+        if unknown:
+            raise ValueError(f"noise model has unknown field(s) {unknown}")
+        missing = [name for name in names if name not in raw]
+        if missing:
+            raise ValueError(f"noise model missing required field(s) {missing}")
+        return NoiseModelSpec(**{name: float(raw[name]) for name in names})
 
 
 def default_noise_model() -> NoiseModelSpec:

@@ -116,6 +116,8 @@ class TargetSpec:
     @staticmethod
     def from_json(text: str) -> "TargetSpec":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("target record must be a JSON object")
         n = int(raw["n_qubits"])
         flat = np.asarray(raw["re"], dtype=float) + 1j * np.asarray(raw["im"], dtype=float)
         if raw.get("kind") == "density":
@@ -284,7 +286,7 @@ def mottonen_circuit(target: PureState) -> list[GateOp]:
 # ---------------------------------------------------------------------------
 #
 # Each representation decodes a whole parameter matrix with stacked numpy
-# calls; the one-vector decoders are one-row calls of it.  Every stacked
+# calls; ``Representation.decode`` is a one-row call of it.  Every stacked
 # call works matrix by matrix or row by row, so a row decodes to the same
 # bits alone or in a batch.
 
@@ -300,6 +302,7 @@ def _complex_rows(W: np.ndarray, half: int) -> np.ndarray:
 
 
 def _statevector_rows(W: np.ndarray, n_qubits: int) -> list:
+    """First half real parts, second half imaginary parts, normalized."""
     C = _complex_rows(W, 2**n_qubits)
     # vecdot runs BLAS ddot on each row's strided real and imaginary parts,
     # which is what np.linalg.norm does for one complex vector
@@ -311,6 +314,7 @@ def _statevector_rows(W: np.ndarray, n_qubits: int) -> list:
 
 
 def _unitary_rows(W: np.ndarray, n_qubits: int) -> list:
+    """U|0...0> for U = M (M+M)^{-1/2}, the polar projection via SVD of M."""
     d = 2**n_qubits
     M = _complex_rows(W, d * d).reshape(-1, d, d)
     u, s, vh = np.linalg.svd(M)
@@ -320,6 +324,7 @@ def _unitary_rows(W: np.ndarray, n_qubits: int) -> list:
 
 
 def _density_rows(W: np.ndarray, n_qubits: int) -> list:
+    """rho = L L+ / Tr(L L+) from the decoded factor L."""
     d = 2**n_qubits
     L = _complex_rows(W, d * d).reshape(-1, d, d)
     rho = L @ L.conj().transpose(0, 2, 1)
@@ -328,25 +333,6 @@ def _density_rows(W: np.ndarray, n_qubits: int) -> list:
     rho = rho / np.where(degenerate, 1.0, tr)[:, None, None]
     return [None if bad else DensityMatrix(n_qubits, r, check=False)
             for r, bad in zip(rho, degenerate)]
-
-
-def decode_statevector(w: np.ndarray, n_qubits: int) -> PureState:
-    """First half real parts, second half imaginary parts, normalized."""
-    return Representation.STATEVECTOR.decode(w, n_qubits)
-
-
-def decode_unitary(w: np.ndarray, n_qubits: int) -> PureState:
-    """Project the decoded matrix to the nearest unitary, return U|0...0>.
-
-    Polar projection U = M (M+M)^{-1/2} via SVD; the prepared state is U's
-    first column.
-    """
-    return Representation.UNITARY.decode(w, n_qubits)
-
-
-def decode_density(w: np.ndarray, n_qubits: int) -> DensityMatrix:
-    """rho = L L+ / Tr(L L+) from the decoded factor L."""
-    return Representation.DENSITY.decode(w, n_qubits)
 
 
 def prepare_on(n_qubits: int, target: PureState, offset: int = 0) -> list[GateOp]:

@@ -79,10 +79,6 @@ class PureState:
         self.n_qubits = n_qubits
         self.amplitudes = amps
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def copy(self) -> "PureState":
         return PureState(self.n_qubits, self.amplitudes.copy(), check=False)
 
@@ -126,10 +122,6 @@ class DensityMatrix:
                 raise ValueError(f"trace {tr} deviates from 1 beyond tolerance")
         self.n_qubits = n_qubits
         self.entries = mat
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, self.entries.copy(), check=False)

@@ -3,21 +3,22 @@
 Register layout on 2n+1 qubits: qubit 0 is the ancilla, qubits 1..n hold
 the target, qubits n+1..2n the candidate.  The circuit is H(ancilla),
 a controlled SWAP per qubit pair, H(ancilla); then F = 2 P(0) - 1 = <Z> on
-the ancilla.  For pure inputs that equals |<psi|phi>|^2; for mixed inputs
-the same circuit measures Tr(rho sigma), which is NOT the Uhlmann fidelity
-(see metrics for the consequences).
+the ancilla, and every estimator here returns that reading as a float.
+For pure inputs it equals |<psi|phi>|^2; for mixed inputs the same
+circuit measures Tr(rho sigma), which is NOT the Uhlmann fidelity (see
+metrics for the consequences).
 
 Noiseless pure readings are scored in closed form: P(0) = (1 + |<psi|phi>|^2)/2
 (Buhrman et al., quant-ph/0102001), so ``score_candidate`` and the
 noiseless branch of ``swap_test_sampled`` use ``fidelity_oracle`` and
 simulate no circuit.  ``swap_test_exact`` still simulates the gadget; it
-is the reference the tests hold the closed form to.  Noisy readings are
-the exact ancilla-zero probability of the whole lowered circuit under the
-noise model, factorized per qubit pair (``_target_observable``) so that
-no (2n+1)-qubit density matrix is built, with each side's noisy
-preparation run from the Mottonen template compiled for n
-(``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the full circuit
-the tests hold it to.
+is the reference the tests hold the closed form to.  Noisy readings draw
+their shots from the exact ancilla-zero probability of the whole lowered
+circuit under the noise model, factorized per qubit pair
+(``_target_observable``) so that no (2n+1)-qubit density matrix is built,
+with each side's noisy preparation run from the Mottonen template compiled
+for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the full
+circuit the tests hold it to.
 """
 
 from __future__ import annotations
@@ -73,29 +74,6 @@ class RegisterLayout:
         return 2 * self.n_qubits + 1
 
 
-@dataclass(frozen=True)
-class SwapTestOutcome:
-    """Result of one fidelity estimation.
-
-    fidelity_estimate is always exactly 2*p0 - 1; for sampled mode p0 is the
-    empirical ancilla-zero frequency, for exact mode the true probability.
-    """
-
-    fidelity_estimate: float
-    p0: float
-    mode: str  # "exact" or "sampled"
-    noisy: bool
-    shots: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if abs(self.fidelity_estimate - (2.0 * self.p0 - 1.0)) > 1e-12:
-            raise ValueError("fidelity_estimate does not equal 2*p0 - 1")
-        if self.mode == "sampled" and (self.shots is None or self.shots < 1):
-            raise ValueError("sampled mode requires a positive shot count")
-
-
 DEFAULT_SHOTS = 1024
 
 
@@ -131,17 +109,14 @@ def _joint_state(psi: PureState, phi: PureState) -> PureState:
     return PureState(total, amps, check=False)
 
 
-def swap_test_exact(psi: PureState, phi: PureState) -> SwapTestOutcome:
-    """Simulate the estimator circuit and read the exact ancilla <Z>."""
+def swap_test_exact(psi: PureState, phi: PureState) -> float:
+    """Simulate the estimator circuit and read the exact ancilla <Z> = 2 P(0) - 1."""
     if psi.n_qubits != phi.n_qubits:
         raise ValueError(
             f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
         )
     state = run_circuit(_joint_state(psi, phi), swap_gadget_ops(psi.n_qubits))
-    z = expectation_z(state, 0)
-    return SwapTestOutcome(
-        fidelity_estimate=z, p0=(1.0 + z) / 2.0, mode="exact", noisy=False
-    )
+    return expectation_z(state, 0)
 
 
 def noisy_circuit_ops(psi: PureState, phi: PureState) -> list[GateOp]:
@@ -226,12 +201,13 @@ def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec) -> fl
 
 def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS,
                       noise: NoiseModelSpec | None = None,
-                      rng: RngStream | None = None) -> SwapTestOutcome:
-    """Shot-sampled fidelity estimate, optionally through the noise model.
+                      rng: RngStream | None = None) -> float:
+    """Shot-sampled reading, optionally through the noise model.
 
-    The shot outcomes are one binomial draw from the exact ancilla-zero
-    probability, which is distributionally identical to simulating shots
-    one by one.  Noiseless mode takes that probability in closed form,
+    The reading is 2 p0 - 1 with p0 the ancilla-zero frequency over
+    ``shots``.  The shot outcomes are one binomial draw from the exact
+    ancilla-zero probability, which is distributionally identical to
+    simulating shots one by one.  Noiseless mode takes that probability in closed form,
     (1 + |<psi|phi>|^2) / 2; noisy mode takes it from ``_noisy_exact_p0``.
     """
     if shots < 1:
@@ -242,34 +218,15 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
         raise ValueError(
             f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
         )
-    noisy = noise is not None and not noise.is_noiseless
-    if noisy:
+    if noise is not None and not noise.is_noiseless:
         p_true = _noisy_exact_p0(psi, phi, noise)
     else:
         p_true = (1.0 + fidelity_oracle(psi, phi)) / 2.0
     zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
-    p0_hat = zeros / shots
-    return SwapTestOutcome(
-        fidelity_estimate=2.0 * p0_hat - 1.0, p0=p0_hat, mode="sampled",
-        noisy=noisy, shots=shots,
-    )
+    return 2.0 * (zeros / shots) - 1.0
 
 
-def noisy_floor_estimate(n_qubits: int, noise: NoiseModelSpec) -> float:
-    """Expected sampled estimate for identical |0..0> inputs under noise.
-
-    Computed exactly by ``_noisy_exact_p0``.  It is the ceiling for
-    |0..0> only: that target's Mottonen preparation emits no gates, so just
-    the gadget is noisy.  Targets whose preparation emits gates read lower
-    for identical inputs (random 1-qubit targets under the default model:
-    0.834-0.836, against 0.853 here).
-    """
-    z = zero_state(n_qubits)
-    return 2.0 * _noisy_exact_p0(z, z, noise) - 1.0
-
-
-def iterate_snapshot(target: TargetSpec, candidate_source, budget: int,
-                     layout: RegisterLayout | None = None) -> list[float]:
+def iterate_snapshot(target: TargetSpec, candidate_source, budget: int) -> list[float]:
     """Run the reconstruction loop shape and record every fidelity readout.
 
     Each iteration is one simulated execution: the register starts fresh,
@@ -285,9 +242,7 @@ def iterate_snapshot(target: TargetSpec, candidate_source, budget: int,
     if not isinstance(state, PureState):
         raise TypeError("iterate_snapshot requires a pure target")
     n = state.n_qubits
-    lay = layout or RegisterLayout(n)
-    if lay.n_qubits != n:
-        raise ValueError(f"layout is for {lay.n_qubits} qubit(s), target has {n}")
+    lay = RegisterLayout(n)
     target_prep = prepare_on(lay.total, state, offset=lay.target[0])
     # resets land on qubits that a fresh execution leaves in |0>, so their
     # outcome is deterministic and the throwaway stream is never observable
@@ -352,10 +307,6 @@ class FidelityMode:
     def noisy(noise: NoiseModelSpec, shots: int = DEFAULT_SHOTS) -> "FidelityMode":
         return FidelityMode("noisy", shots=shots, noise=noise)
 
-    @property
-    def is_stochastic(self) -> bool:
-        return self.kind != "exact"
-
     def label(self) -> str:
         if self.kind == "exact":
             return "exact"
@@ -363,6 +314,8 @@ class FidelityMode:
 
     @staticmethod
     def from_label(label: str) -> "FidelityMode":
+        if not isinstance(label, str):
+            raise ValueError(f"fidelity mode label must be a string, got {label!r}")
         if label == "exact":
             return FidelityMode.exact()
         for kind in ("sampled", "noisy"):
@@ -408,7 +361,7 @@ def score_candidate(candidate, target, mode: FidelityMode,
             return fidelity_oracle(target, candidate)
         return swap_test_sampled(
             target, candidate, shots=mode.shots, noise=mode.noise, rng=rng
-        ).fidelity_estimate
+        )
     if mode.kind != "exact":
         raise ValueError(
             f"density-matrix inputs are scored exactly; {mode.label()} mode is not supported"

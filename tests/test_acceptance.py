@@ -32,7 +32,6 @@ from swapfit.noise import (
 from swapfit.prep import (
     Representation,
     TargetSpec,
-    decode_statevector,
     mottonen_circuit,
     sample_random_density,
     sample_random_state,
@@ -95,7 +94,7 @@ def test_criterion_01_swap_oracle_equivalence():
         for _ in range(100):
             psi = sample_random_state(n, rng)
             phi = sample_random_state(n, rng)
-            est = swap_test_exact(psi, phi).fidelity_estimate
+            est = swap_test_exact(psi, phi)
             worst = max(worst, abs(est - fidelity_oracle(psi, phi)))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -174,9 +173,7 @@ def test_criterion_05_gradient_check_through_circuit():
         raw = rng.gen.normal(0.0, 1.0, size=2 * 2**n)
 
         def fidelity_at(w):
-            return swap_test_exact(
-                target, decode_statevector(w, n)
-            ).fidelity_estimate
+            return swap_test_exact(target, Representation.STATEVECTOR.decode(w, n))
 
         numeric = fd_gradient(
             lambda probes: [fidelity_at(p) for p in probes], raw, fd_epsilon=1e-3

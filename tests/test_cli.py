@@ -90,6 +90,7 @@ class TestConfigValidation:
         ("trials", None),
         ("max_iter", 5),
         ("thresholds", [0.95, 0.99, 0.95]),
+        ("mode", ["exact"]),
     ])
     def test_bad_config_file_field(self, tmp_path, capsys, field, value):
         from swapfit.harness import ExperimentConfig
@@ -159,6 +160,26 @@ class TestConfigValidation:
                      "--trials", "1", "--out", str(out)])
         assert code == 1
         assert "t_gate_ns" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "noise-inspect"])
+    @pytest.mark.parametrize("payload,named", [
+        ({"p_bitflip": 0.001}, "p_dep1"),
+        ([1, 2], "JSON object"),
+        ({**json.loads(NoiseModelSpec().to_json()), "p_flip": 0.1}, "p_flip"),
+    ], ids=["missing-field", "array", "unknown-key"])
+    def test_malformed_noise_file_rejected(self, tmp_path, capsys, command, payload, named):
+        """A noise file that is not the six-field object exits 1, naming the fault."""
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "exp"
+        if command == "run":
+            argv = ["run", "--mode", "noisy", "--noise", str(path), "--shots", "64",
+                    "--trials", "1", "--out", str(out)]
+        else:
+            argv = ["noise-inspect", "--noise", str(path)]
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
     def test_bogus_objective_rejected_at_construction(self):
@@ -232,6 +253,18 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--target", str(path), "--seed", "5",
                      "--max-iters", "60"])
         assert code == 0
+
+    def test_target_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text("[1]")
+        assert main(["reconstruct", "--target", str(path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["zero", "one", "hadamard"])
+    def test_preset_qubits_out_of_bound(self, capsys, preset):
+        """Rejected by the target bound before 2**40 amplitudes are allocated."""
+        assert main(["reconstruct", "--target", preset, "--qubits", "40"]) == 1
+        assert "n_qubits must be in [1, 10], got 40" in capsys.readouterr().err
 
 
 class TestEntropyReportCommand:

@@ -15,8 +15,6 @@ from swapfit.neural import (
     MlpParams,
     N_WEIGHT_LAYERS,
     adam_step,
-    checkpoint_from_json,
-    checkpoint_to_json,
     default_config,
     fd_gradient,
     gelu,
@@ -27,7 +25,7 @@ from swapfit.neural import (
     train_generator,
 )
 from swapfit.noise import default_noise_model
-from swapfit.prep import Representation, TargetSpec, decode_statevector, sample_random_state
+from swapfit.prep import Representation, TargetSpec, sample_random_state
 from swapfit.sim import RngStream
 from swapfit.swap_test import FidelityMode
 
@@ -131,6 +129,20 @@ class TestInitAndForward:
         assert params.step == 0
         assert params.m.shape == params.v.shape == params.theta.shape
         assert not params.m.any() and not params.v.any()
+
+    def test_views_alias_flat_vectors(self):
+        """For params built from given arrays, an Adam step on the flat
+        vectors moves weights[k]."""
+        cfg = tiny_config()
+        init = init_mlp(cfg, RngStream(20))
+        params = MlpParams(init.shapes, theta=init.theta.copy(), m=init.m.copy(),
+                           v=init.v.copy(), step=init.step)
+        for W, b in zip(params.weights, params.biases):
+            assert np.shares_memory(W, params.theta) and np.shares_memory(b, params.theta)
+        before = [W.copy() for W in params.weights]
+        adam_step(params, np.ones_like(params.theta), cfg)
+        for k, W in enumerate(params.weights):
+            assert np.all(W < before[k])
 
     def test_flat_length_checked(self):
         params = init_mlp(tiny_config(), RngStream(3))
@@ -484,39 +496,6 @@ class TestAdam:
         assert peak <= 2 * 8 * neural.ADAM_BLOCK + 64 * 1024
 
 
-class TestCheckpoint:
-    def test_roundtrip_bit_exact(self):
-        cfg = tiny_config()
-        params = init_mlp(cfg, RngStream(17))
-        adam_step(params, np.full_like(params.theta, 0.1), cfg)
-        text = checkpoint_to_json(params)
-        back = checkpoint_from_json(text)
-        assert back.step == params.step
-        assert back.shapes == params.shapes
-        for name in ("theta", "m", "v"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
-        for a, b in zip(params.weights + params.biases,
-                        back.weights + back.biases):
-            np.testing.assert_array_equal(a, b)
-
-    def test_double_roundtrip_stable(self):
-        params = init_mlp(tiny_config(), RngStream(18))
-        once = checkpoint_to_json(params)
-        twice = checkpoint_to_json(checkpoint_from_json(once))
-        assert once == twice
-
-    def test_loaded_views_alias_flat_vectors(self):
-        """After a load, an Adam step on the flat vectors moves weights[k]."""
-        cfg = tiny_config()
-        back = checkpoint_from_json(checkpoint_to_json(init_mlp(cfg, RngStream(20))))
-        for W, b in zip(back.weights, back.biases):
-            assert np.shares_memory(W, back.theta) and np.shares_memory(b, back.theta)
-        before = [W.copy() for W in back.weights]
-        adam_step(back, np.ones_like(back.theta), cfg)
-        for k, W in enumerate(back.weights):
-            assert np.all(W < before[k])
-
-
 class TestTrainGenerator:
     def test_deterministic_rerun(self):
         def one_run():
@@ -635,7 +614,7 @@ class TestProbeMatrix:
         raw = np.array([eps, 0.0, 0.0, 0.0])  # its minus probe on coordinate 0 is zero
         monkeypatch.setattr(neural, "mlp_forward", lambda *a, **k: (raw.copy(), None))
         with pytest.raises(ValueError) as want:
-            decode_statevector(np.zeros(4), 1)
+            Representation.STATEVECTOR.decode(np.zeros(4), 1)
         rng = RngStream(5300)
         target = TargetSpec(1, sample_random_state(1, rng), seed=5300)
         cfg = tiny_config(stop_threshold=1.0)

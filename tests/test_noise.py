@@ -12,7 +12,6 @@ import oracles
 from swapfit.noise import (
     KrausChannel,
     NoiseModelSpec,
-    apply_channel_dm,
     apply_superop_dm,
     bitflip_channel,
     channel_superop,
@@ -32,6 +31,7 @@ from swapfit.sim import (
     GateOp,
     PureState,
     RngStream,
+    kraus_map_dm,
     lower_ops,
     zero_state,
 )
@@ -61,8 +61,8 @@ class TestChannelAlgebra:
         rng = np.random.default_rng(1)
         for ch in all_default_channels():
             rho = oracles.random_density_dense(ch.arity, rng)
-            out = apply_channel_dm(DensityMatrix(ch.arity, rho), ch,
-                                   tuple(range(ch.arity)))
+            out = kraus_map_dm(DensityMatrix(ch.arity, rho), tuple(range(ch.arity)),
+                               ch.operators)
             np.testing.assert_allclose(np.trace(out.entries), 1.0, atol=1e-10)
 
     def test_identity_channel(self):
@@ -90,7 +90,7 @@ class TestChannelAlgebra:
         """(1-p) rho + p X rho X, checked in closed form."""
         p = 0.12
         rho = np.array([[0.7, 0.2j], [-0.2j, 0.3]], dtype=complex)
-        out = apply_channel_dm(DensityMatrix(1, rho), bitflip_channel(p), (0,))
+        out = kraus_map_dm(DensityMatrix(1, rho), (0,), bitflip_channel(p).operators)
         want = (1 - p) * rho + p * (oracles.X @ rho @ oracles.X)
         np.testing.assert_allclose(out.entries, want, atol=1e-14)
 
@@ -100,9 +100,8 @@ class TestChannelAlgebra:
         rng = np.random.default_rng(17)
         d = 2**arity
         rho = oracles.random_density_dense(arity, rng)
-        out = apply_channel_dm(DensityMatrix(arity, rho),
-                               depolarizing_channel(p, arity),
-                               tuple(range(arity)))
+        out = kraus_map_dm(DensityMatrix(arity, rho), tuple(range(arity)),
+                           depolarizing_channel(p, arity).operators)
         want = (1 - p) * rho + p * np.eye(d) / d
         np.testing.assert_allclose(out.entries, want, atol=1e-13)
 
@@ -111,7 +110,7 @@ class TestChannelAlgebra:
         model = default_noise_model()
         ch = thermal_relaxation_channel(model.t1_us, model.t2_us, model.t_gate_ns)
         rho = np.diag([0.0, 1.0]).astype(complex)
-        out = apply_channel_dm(DensityMatrix(1, rho), ch, (0,))
+        out = kraus_map_dm(DensityMatrix(1, rho), (0,), ch.operators)
         stay = np.exp(-(model.t_gate_ns * 1e-9) / (model.t1_us * 1e-6))
         np.testing.assert_allclose(out.entries[1, 1].real, stay, atol=1e-12)
 
@@ -120,7 +119,7 @@ class TestChannelAlgebra:
         model = default_noise_model()
         ch = thermal_relaxation_channel(model.t1_us, model.t2_us, model.t_gate_ns)
         plus = 0.5 * np.ones((2, 2), dtype=complex)
-        out = apply_channel_dm(DensityMatrix(1, plus), ch, (0,))
+        out = kraus_map_dm(DensityMatrix(1, plus), (0,), ch.operators)
         decay = np.exp(-(model.t_gate_ns * 1e-9) / (model.t2_us * 1e-6))
         np.testing.assert_allclose(out.entries[0, 1].real, 0.5 * decay, atol=1e-12)
 
@@ -135,7 +134,7 @@ class TestChannelAlgebra:
         rho = oracles.random_density_dense(3, rng)
         for ch, qubits in [(model.single_qubit_channel, (1,)),
                            (model.cx_channel, (2, 0))]:
-            got = apply_channel_dm(DensityMatrix(3, rho), ch, qubits)
+            got = kraus_map_dm(DensityMatrix(3, rho), qubits, ch.operators)
             want = oracles.apply_kraus_dense(rho, ch.operators, 3, qubits)
             np.testing.assert_allclose(got.entries, want, atol=1e-12)
 
@@ -166,7 +165,7 @@ class TestSuperops:
         model = default_noise_model()
         ch = (model.single_qubit_channel if len(qubits) == 1 else model.cx_channel)
         rho = oracles.random_density_dense(3, rng)
-        via_kraus = apply_channel_dm(DensityMatrix(3, rho), ch, qubits)
+        via_kraus = kraus_map_dm(DensityMatrix(3, rho), qubits, ch.operators)
         via_superop = apply_superop_dm(rho, 3, qubits, channel_superop(ch))
         np.testing.assert_allclose(via_superop, via_kraus.entries, atol=1e-12)
 
@@ -257,10 +256,10 @@ class TestModel:
         """Longer idle time damps harder."""
         model = default_noise_model()
         rho = DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex))
-        short = apply_channel_dm(
-            rho, thermal_relaxation_channel(model.t1_us, model.t2_us, 50.0), (0,))
-        long = apply_channel_dm(
-            rho, thermal_relaxation_channel(model.t1_us, model.t2_us, 5000.0), (0,))
+        short = kraus_map_dm(
+            rho, (0,), thermal_relaxation_channel(model.t1_us, model.t2_us, 50.0).operators)
+        long = kraus_map_dm(
+            rho, (0,), thermal_relaxation_channel(model.t1_us, model.t2_us, 5000.0).operators)
         assert long.entries[1, 1].real < short.entries[1, 1].real
 
 

@@ -12,15 +12,13 @@ from swapfit.prep import (
     MAX_TARGET_QUBITS,
     Representation,
     TargetSpec,
-    decode_density,
-    decode_statevector,
-    decode_unitary,
     mottonen_circuit,
     prepare_on,
     sample_random_density,
     sample_random_state,
 )
 from swapfit.sim import (
+    DensityMatrix,
     PureState,
     RngStream,
     basis_state,
@@ -176,7 +174,7 @@ class TestRepresentation:
     def test_decode_statevector_normalizes(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=8)
-        state = decode_statevector(w, 2)
+        state = Representation.STATEVECTOR.decode(w, 2)
         np.testing.assert_allclose(np.linalg.norm(state.amplitudes), 1.0,
                                    atol=1e-12)
         want = (w[:4] + 1j * w[4:])
@@ -185,13 +183,13 @@ class TestRepresentation:
 
     def test_decode_statevector_zero_rejected(self):
         with pytest.raises(ValueError):
-            decode_statevector(np.zeros(8), 2)
+            Representation.STATEVECTOR.decode(np.zeros(8), 2)
 
     def test_decode_unitary_first_column_unit(self):
         rng = np.random.default_rng(13)
         for n_qubits in (1, 2):
             w = rng.normal(size=Representation.UNITARY.param_length(n_qubits))
-            state = decode_unitary(w, n_qubits)
+            state = Representation.UNITARY.decode(w, n_qubits)
             np.testing.assert_allclose(np.linalg.norm(state.amplitudes), 1.0,
                                        atol=1e-10)
 
@@ -201,32 +199,33 @@ class TestRepresentation:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q, _ = np.linalg.qr(a)
         w = np.concatenate([q.real.reshape(-1), q.imag.reshape(-1)])
-        state = decode_unitary(w, 2)
+        state = Representation.UNITARY.decode(w, 2)
         np.testing.assert_allclose(state.amplitudes, q[:, 0], atol=1e-10)
 
     def test_decode_unitary_singular_rejected(self):
         with pytest.raises(ValueError):
-            decode_unitary(np.zeros(8), 1)
+            Representation.UNITARY.decode(np.zeros(8), 1)
 
     def test_decode_density_valid(self):
         rng = np.random.default_rng(15)
         w = rng.normal(size=32)
-        rho = decode_density(w, 2)
+        rho = Representation.DENSITY.decode(w, 2)
         vals = np.linalg.eigvalsh(rho.entries)
         assert vals.min() > -1e-12
         np.testing.assert_allclose(np.trace(rho.entries), 1.0, atol=1e-12)
 
     def test_decode_density_zero_rejected(self):
         with pytest.raises(ValueError):
-            decode_density(np.zeros(8), 1)
+            Representation.DENSITY.decode(np.zeros(8), 1)
 
     def test_enum_decode_dispatch(self):
         rng = np.random.default_rng(16)
-        w = rng.normal(size=4)
-        out = Representation.STATEVECTOR.decode(w, 1)
-        np.testing.assert_allclose(out.amplitudes,
-                                   decode_statevector(w, 1).amplitudes,
-                                   atol=1e-15)
+        kinds = {Representation.STATEVECTOR: PureState,
+                 Representation.UNITARY: PureState,
+                 Representation.DENSITY: DensityMatrix}
+        for rep, kind in kinds.items():
+            out = rep.decode(rng.normal(size=rep.param_length(1)), 1)
+            assert type(out) is kind and out.n_qubits == 1
 
 
 def _payload(state):
