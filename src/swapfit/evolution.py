@@ -78,6 +78,8 @@ class TrialRecord:
     epochs_to_threshold: dict
     final_fidelity: float
     oracle_fidelity: float
+    readings: int  # SWAP-test readings the optimizer took
+    shots: int  # readings times the mode's shot count; 0 in exact mode
     fidelity_trace: list
     wall_time: float
 
@@ -86,7 +88,8 @@ class EpochLog:
     """One trial's bookkeeping, shared by ES and the MLP.
 
     ``record`` keeps the trace, each threshold's first epoch and the best
-    state, and says whether the reading reached the stop value.  ``finish``
+    state, and says whether the reading reached the stop value.  The
+    optimizer adds each reading it takes to ``readings``.  ``finish``
     re-scores the best state analytically, so the record carries the true
     reconstruction quality next to the feedback the optimizer saw.
     """
@@ -98,6 +101,7 @@ class EpochLog:
         self.trace: list[float] = []
         self.best_f = -np.inf
         self.best_state = None
+        self.readings = 0
 
     def record(self, epoch: int, f: float, state) -> bool:
         """Log one 1-based epoch's reading; True when it reaches the stop value."""
@@ -126,6 +130,8 @@ class EpochLog:
             epochs_to_threshold=self.epochs,
             final_fidelity=self.trace[-1],
             oracle_fidelity=oracle_f,
+            readings=self.readings,
+            shots=0 if mode.kind == "exact" else self.readings * int(mode.shots),
             fidelity_trace=self.trace,
             wall_time=time.perf_counter() - self.start,
         )
@@ -165,16 +171,6 @@ def es_update(w: np.ndarray, Z: np.ndarray, advantages, params: ESParams) -> np.
     return np.asarray(w, dtype=float) + step
 
 
-def _decode_resampling(w: np.ndarray, rep: Representation, n: int, rng: RngStream):
-    """Decode w; on a degenerate vector (measure-zero event) redraw it."""
-    for _ in range(100):
-        try:
-            return rep.decode(w, n), w
-        except ValueError:  # pragma: no cover - requires a degenerate draw
-            w = rng.gen.normal(size=w.shape[0])
-    raise RuntimeError("could not decode a non-degenerate candidate")  # pragma: no cover
-
-
 def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
            rng: RngStream, trial_id: int = 0,
            objective: str = "swap") -> tuple[object, TrialRecord]:
@@ -191,23 +187,17 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
     w = rng.gen.normal(size=rep.param_length(n))
     for epoch in range(1, params.max_iters + 1):
         try:
-            state_w, w = _decode_resampling(w, rep, n, rng)
+            state_w = rep.decode(w, n)
             f_w = score_candidate(state_w, target.state, mode, rng, objective)
+            log.readings += 1
+            if log.record(epoch, f_w, state_w):
+                break
+            Z, W = perturb_population(w, params, rng)
+            fids = [score_candidate(cand, target.state, mode, rng, objective)
+                    for cand in rep.decode_rows(W, n)]
+            log.readings += len(fids)
+            A = standardized_advantages(fids, params.advantage_epsilon)
+            w = es_update(w, Z, A, params)
         except Exception as exc:
-            raise RuntimeError(f"fidelity evaluation failed at epoch {epoch}") from exc
-        if log.record(epoch, f_w, state_w):
-            break
-        Z, W = perturb_population(w, params, rng)
-        fids = []
-        try:
-            for w_i, cand in zip(W, rep.decode_rows(W, n)):
-                if cand is None:  # resampled at its own turn, as the RNG order needs
-                    cand, _ = _decode_resampling(w_i, rep, n, rng)
-                fids.append(score_candidate(cand, target.state, mode, rng, objective))
-        except RuntimeError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"population evaluation failed at epoch {epoch}") from exc
-        A = standardized_advantages(fids, params.advantage_epsilon)
-        w = es_update(w, Z, A, params)
+            raise RuntimeError(f"evolution failed at epoch {epoch}") from exc
     return log.best_state, log.finish(target, rep, mode, rng, trial_id)

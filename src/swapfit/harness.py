@@ -274,7 +274,7 @@ def _csv_cell(value) -> str:
 def results_csv_header(thresholds) -> str:
     cols = ["trial_id", "n_qubits", "seed", "representation", "mode"]
     cols += [f"epochs_to_{t}" for t in thresholds]
-    cols += ["final_fidelity", "oracle_fidelity"]
+    cols += ["final_fidelity", "oracle_fidelity", "readings", "shots"]
     return ",".join(cols)
 
 
@@ -288,6 +288,7 @@ def results_csv_row(n_qubits: int, record: TrialRecord, thresholds) -> str:
     ]
     cells += [_csv_cell(record.epochs_to_threshold.get(t)) for t in thresholds]
     cells += [_csv_cell(record.final_fidelity), _csv_cell(record.oracle_fidelity)]
+    cells += [str(record.readings), str(record.shots)]
     return ",".join(cells)
 
 
@@ -309,6 +310,8 @@ def summarize_records(records: list, thresholds) -> dict:
     if records:
         out["mean_final_fidelity"] = float(np.mean([r.final_fidelity for r in records]))
         out["mean_oracle_fidelity"] = float(np.mean([r.oracle_fidelity for r in records]))
+    out["readings"] = sum(r.readings for r in records)
+    out["shots"] = sum(r.shots for r in records)
     return out
 
 
@@ -342,9 +345,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         for job, outcome in pool.map(work, jobs):
             n, trial, idx = job
             if isinstance(outcome, Exception):
-                failures.append(
-                    {"n_qubits": n, "trial_id": trial, "error": str(outcome)}
-                )
+                # an optimizer names the failing epoch; its cause says why
+                cause = outcome.__cause__
+                error = str(outcome) if cause is None else f"{outcome}: {cause}"
+                failures.append({"n_qubits": n, "trial_id": trial, "error": error})
             else:
                 completed[(n, trial)] = outcome
 

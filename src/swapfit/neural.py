@@ -308,12 +308,10 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     fixed_z = rng.gen.random(config.latent_dim)
     n = target.n_qubits
 
-    def losses_at(probes: np.ndarray) -> np.ndarray:
-        losses = np.empty(probes.shape[0])
-        for i, state in enumerate(representation.decode_rows(probes, n)):
-            if state is None:
-                raise representation.degenerate_error()
-            losses[i] = 1.0 - score_candidate(state, target.state, mode, rng, objective)
+    def losses_at(probes: np.ndarray) -> list:
+        losses = [1.0 - score_candidate(state, target.state, mode, rng, objective)
+                  for state in representation.decode_rows(probes, n)]
+        log.readings += len(losses)
         return losses
 
     for epoch in range(1, config.max_epochs + 1):
@@ -322,6 +320,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             raw, cache = mlp_forward(params, z, return_cache=True)
             state = representation.decode(raw, n)
             f = score_candidate(state, target.state, mode, rng, objective)
+            log.readings += 1
             if log.record(epoch, f, state):
                 break
             g_out = fd_gradient(losses_at, raw, config.fd_epsilon)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
@@ -326,6 +327,10 @@ class NoiseModelSpec:
         missing = [name for name in names if name not in raw]
         if missing:
             raise ValueError(f"noise model missing required field(s) {missing}")
+        for name in names:
+            value = raw[name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"noise model field {name!r} must be a number, got {value!r}")
         return NoiseModelSpec(**{name: float(raw[name]) for name in names})
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,10 +45,11 @@ class Representation(enum.Enum):
     def decode_rows(self, W: np.ndarray, n_qubits: int) -> list:
         """Decode every row of a (rows, param_length) matrix in one pass.
 
-        Returns one state per row, or None for a degenerate row: a
-        near-zero statevector, a singular unitary factor or a zero-trace
-        density factor.  A row's state does not depend on the other rows,
-        so ``decode`` of that row alone gives the same bits.
+        Returns one state per row.  A degenerate row (a near-zero
+        statevector, a singular unitary factor or a zero-trace density
+        factor) raises ValueError for the whole matrix.  A row's state does
+        not depend on the other rows, so ``decode`` of that row alone gives
+        the same bits, or the same error.
         """
         W = np.asarray(W, dtype=float)
         length = self.param_length(n_qubits)
@@ -60,19 +62,12 @@ class Representation(enum.Enum):
         return _density_rows(W, n_qubits)
 
     def decode(self, w: np.ndarray, n_qubits: int):
-        """``decode_rows`` of the one vector w; a degenerate w raises ValueError."""
+        """``decode_rows`` of the one vector w."""
         w = np.asarray(w, dtype=float)
         length = self.param_length(n_qubits)
         if w.shape != (length,):
             raise ValueError(f"parameter vector has shape {w.shape}, expected ({length},)")
-        state = self.decode_rows(w[None, :], n_qubits)[0]
-        if state is None:
-            raise self.degenerate_error()
-        return state
-
-    def degenerate_error(self) -> ValueError:
-        """The error a degenerate parameter vector of this representation raises."""
-        return ValueError(_DEGENERATE[self.value])
+        return self.decode_rows(w[None, :], n_qubits)[0]
 
 
 @dataclass(frozen=True)
@@ -118,13 +113,29 @@ class TargetSpec:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("target record must be a JSON object")
-        n = int(raw["n_qubits"])
+        n = raw["n_qubits"]
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_TARGET_QUBITS:
+            raise ValueError(f"'n_qubits' must be an integer in [1, {MAX_TARGET_QUBITS}], "
+                             f"got {n!r}")
+        density = raw.get("kind") == "density"
+        length = 4**n if density else 2**n
+        for key in ("re", "im"):
+            values = raw[key]
+            if not (isinstance(values, list) and len(values) == length
+                    and all(_is_finite_number(x) for x in values)):
+                raise ValueError(f"{key!r} must be a list of {length} finite numbers")
         flat = np.asarray(raw["re"], dtype=float) + 1j * np.asarray(raw["im"], dtype=float)
-        if raw.get("kind") == "density":
+        if density:
             state = DensityMatrix(n, flat.reshape(2**n, 2**n))
         else:
             state = PureState(n, flat)
         return TargetSpec(n_qubits=n, state=state, seed=raw.get("seed"))
+
+
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float; a bool, a string or null is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def sample_random_state(n_qubits: int, rng: RngStream) -> PureState:
@@ -290,13 +301,6 @@ def mottonen_circuit(target: PureState) -> list[GateOp]:
 # call works matrix by matrix or row by row, so a row decodes to the same
 # bits alone or in a batch.
 
-_DEGENERATE = {
-    "statevector": "parameter vector has near-zero norm; resample the candidate",
-    "unitary": "decoded matrix is singular; resample the candidate",
-    "density": "decoded factor is numerically zero; resample the candidate",
-}
-
-
 def _complex_rows(W: np.ndarray, half: int) -> np.ndarray:
     return W[:, :half] + 1j * W[:, half:]
 
@@ -307,10 +311,9 @@ def _statevector_rows(W: np.ndarray, n_qubits: int) -> list:
     # vecdot runs BLAS ddot on each row's strided real and imaginary parts,
     # which is what np.linalg.norm does for one complex vector
     norms = np.sqrt(np.vecdot(C.real, C.real) + np.vecdot(C.imag, C.imag))
-    degenerate = norms <= 1e-12
-    amps = C / np.where(degenerate, 1.0, norms)[:, None]
-    return [None if bad else PureState(n_qubits, a, check=False)
-            for a, bad in zip(amps, degenerate)]
+    if np.any(norms <= 1e-12):
+        raise ValueError("parameter vector has near-zero norm; resample the candidate")
+    return [PureState(n_qubits, a, check=False) for a in C / norms[:, None]]
 
 
 def _unitary_rows(W: np.ndarray, n_qubits: int) -> list:
@@ -318,9 +321,9 @@ def _unitary_rows(W: np.ndarray, n_qubits: int) -> list:
     d = 2**n_qubits
     M = _complex_rows(W, d * d).reshape(-1, d, d)
     u, s, vh = np.linalg.svd(M)
-    cols = (u @ vh)[:, :, 0]
-    return [None if bad else PureState(n_qubits, col, check=False)
-            for col, bad in zip(cols, s[:, -1] <= 1e-10)]
+    if np.any(s[:, -1] <= 1e-10):
+        raise ValueError("decoded matrix is singular; resample the candidate")
+    return [PureState(n_qubits, col, check=False) for col in (u @ vh)[:, :, 0]]
 
 
 def _density_rows(W: np.ndarray, n_qubits: int) -> list:
@@ -329,10 +332,9 @@ def _density_rows(W: np.ndarray, n_qubits: int) -> list:
     L = _complex_rows(W, d * d).reshape(-1, d, d)
     rho = L @ L.conj().transpose(0, 2, 1)
     tr = np.trace(rho, axis1=1, axis2=2).real
-    degenerate = tr <= 1e-12
-    rho = rho / np.where(degenerate, 1.0, tr)[:, None, None]
-    return [None if bad else DensityMatrix(n_qubits, r, check=False)
-            for r, bad in zip(rho, degenerate)]
+    if np.any(tr <= 1e-12):
+        raise ValueError("decoded factor is numerically zero; resample the candidate")
+    return [DensityMatrix(n_qubits, r, check=False) for r in rho / tr[:, None, None]]
 
 
 def prepare_on(n_qubits: int, target: PureState, offset: int = 0) -> list[GateOp]:

@@ -73,6 +73,8 @@ class PureState:
                     f"amplitude vector has shape {amps.shape}, "
                     f"expected ({2**n_qubits},) for {n_qubits} qubit(s)"
                 )
+            if not np.all(np.isfinite(amps)):
+                raise ValueError("amplitude vector contains non-finite entries")
             norm = np.linalg.norm(amps)
             if abs(norm - 1.0) > TOL.structural:
                 raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
@@ -114,6 +116,8 @@ class DensityMatrix:
                 raise ValueError(
                     f"entries have shape {mat.shape}, expected ({d}, {d})"
                 )
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("density matrix contains non-finite entries")
             herm = np.max(np.abs(mat - mat.conj().T))
             if herm > TOL.structural:
                 raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")

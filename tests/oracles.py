@@ -402,7 +402,7 @@ def mottonen_circuit(target) -> list[GateOp]:
 #
 # The replaced package code, kept verbatim (names suffixed): one decode per
 # parameter vector, one (z_i, w_i) pair per population member, one loss call
-# per probe.  The ES loop runs on the package's EpochLog, resampling and
+# per probe.  The ES loop runs on the package's EpochLog, decoding and
 # scoring, so it differs from run_es only in how candidates are built and
 # decoded.
 
@@ -465,12 +465,7 @@ def es_update_pairs(w, pairs, advantages, params):
 
 def run_es_per_candidate(target, params, mode, rng, trial_id=0, objective="swap"):
     """run_es with one decode and one reading per (z_i, w_i) pair."""
-    from swapfit.evolution import (
-        EpochLog,
-        _decode_resampling,
-        score_candidate,
-        standardized_advantages,
-    )
+    from swapfit.evolution import EpochLog, score_candidate, standardized_advantages
 
     n = target.n_qubits
     rep = params.representation
@@ -478,24 +473,24 @@ def run_es_per_candidate(target, params, mode, rng, trial_id=0, objective="swap"
     w = rng.gen.normal(size=rep.param_length(n))
     for epoch in range(1, params.max_iters + 1):
         try:
-            state_w, w = _decode_resampling(w, rep, n, rng)
+            state_w = rep.decode(w, n)
             f_w = score_candidate(state_w, target.state, mode, rng, objective)
         except Exception as exc:
             raise RuntimeError(f"fidelity evaluation failed at epoch {epoch}") from exc
+        log.readings += 1
         if log.record(epoch, f_w, state_w):
             break
         pairs = perturb_population_pairs(w, params, rng)
         fids = []
         for z_i, w_i in pairs:
             try:
-                cand, _ = _decode_resampling(w_i, rep, n, rng)
+                cand = rep.decode(w_i, n)
                 fids.append(score_candidate(cand, target.state, mode, rng, objective))
-            except RuntimeError:
-                raise
             except Exception as exc:
                 raise RuntimeError(
                     f"population evaluation failed at epoch {epoch}"
                 ) from exc
+            log.readings += 1
         A = standardized_advantages(fids, params.advantage_epsilon)
         w = es_update_pairs(w, pairs, A, params)
     return log.best_state, log.finish(target, rep, mode, rng, trial_id)

@@ -167,7 +167,10 @@ class TestConfigValidation:
         ({"p_bitflip": 0.001}, "p_dep1"),
         ([1, 2], "JSON object"),
         ({**json.loads(NoiseModelSpec().to_json()), "p_flip": 0.1}, "p_flip"),
-    ], ids=["missing-field", "array", "unknown-key"])
+        ({**json.loads(NoiseModelSpec().to_json()), "p_dep1": None}, "'p_dep1'"),
+        ({**json.loads(NoiseModelSpec().to_json()), "p_dep1": True}, "'p_dep1'"),
+        ({**json.loads(NoiseModelSpec().to_json()), "p_bitflip": "0.001"}, "'p_bitflip'"),
+    ], ids=["missing-field", "array", "unknown-key", "null", "bool", "string"])
     def test_malformed_noise_file_rejected(self, tmp_path, capsys, command, payload, named):
         """A noise file that is not the six-field object exits 1, naming the fault."""
         path = tmp_path / "noise.json"
@@ -260,6 +263,23 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--target", str(path)]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record,named", [
+        ({"n_qubits": 1, "re": [1.0, 0.0], "im": None}, "'im'"),
+        ({"n_qubits": 2, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0]}, "'im'"),
+        ({"n_qubits": 1, "re": [float("nan"), 0.0], "im": [0.0, 0.0]}, "'re'"),
+        ({"n_qubits": 1, "re": [1.0, "0"], "im": [0.0, 0.0]}, "'re'"),
+        ({"n_qubits": None, "re": [1.0, 0.0], "im": [0.0, 0.0]}, "'n_qubits'"),
+        ({"n_qubits": 1.7, "re": [1.0, 0.0], "im": [0.0, 0.0]}, "'n_qubits'"),
+        ({"n_qubits": True, "re": [1.0, 0.0], "im": [0.0, 0.0]}, "'n_qubits'"),
+    ], ids=["null", "short", "nan", "string", "null-n", "float-n", "bool-n"])
+    def test_target_file_field_rejected(self, tmp_path, capsys, record, named):
+        """n_qubits must be an integer and the amplitudes two lists of 2^n finite
+        numbers; the error names the field."""
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(record))
+        assert main(["reconstruct", "--target", str(path)]) == 1
+        assert f"{named} must be " in capsys.readouterr().err
+
     @pytest.mark.parametrize("preset", ["zero", "one", "hadamard"])
     def test_preset_qubits_out_of_bound(self, capsys, preset):
         """Rejected by the target bound before 2**40 amplitudes are allocated."""
@@ -290,6 +310,14 @@ class TestEntropyReportCommand:
         assert code == 0
         lines = dest.read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # header + one row per trial
+
+    def test_non_finite_amplitude_rejected(self, tmp_path, capsys):
+        traces = self.make_traces(tmp_path)
+        entries = json.loads(traces.read_text())
+        entries[0]["solution"]["re"][0] = float("nan")
+        traces.write_text(json.dumps(entries))
+        assert main(["entropy-report", "--traces", str(traces)]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_traces(self, tmp_path, capsys):
         code = main(["entropy-report", "--traces", str(tmp_path / "no.json")])

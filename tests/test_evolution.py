@@ -328,8 +328,9 @@ class TestBatchedPopulation:
                                    rtol=0, atol=1e-12)
         assert abs(rec.oracle_fidelity - rec_ref.oracle_fidelity) <= 1e-12
 
-    def test_zero_row_resamples_at_its_turn(self, monkeypatch):
-        """A degenerate population row redraws between the same two readings."""
+    def test_degenerate_row_raises_decode_error(self, monkeypatch):
+        """A zero population row fails the epoch with the one-vector decode's
+        error, in run_es and in the per-candidate reference alike."""
         real_pairs, real_matrix = oracles.perturb_population_pairs, perturb_population
 
         def zero_pair(w, params, rng):
@@ -344,18 +345,18 @@ class TestBatchedPopulation:
 
         monkeypatch.setattr(oracles, "perturb_population_pairs", zero_pair)
         monkeypatch.setattr(evolution, "perturb_population", zero_row)
-        # the second epoch's reading follows from the first epoch's readings
-        mode = FidelityMode.sampled(64)
-        params = dict(max_iters=2, population=6, thresholds=(1.0,))
-        (_, rec, state), (_, rec_ref, state_ref) = _both_runs(
-            Representation.STATEVECTOR, 2, mode, 4242, **params)
-        assert len(rec.fidelity_trace) == 2
-        assert _same_record(rec, rec_ref)
-        assert state == state_ref
-        monkeypatch.setattr(evolution, "perturb_population", real_matrix)
-        (_, _, untouched), _ = _both_runs(
-            Representation.STATEVECTOR, 2, mode, 4242, **params)
-        assert untouched != state  # the zero row did draw a replacement
+        with pytest.raises(ValueError) as want:
+            Representation.STATEVECTOR.decode(np.zeros(8), 2)
+        params = ESParams(max_iters=2, population=6, thresholds=(1.0,))
+        for run, message in ((run_es, "evolution failed at epoch 1"),
+                             (oracles.run_es_per_candidate,
+                              "population evaluation failed at epoch 1")):
+            rng = RngStream(4242)
+            target = TargetSpec(2, sample_random_state(2, rng), seed=4242)
+            with pytest.raises(RuntimeError, match=message) as got:
+                run(target, params, FidelityMode.sampled(64), rng)
+            assert type(got.value.__cause__) is ValueError
+            assert str(got.value.__cause__) == str(want.value)
 
 
 class TestReadingCount:
@@ -380,4 +381,24 @@ class TestReadingCount:
         params = ESParams(population=9, max_iters=4, thresholds=(1.0,), representation=rep)
         _, rec = run_es(target, params, FidelityMode.exact(), rng)
         assert len(rec.fidelity_trace) == 4
-        assert len(calls) == 4 * (params.population + 1)
+        assert rec.readings == len(calls) == 4 * (params.population + 1)
+        assert rec.shots == 0
+
+    def test_es_early_stop_skips_last_population(self, monkeypatch):
+        """epochs + (epochs - stopped) * population readings, shots per reading."""
+        calls = []
+        real = evolution.score_candidate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "score_candidate", counting)
+        rng = RngStream(72)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=72)
+        params = ESParams(population=9, max_iters=40, thresholds=(0.9,))
+        _, rec = run_es(target, params, FidelityMode.sampled(64), rng)
+        epochs = len(rec.fidelity_trace)
+        assert 1 < epochs < params.max_iters and rec.fidelity_trace[-1] >= 0.9
+        assert rec.readings == len(calls) == epochs + (epochs - 1) * params.population
+        assert rec.shots == 64 * rec.readings

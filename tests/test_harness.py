@@ -1,5 +1,6 @@
 """Batch orchestration: seeds, configs, persistence, stores, reports."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from swapfit import evolution
 from swapfit.evolution import TrialRecord
 from swapfit.harness import (
     ExperimentConfig,
@@ -151,6 +153,7 @@ class TestCsvFormat:
             trial_id=3, seed=12345, representation="statevector",
             fidelity_mode="exact", epochs_to_threshold={0.95: 4, 0.99: None},
             final_fidelity=0.98765, oracle_fidelity=0.99111,
+            readings=19, shots=1216,
             fidelity_trace=[0.5, 0.98765], wall_time=0.25,
         )
 
@@ -158,7 +161,7 @@ class TestCsvFormat:
         head = results_csv_header((0.95, 0.99))
         assert head == ("trial_id,n_qubits,seed,representation,mode,"
                         "epochs_to_0.95,epochs_to_0.99,"
-                        "final_fidelity,oracle_fidelity")
+                        "final_fidelity,oracle_fidelity,readings,shots")
 
     def test_row_values(self):
         row = results_csv_row(2, self.make_record(), (0.95, 0.99))
@@ -168,6 +171,7 @@ class TestCsvFormat:
         assert cells[5] == "4"
         assert cells[6] == ""  # never crossed
         assert cells[7] == repr(0.98765)
+        assert cells[9:] == ["19", "1216"]
 
     def test_no_wall_time_column(self):
         assert "wall" not in results_csv_header((0.99,))
@@ -180,8 +184,9 @@ class TestSummarize:
                         fidelity_mode="exact",
                         epochs_to_threshold={0.99: e},
                         final_fidelity=f, oracle_fidelity=f,
+                        readings=r, shots=0,
                         fidelity_trace=[f], wall_time=0.0)
-            for i, (e, f) in enumerate([(2, 0.999), (4, 0.995), (None, 0.8)])
+            for i, (e, f, r) in enumerate([(2, 0.999, 3), (4, 0.995, 5), (None, 0.8, 7)])
         ]
         out = summarize_records(recs, (0.99,))
         assert out["trials"] == 3
@@ -191,6 +196,7 @@ class TestSummarize:
         assert stats["median_epochs"] == pytest.approx(3.0)
         assert out["mean_oracle_fidelity"] == pytest.approx(
             np.mean([0.999, 0.995, 0.8]))
+        assert (out["readings"], out["shots"]) == (15, 0)
 
     def test_empty_records(self):
         out = summarize_records([], (0.99,))
@@ -245,6 +251,49 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path)
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + trials x qubit sizes
+
+    @pytest.mark.parametrize("method,mode", [
+        ("es", FidelityMode.sampled(64)),
+        ("nn", FidelityMode.exact()),
+    ])
+    def test_counts_are_plain_numbers(self, tmp_path, method, mode):
+        """Every numeric results.csv cell parses with float(), and summary.json
+        totals each n's readings and shots."""
+        cfg = ExperimentConfig(method=method, qubit_range=(1, 1), trials=2, mode=mode,
+                               base_seed=11, max_iters=8)
+        summary = run_experiment(cfg, tmp_path)
+        rows = list(csv.DictReader((tmp_path / "results.csv").read_text().splitlines()))
+        assert len(rows) == 2
+        for row in rows:
+            for key, cell in row.items():
+                if key not in ("representation", "mode") and cell:
+                    float(cell)
+            assert int(row["readings"]) >= 1
+            assert int(row["shots"]) == int(row["readings"]) * (mode.shots or 0)
+        stats = summary["per_qubit_count"]["1"]
+        assert stats["readings"] == sum(int(row["readings"]) for row in rows)
+        assert stats["shots"] == sum(int(row["shots"]) for row in rows)
+
+    def test_degenerate_draw_recorded_with_its_cause(self, tmp_path, monkeypatch):
+        """A zero population row fails its trial; summary.json says why."""
+        real = evolution.perturb_population
+
+        def zero_row(w, params, rng):
+            Z, W = real(w, params, rng)
+            W[3] = 0.0
+            return Z, W
+
+        monkeypatch.setattr(evolution, "perturb_population", zero_row)
+        cfg = ExperimentConfig(method="es", qubit_range=(1, 1), trials=1,
+                               mode=FidelityMode.exact(), base_seed=1, max_iters=5)
+        summary = run_experiment(cfg, tmp_path)
+        assert summary["failures"] == [{
+            "n_qubits": 1, "trial_id": 0,
+            "error": "evolution failed at epoch 1: "
+                     "parameter vector has near-zero norm; resample the candidate",
+        }]
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert len(lines) == 1  # the header only
 
     def test_nn_method_runs(self, tmp_path):
         cfg = ExperimentConfig(method="nn", qubit_range=(1, 1), trials=1,
@@ -313,6 +362,15 @@ class TestSnapshotStore:
         state = sample_random_state(1, RngStream(3))
         with pytest.raises(ValueError):
             store.put("../escape", state)
+
+    def test_non_finite_snapshot_rejected(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.put("s", sample_random_state(1, RngStream(5)))
+        raw = json.loads((tmp_path / "s.json").read_text())
+        raw["im"][1] = float("nan")
+        (tmp_path / "s.json").write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="non-finite"):
+            store.get("s")
 
     def test_missing_label(self, tmp_path):
         with pytest.raises(KeyError):

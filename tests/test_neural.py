@@ -639,4 +639,25 @@ class TestProbeMatrix:
         target = TargetSpec(1, sample_random_state(1, rng), seed=5400)
         _, _, rec = train_generator(target, cfg, FidelityMode.exact(), rng, representation=rep)
         assert len(rec.fidelity_trace) == 3
-        assert len(calls) == 3 * (2 * dim + 1)
+        assert rec.readings == len(calls) == 3 * (2 * dim + 1)
+        assert rec.shots == 0
+
+    def test_early_stop_skips_last_probes(self, monkeypatch):
+        """epochs + (epochs - stopped) * 2 * dim readings, shots per reading."""
+        calls = []
+        real = neural.score_candidate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "score_candidate", counting)
+        cfg = tiny_config(max_epochs=20, thresholds=(0.9,), stop_threshold=0.9,
+                          learning_rate=1e-2)
+        rng = RngStream(5405)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=5405)
+        _, _, rec = train_generator(target, cfg, FidelityMode.sampled(64), rng)
+        epochs, dim = len(rec.fidelity_trace), cfg.output_dim
+        assert 1 < epochs < cfg.max_epochs and rec.fidelity_trace[-1] >= 0.9
+        assert rec.readings == len(calls) == epochs + (epochs - 1) * 2 * dim
+        assert rec.shots == 64 * rec.readings

@@ -81,6 +81,14 @@ class TestStates:
         with pytest.raises(ValueError):
             PureState(1, np.array([1.0, 1.0], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(1, np.array([bad, 0.0]))
+        rho = np.array([[bad, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, rho)
+
     def test_density_of_pure(self):
         """|psi><psi| is rank one with the right trace."""
         rng = np.random.default_rng(7)
