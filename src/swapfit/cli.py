@@ -26,7 +26,7 @@ from .harness import (
 )
 from .noise import NoiseModelSpec, default_noise_model
 from .prep import Representation
-from .swap_test import OBJECTIVES, FidelityMode
+from .swap_test import DEFAULT_SHOTS, OBJECTIVES, FidelityMode
 
 PRESETS = ("zero", "one", "hadamard", "random")
 
@@ -59,22 +59,31 @@ def _parse_noise(text: str) -> NoiseModelSpec | None:
     return NoiseModelSpec.from_json(Path(text).read_text())
 
 
+# the flags each mode reads; a flag given to a mode that ignores it is an error
+_MODE_FLAGS = {"exact": (), "sampled": ("shots",), "noisy": ("shots", "noise")}
+
+
 def _build_mode(args) -> FidelityMode:
+    for flag in ("shots", "noise"):
+        if getattr(args, flag) is not None and flag not in _MODE_FLAGS[args.mode]:
+            raise ValueError(f"--mode {args.mode} does not read --{flag}")
+    shots = DEFAULT_SHOTS if args.shots is None else args.shots
     if args.mode == "exact":
         return FidelityMode.exact()
     if args.mode == "sampled":
-        return FidelityMode.sampled(args.shots)
-    noise = _parse_noise(args.noise)
+        return FidelityMode.sampled(shots)
+    noise = _parse_noise("default" if args.noise is None else args.noise)
     if noise is None:
         raise ValueError("--mode noisy requires --noise default or --noise <file>")
-    return FidelityMode.noisy(noise, args.shots)
+    return FidelityMode.noisy(noise, shots)
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["exact", "sampled", "noisy"], default="exact")
-    p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--noise", default="default",
-                   help="noisy-mode model: default, none, or a JSON file path")
+    p.add_argument("--shots", type=int,
+                   help=f"sampled and noisy modes: shots per reading ({DEFAULT_SHOTS} if unset)")
+    p.add_argument("--noise",
+                   help="noisy mode: default (if unset), none, or a JSON file path")
     p.add_argument("--seed", type=int, default=0)
 
 

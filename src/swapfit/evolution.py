@@ -1,9 +1,11 @@
 """Gradient-free evolutionary reconstruction driven by fidelity feedback.
 
 One optimizer iteration: perturb the parameter vector into a population of
-N candidates (one N-row matrix, decoded in one pass), score each with its
-own SWAP-test reading, standardize the scores into advantages, and move
-the mean by
+N candidates (one N-row matrix, decoded in one pass; in noisy mode their
+noisy preparations are also made as one stack), score each with its own
+SWAP-test reading, one ``score_candidate`` call per candidate so that the
+readings draw and are counted one by one, standardize the scores into
+advantages, and move the mean by
 
     w <- w + alpha/(N sigma) * sum_i A_i z_i.
 
@@ -22,7 +24,12 @@ import numpy as np
 from .metrics import uhlmann_fidelity
 from .prep import Representation, TargetSpec
 from .sim import PureState, RngStream
-from .swap_test import FidelityMode, fidelity_oracle, score_candidate
+from .swap_test import (
+    FidelityMode,
+    fidelity_oracle,
+    prepare_noisy_candidates,
+    score_candidate,
+)
 
 
 def check_threshold(value: float, name: str = "thresholds") -> None:
@@ -193,8 +200,10 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
             if log.record(epoch, f_w, state_w):
                 break
             Z, W = perturb_population(w, params, rng)
-            fids = [score_candidate(cand, target.state, mode, rng, objective)
-                    for cand in rep.decode_rows(W, n)]
+            cands = rep.decode_rows(W, n)
+            prepared = prepare_noisy_candidates(cands, target.state, mode, objective)
+            fids = [score_candidate(cand, target.state, mode, rng, objective, prepared=rho)
+                    for cand, rho in zip(cands, prepared)]
             log.readings += len(fids)
             A = standardized_advantages(fids, params.advantage_epsilon)
             w = es_update(w, Z, A, params)

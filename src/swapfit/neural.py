@@ -23,7 +23,7 @@ from scipy.special import erf
 from .evolution import EpochLog, TrialRecord, check_run_limits, check_threshold
 from .prep import Representation, TargetSpec
 from .sim import RngStream
-from .swap_test import FidelityMode, score_candidate
+from .swap_test import FidelityMode, prepare_noisy_candidates, score_candidate
 
 N_WEIGHT_LAYERS = 6
 HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
@@ -292,11 +292,13 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     """Train until the stop threshold or max_epochs; returns the best state.
 
     Per epoch: draw (or reuse) the latent, forward, decode, score through
-    the SWAP signal, finite-difference the loss on the raw output (the
-    2*dim probes decoded one block of rows at a time, each probe scored by
-    its own reading), backprop, Adam.  The trace holds the pre-update fidelity of each
-    epoch's decoded output, so early-stop bookkeeping matches the
-    evolutionary records.
+    the SWAP signal, finite-difference the loss on the raw output, backprop,
+    Adam.  The 2*dim probes are decoded one block of rows at a time, and in
+    noisy mode each block's noisy preparations are made as one stack; each
+    probe is still scored by its own ``score_candidate`` call, so the
+    readings draw and are counted one by one.  The trace holds the
+    pre-update fidelity of each epoch's decoded output, so early-stop
+    bookkeeping matches the evolutionary records.
     """
     if config.output_dim != representation.param_length(target.n_qubits):
         raise ValueError(
@@ -309,8 +311,11 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     n = target.n_qubits
 
     def losses_at(probes: np.ndarray) -> list:
-        losses = [1.0 - score_candidate(state, target.state, mode, rng, objective)
-                  for state in representation.decode_rows(probes, n)]
+        states = representation.decode_rows(probes, n)
+        prepared = prepare_noisy_candidates(states, target.state, mode, objective)
+        losses = [1.0 - score_candidate(state, target.state, mode, rng, objective,
+                                        prepared=rho)
+                  for state, rho in zip(states, prepared)]
         log.readings += len(losses)
         return losses
 
@@ -326,8 +331,6 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             g_out = fd_gradient(losses_at, raw, config.fd_epsilon)
             # inline, so each epoch's gradient is freed before the next is built
             params = adam_step(params, mlp_backward(params, cache, g_out), config)
-        except RuntimeError:
-            raise
         except Exception as exc:
             raise RuntimeError(f"training failed at epoch {epoch}") from exc
     record = log.finish(target, representation, mode, rng, trial_id)

@@ -11,8 +11,11 @@ application:
 Channels are plain Kraus-operator lists.  The noisy executor fuses each
 basis gate with its channel into one transfer matrix and applies that on
 the listed qubits.  ``run_circuit_dm_noisy`` does so for any lowered op
-list; ``prepare_dm_noisy`` does so for a Mottonen preparation straight from
-its compiled template, without building ops.
+list; ``prepare_dm_noisy`` does so for a stack of Mottonen preparations
+straight from their compiled template, without building ops.  The
+estimator prepares a whole ES population or MLP probe block in one such
+call, which is most of a noisy reading's time, and then reads each
+candidate separately.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from .sim import (
     X_MAT,
     DensityMatrix,
     GateOp,
-    PureState,
     _check_qubits,
     apply_on_axes,
+    apply_rows_on_axes,
     dm_axes,
     reset_qubits,
 )
-from .prep import mottonen_stages
+from .prep import mottonen_stages, mottonen_template
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -374,22 +377,43 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
     return out
 
 
-def prepare_dm_noisy(target: PureState, model: NoiseModelSpec) -> DensityMatrix:
-    """The noisy Mottonen preparation of ``target`` from |0...0>.
+def prepare_dm_noisy(amplitudes: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
+    """The noisy Mottonen preparation from |0...0> of each row of ``amplitudes``.
 
-    Equal to ``run_circuit_dm_noisy(zero_state(n).density(),
-    mottonen_circuit(target), model)``, but no op is built: the kept
-    ``mottonen_stages`` are applied straight to the density tensor, the
-    fixed sx, x and cx as the model's cached fused transfers and each rz as
-    ``rz_transfer`` of its stage angle, one matrix product per gate.
+    ``amplitudes`` is a (rows, 2^n) matrix; the result is the (rows, 2^n,
+    2^n) stack of density matrices.  Row r equals
+    ``run_circuit_dm_noisy(zero_state(n).density(), mottonen_circuit(state_r),
+    model)``, but no op is built: the stack is one density tensor with a
+    trailing row axis, run straight through ``mottonen_template(n)``.  The
+    fixed sx, x and cx apply as the model's cached fused transfers to every
+    row at once, and each rz slot as the (rows, 4, 4) stack of
+    ``rz_transfer`` of the rows' angles.  A stage runs only on the rows
+    ``mottonen_stages`` keeps it for, so a row that drops a stage also
+    drops that stage's noise.
     """
-    n = target.n_qubits
-    t = np.zeros((2,) * (2 * n), dtype=complex)
+    thetas, kept = mottonen_stages(amplitudes)
+    rows, dim = np.shape(amplitudes)
+    n = dim.bit_length() - 1
+    t = np.zeros((2,) * (2 * n) + (rows,), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
-    for stage, thetas in mottonen_stages(target):
-        rz = model.rz_transfer(thetas)
-        for op, slot in stage.gates:
-            s = model.gate_transfer(op) if slot < 0 else rz[slot]
-            t = apply_on_axes(t, dm_axes(n, op.qubits), s)
-    dim = 1 << n
-    return DensityMatrix(n, t.reshape(dim, dim), check=False)
+    # which stages every row, or some row, keeps: two reductions, not two per stage
+    stages = zip(mottonen_template(n), thetas, kept.T,
+                 kept.all(axis=0).tolist(), kept.any(axis=0).tolist())
+    for stage, angles, keep, all_rows, some_rows in stages:
+        if all_rows:
+            t = _run_stage(t, stage, model.rz_transfer(angles), model)
+        elif some_rows:
+            t[..., keep] = _run_stage(t[..., keep], stage, model.rz_transfer(angles[keep]),
+                                      model)
+    return t.reshape(dim, dim, rows).transpose(2, 0, 1)
+
+
+def _run_stage(t: np.ndarray, stage, rz: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
+    """One template stage on a density stack; ``rz[r, slot]`` is row r's
+    transfer for the stage's rz in that slot."""
+    for op, slot, axes in stage.gates:
+        if slot < 0:
+            t = apply_on_axes(t, axes, model.gate_transfer(op))
+        else:
+            t = apply_rows_on_axes(t, axes, rz[:, slot])
+    return t

@@ -1,10 +1,13 @@
 """Target-state generation, Mottonen synthesis, and parameter decoding.
 
 Mottonen synthesis is compiled once per qubit count into a template of
-stages (``mottonen_template``); per state only the stages' rz angles are
-computed (``mottonen_stages``).  ``mottonen_circuit`` instantiates them as
-gate ops, and the noisy executor ``noise.prepare_dm_noisy`` runs them
-directly on a density matrix.
+stages (``mottonen_template``); per state only the stages' rz angles and
+which stages it keeps are computed (``mottonen_stages``), for a whole
+matrix of states in one pass.  ``mottonen_circuit`` instantiates one
+state's stages as gate ops, and the noisy executor
+``noise.prepare_dm_noisy`` runs them directly on a stack of density
+matrices: an ES population or an MLP probe block is prepared as one stack,
+while each candidate still gets its own SWAP-test reading.
 
 Three candidate representations are supported, each decoded from a flat real
 parameter vector:
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import DensityMatrix, GateOp, PureState, RngStream, lower_ry
+from .sim import DensityMatrix, GateOp, PureState, RngStream, dm_axes, lower_ry
 
 MAX_TARGET_QUBITS = 10
 
@@ -194,17 +197,17 @@ def _angle_mixer(m: int) -> np.ndarray:
 
 
 def _alpha_y(a_sq: np.ndarray, n: int, k: int) -> np.ndarray:
-    sq = a_sq.reshape(2 ** (n - k), 2, 2 ** (k - 1))
-    num = sq[:, 1].sum(axis=1)
-    den = sq.reshape(2 ** (n - k), -1).sum(axis=1)
+    sq = a_sq.reshape(-1, 2 ** (n - k), 2, 2 ** (k - 1))
+    num = sq[:, :, 1].sum(axis=-1)
+    den = sq.reshape(sq.shape[0], 2 ** (n - k), -1).sum(axis=-1)
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     return 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(ratio)))
 
 
 def _alpha_z(omega: np.ndarray, n: int, k: int) -> np.ndarray:
     half = 2 ** (k - 1)
-    w = omega.reshape(2 ** (n - k), 2, half)
-    return (w[:, 1] - w[:, 0]).sum(axis=1) / half
+    w = omega.reshape(-1, 2 ** (n - k), 2, half)
+    return (w[:, :, 1] - w[:, :, 0]).sum(axis=-1) / half
 
 
 @dataclass(frozen=True)
@@ -213,20 +216,22 @@ class MottonenStage:
 
     Stage k rotates qubit n-k about ``axis``, controlled on qubits
     0..n-k-1, through the Gray-code walk over its m = 2^(n-k) slots.
-    ``gates`` pairs each emitted op with the slot whose angle it takes: an
-    rz carries a placeholder angle and its slot index, the fixed sx, x and
-    cx carry -1.  The Gray-code bit p that flips between consecutive slots
-    selects control qubit n-k-1-p.
+    ``gates`` holds one (op, slot, axes) triple per emitted op: an rz
+    carries a placeholder angle and the index of the slot whose angle it
+    takes, the fixed sx, x and cx carry slot -1, and ``axes`` are the op's
+    row-then-column axes in an n-qubit density tensor (``sim.dm_axes``).
+    The Gray-code bit p that flips between consecutive slots selects
+    control qubit n-k-1-p.
     """
 
     axis: str  # "y" or "z"
     k: int
-    gates: tuple  # ((GateOp, slot), ...)
+    gates: tuple  # ((GateOp, slot, axes), ...)
 
     def ops(self, thetas: np.ndarray) -> list[GateOp]:
         """The stage's gate list with slot i's rz rotating by ``thetas[i]``."""
         return [op if slot < 0 else GateOp.rz(thetas[slot], op.qubits[0])
-                for op, slot in self.gates]
+                for op, slot, _ in self.gates]
 
 
 @lru_cache(maxsize=None)
@@ -239,56 +244,63 @@ def mottonen_template(n: int) -> tuple:
             target = n - k
             m = 2**target
             rot = lower_ry(0.0, target) if axis == "y" else [GateOp.rz(0.0, target)]
-            gates = []
+            ops = []
             for i in range(m):
-                gates += [(op, i if op.kind == "rz" else -1) for op in rot]
+                ops += [(op, i if op.kind == "rz" else -1) for op in rot]
                 if m > 1:
                     changed = _gray(i) ^ _gray((i + 1) % m)
                     control = target - 1 - (changed.bit_length() - 1)
-                    gates.append((GateOp.cx(control, target), -1))
-            stages.append(MottonenStage(axis, k, tuple(gates)))
+                    ops.append((GateOp.cx(control, target), -1))
+            gates = tuple((op, slot, dm_axes(n, op.qubits)) for op, slot in ops)
+            stages.append(MottonenStage(axis, k, gates))
     return tuple(stages)
 
 
-def mottonen_stages(target: PureState) -> list[tuple[MottonenStage, np.ndarray]]:
-    """The template stages ``target``'s circuit keeps, each with its rz angles.
+def mottonen_stages(amplitudes: np.ndarray) -> tuple[list, np.ndarray]:
+    """Every row's rz angles for each ``mottonen_template`` stage, and which
+    stages the row keeps.
 
-    A stage whose multiplexer angles are all zero is dropped, and so is
-    every RZ stage of a state with no phase.  A dropped gate also drops
-    the noise a noisy executor attaches to it, so every executor of the
-    cascade must drop exactly these.
+    ``amplitudes`` is a (rows, 2^n) matrix with one state per row.  Returns
+    (thetas, kept): ``thetas[s]`` is the (rows, m) angle matrix of template
+    stage s, and ``kept[r, s]`` is False when row r drops stage s because
+    its multiplexer angles are all zero.  A state with no phase has
+    all-zero RZ angles, so it drops every RZ stage.  A dropped gate also
+    drops the noise a noisy executor attaches to it, so every executor of
+    the cascade must drop exactly these.  Every step works row by row, so
+    a row gets the same angles alone or in a stack.
     """
-    norm = np.linalg.norm(target.amplitudes)
-    if norm < 1e-12:
+    A = np.asarray(amplitudes, dtype=complex)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 2 or A.shape[1] & (A.shape[1] - 1):
+        raise ValueError(f"amplitude matrix has shape {A.shape}, expected (rows, 2^n)")
+    a_sq = np.abs(A) ** 2
+    if math.sqrt(a_sq.sum(axis=1).min()) < 1e-12:
         raise ValueError("cannot synthesize a circuit for a zero-norm state")
-    n = target.n_qubits
-    a_sq = np.abs(target.amplitudes) ** 2
-    omega = np.angle(target.amplitudes)
-    phased = omega.any()
-    kept = []
+    n = A.shape[1].bit_length() - 1
+    omega = np.angle(A)
+    thetas, kept = [], []
     for stage in mottonen_template(n):
-        if stage.axis == "y":
-            alpha = _alpha_y(a_sq, n, stage.k)
-        elif phased:
-            alpha = _alpha_z(omega, n, stage.k)
-        else:
-            break
-        if alpha.any():
-            kept.append((stage, _angle_mixer(alpha.shape[0]) @ alpha))
-    return kept
+        alpha = (_alpha_y(a_sq, n, stage.k) if stage.axis == "y"
+                 else _alpha_z(omega, n, stage.k))
+        # one matrix-vector product per row: the same bits as a lone row
+        thetas.append(np.matmul(_angle_mixer(alpha.shape[1]), alpha[:, :, None])[:, :, 0])
+        kept.append(alpha.any(axis=1))
+    return thetas, np.array(kept).T
 
 
 def mottonen_circuit(target: PureState) -> list[GateOp]:
     """Gate list over {rz, sx, x, cx} preparing ``target`` from |0...0>.
 
-    The kept ``mottonen_stages`` instantiated in order.  The result matches
-    the target up to global phase; all-zero rotation stages are dropped,
-    so |0...0> compiles to an empty list.  The noisy executor
+    The stages ``mottonen_stages`` keeps for the one-row matrix of
+    ``target``, instantiated in order.  The result matches the target up
+    to global phase; all-zero rotation stages are dropped, so |0...0>
+    compiles to an empty list.  The noisy executor
     ``noise.prepare_dm_noisy`` runs the same stages without building ops.
     """
+    thetas, kept = mottonen_stages(target.amplitudes[None, :])
     ops: list[GateOp] = []
-    for stage, thetas in mottonen_stages(target):
-        ops += stage.ops(thetas)
+    for stage, angles, keep in zip(mottonen_template(target.n_qubits), thetas, kept[0]):
+        if keep:
+            ops += stage.ops(angles[0])
     return ops
 
 

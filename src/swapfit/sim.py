@@ -11,7 +11,9 @@ transfer matrix into a register: the register is a (2,)*m tensor, the
 operator's qubit axes are transposed to the front, and one matrix product
 with the small 2^k x 2^k operator does the rest, so no 2^n x 2^n matrix is
 ever materialized.  A density matrix is the tensor of its n row axes
-followed by its n column axes.
+followed by its n column axes.  A stack of registers carries one more,
+trailing, row axis: ``apply_on_axes`` applies one operator to every row,
+and ``apply_rows_on_axes`` a different operator to each.
 """
 
 from __future__ import annotations
@@ -283,10 +285,25 @@ def apply_on_axes(t: np.ndarray, axes: tuple, mat: np.ndarray) -> np.ndarray:
 
     One copy and one matrix product; the result is a transposed view, which
     the next call's transpose-and-reshape consumes without a second copy.
+    A trailing row axis, of any length, stays last through both
+    transposes, so one call applies ``mat`` to every register of a stack.
     """
     forward, back = _axis_order(t.ndim, axes)
     out = mat @ t.transpose(forward).reshape(mat.shape[1], -1)
     return out.reshape(t.shape).transpose(back)
+
+
+def apply_rows_on_axes(t: np.ndarray, axes: tuple, mats: np.ndarray) -> np.ndarray:
+    """Row r's ``mats[r]`` on the listed axes of a stack of register tensors.
+
+    ``t`` is the register's (2,)*m axes followed by one row axis, so the
+    register's axis indices are the same as in a lone register, and
+    ``apply_on_axes`` applies one shared operator to every row of it.
+    """
+    rows = t.shape[-1]
+    forward, back = _axis_order(t.ndim, (t.ndim - 1, *axes))
+    out = mats @ t.transpose(forward).reshape(rows, mats.shape[2], -1)
+    return out.reshape((rows,) + t.shape[:-1]).transpose(back)
 
 
 def kraus_map_dm(rho: DensityMatrix, qubits: Sequence[int], operators) -> DensityMatrix:

@@ -18,7 +18,11 @@ circuit under the noise model, factorized per qubit pair
 (``_target_observable``) so that no (2n+1)-qubit density matrix is built,
 with each side's noisy preparation run from the Mottonen template compiled
 for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the full
-circuit the tests hold it to.
+circuit the tests hold it to.  An optimizer prepares a population or probe
+block as one stack (``prepare_noisy_candidates``) and still scores each
+candidate with its own ``score_candidate`` call: the readings draw from the
+random stream in the same order, and each is counted as one reading by the
+trial record and by the benchmark, which counts those calls.
 """
 
 from __future__ import annotations
@@ -168,8 +172,7 @@ def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) 
     site = site.reshape((4,) + (2,) * 6).transpose(0, 3, 6, 1, 4, 5, 2).reshape(4, 4, 4, 4)
 
     n = n_qubits
-    psi = PureState(n, np.frombuffer(amplitudes, dtype=complex), check=False)
-    rho_t = prepare_dm_noisy(psi, noise).entries
+    rho_t = prepare_dm_noisy(np.frombuffer(amplitudes, dtype=complex)[None, :], noise)[0]
     # one (row, col) index pair per qubit, qubit 0 first; the bond starts as
     # Tr(rho_a E_kl) = rho_a[l, k] for the matrix unit E_kl
     pairs = rho_t.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
@@ -185,30 +188,37 @@ def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) 
     return m
 
 
-def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec) -> float:
+def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec,
+                    prepared: np.ndarray | None = None) -> float:
     """Exact ancilla-zero probability of the noisy circuit, readout flip included.
 
     Equal to the full (2n+1)-qubit density-matrix run of ``noisy_circuit_ops``;
     per candidate only its own n-qubit noisy preparation is evolved, by
     ``prepare_dm_noisy`` from the Mottonen template compiled for n: no gate
-    op is built and the general executor does not run.
+    op is built and the general executor does not run.  ``prepared`` is
+    that preparation when the caller already made it as one row of a stack
+    (``prepare_noisy_candidates``); otherwise it is made here as a one-row
+    stack.
     """
     n = psi.n_qubits
     m = _target_observable(noise, n, psi.amplitudes.tobytes())
-    rho = prepare_dm_noisy(phi, noise)
-    return noise.flip_readout(float(np.real(np.vdot(m, rho.entries))))
+    if prepared is None:
+        prepared = prepare_dm_noisy(phi.amplitudes[None, :], noise)[0]
+    return noise.flip_readout(float(np.real(np.vdot(m, prepared))))
 
 
 def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS,
                       noise: NoiseModelSpec | None = None,
-                      rng: RngStream | None = None) -> float:
+                      rng: RngStream | None = None,
+                      prepared: np.ndarray | None = None) -> float:
     """Shot-sampled reading, optionally through the noise model.
 
     The reading is 2 p0 - 1 with p0 the ancilla-zero frequency over
     ``shots``.  The shot outcomes are one binomial draw from the exact
     ancilla-zero probability, which is distributionally identical to
     simulating shots one by one.  Noiseless mode takes that probability in closed form,
-    (1 + |<psi|phi>|^2) / 2; noisy mode takes it from ``_noisy_exact_p0``.
+    (1 + |<psi|phi>|^2) / 2; noisy mode takes it from ``_noisy_exact_p0``,
+    with ``phi``'s noisy preparation ``prepared`` if the caller made it.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -219,7 +229,7 @@ def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS
             f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
         )
     if noise is not None and not noise.is_noiseless:
-        p_true = _noisy_exact_p0(psi, phi, noise)
+        p_true = _noisy_exact_p0(psi, phi, noise, prepared)
     else:
         p_true = (1.0 + fidelity_oracle(psi, phi)) / 2.0
     zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
@@ -335,8 +345,29 @@ def check_objective(objective: str) -> None:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
+def prepare_noisy_candidates(candidates: list, target, mode: FidelityMode,
+                             objective: str = "swap") -> list:
+    """Each candidate's noisy preparation, all made as one stack, for the
+    ``prepared`` argument of that candidate's own ``score_candidate`` call.
+
+    Only a noisy-mode "swap" reading of a pure pair under a model with
+    noise prepares the candidate; for any other reading the list holds
+    None per candidate and ``score_candidate`` needs nothing.  The
+    preparations of a population or a probe block are one
+    ``prepare_dm_noisy`` call, which is where a noisy reading spends most
+    of its time; the readings stay one call each, in order, so each draws
+    from the stream exactly as before and each is counted as one reading.
+    """
+    if (mode.kind != "noisy" or objective != "swap" or mode.noise.is_noiseless
+            or not isinstance(target, PureState)
+            or not all(isinstance(c, PureState) for c in candidates)):
+        return [None] * len(candidates)
+    return list(prepare_dm_noisy(np.stack([c.amplitudes for c in candidates]), mode.noise))
+
+
 def score_candidate(candidate, target, mode: FidelityMode,
-                    rng: RngStream | None = None, objective: str = "swap") -> float:
+                    rng: RngStream | None = None, objective: str = "swap",
+                    prepared: np.ndarray | None = None) -> float:
     """Fidelity signal for one candidate against the target.
 
     Pure-vs-pure with the "swap" objective is the SWAP-test reading per
@@ -351,7 +382,9 @@ def score_candidate(candidate, target, mode: FidelityMode,
     objectives: it is the overlap Tr(rho sigma) the circuit would report
     and also the Uhlmann fidelity (Jozsa 1994).  Two density matrices keep
     the matrix-root forms: "swap" gives the Hilbert-Schmidt overlap,
-    "uhlmann" the proper mixed-state fidelity.
+    "uhlmann" the proper mixed-state fidelity.  ``prepared`` is the
+    candidate's noisy preparation from ``prepare_noisy_candidates``, or
+    None; only a noisy reading uses it.
     """
     check_objective(objective)
     cand_pure = isinstance(candidate, PureState)
@@ -360,7 +393,8 @@ def score_candidate(candidate, target, mode: FidelityMode,
         if objective == "uhlmann" or mode.kind == "exact":
             return fidelity_oracle(target, candidate)
         return swap_test_sampled(
-            target, candidate, shots=mode.shots, noise=mode.noise, rng=rng
+            target, candidate, shots=mode.shots, noise=mode.noise, rng=rng,
+            prepared=prepared,
         )
     if mode.kind != "exact":
         raise ValueError(

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import swapfit
-from swapfit.cli import main
+from swapfit.cli import _build_mode, build_parser, main
 from swapfit.noise import NoiseModelSpec, default_noise_model
+from swapfit.swap_test import DEFAULT_SHOTS, FidelityMode
 
 
 class TestExitCodes:
@@ -127,6 +128,35 @@ class TestConfigValidation:
         assert code == 1
         assert f"{field} must be" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "reconstruct"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--mode", "exact", "--shots", "0"], "--shots"),
+        (["--shots", "64"], "--shots"),
+        (["--mode", "exact", "--noise", "default"], "--noise"),
+        (["--mode", "sampled", "--noise", "default"], "--noise"),
+        (["--mode", "sampled", "--shots", "64", "--noise", "none"], "--noise"),
+    ])
+    def test_flag_the_mode_ignores_rejected(self, tmp_path, capsys, command, flags, named):
+        """A shot count or noise model the mode would not read exits 1 and
+        names the flag, instead of running without it."""
+        out = tmp_path / "exp"
+        if command == "run":
+            argv = ["run", *flags, "--trials", "1", "--out", str(out)]
+        else:
+            argv = ["reconstruct", "--target", "zero", "--max-iters", "1", *flags]
+        assert main(argv) == 1
+        assert f"does not read {named}" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("flags,want", [
+        (["--mode", "sampled"], FidelityMode.sampled(DEFAULT_SHOTS)),
+        (["--mode", "noisy"], FidelityMode.noisy(default_noise_model(), DEFAULT_SHOTS)),
+        (["--mode", "noisy", "--shots", "64"], FidelityMode.noisy(default_noise_model(), 64)),
+    ])
+    def test_unset_mode_flags_take_defaults(self, flags, want):
+        for command in (["run", "--out", "unused"], ["reconstruct", "--target", "zero"]):
+            assert _build_mode(build_parser().parse_args([*command, *flags])) == want
 
     def test_density_reconstruct_rejects_stochastic_mode(self, tmp_path, capsys):
         """Density matrices are scored exactly, so a shot label would be false."""

@@ -16,7 +16,7 @@ from swapfit.evolution import (
     run_es,
     standardized_advantages,
 )
-from swapfit import evolution
+from swapfit import evolution, neural
 from swapfit.metrics import uhlmann_fidelity
 from swapfit.noise import default_noise_model
 from swapfit.neural import GeneratorConfig, train_generator
@@ -307,13 +307,16 @@ class TestBatchedPopulation:
         (Representation.DENSITY, 2, FidelityMode.exact()),
         (Representation.STATEVECTOR, 1, FidelityMode.sampled(64)),
         (Representation.STATEVECTOR, 1, FidelityMode.noisy(default_noise_model(), 256)),
+        (Representation.STATEVECTOR, 2, FidelityMode.noisy(default_noise_model(), 256)),
+        (Representation.STATEVECTOR, 3, FidelityMode.noisy(default_noise_model(), 256)),
+        (Representation.UNITARY, 2, FidelityMode.noisy(default_noise_model(), 256)),
     ])
     def test_identical_records(self, rep, n, mode):
         (sol, rec, state), (sol_ref, rec_ref, state_ref) = _both_runs(
             rep, n, mode, 4100 + n, max_iters=12)
         assert _same_record(rec, rec_ref)
         assert state == state_ref
-        payload = "amplitudes" if rep is Representation.STATEVECTOR else "entries"
+        payload = "entries" if rep is Representation.DENSITY else "amplitudes"
         np.testing.assert_array_equal(getattr(sol, payload), getattr(sol_ref, payload))
 
     @settings(max_examples=12, deadline=None)
@@ -327,6 +330,36 @@ class TestBatchedPopulation:
         np.testing.assert_allclose(rec.fidelity_trace, rec_ref.fidelity_trace,
                                    rtol=0, atol=1e-12)
         assert abs(rec.oracle_fidelity - rec_ref.oracle_fidelity) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stage_dropping_rows_identical_records(self, monkeypatch, n):
+        """A noisy population holding a basis row (it drops every stage) and
+        a nonnegative real row (it drops the RZ stages) reads as the
+        per-candidate loop does."""
+        d = 2**n
+        basis = np.zeros(2 * d)
+        basis[1] = 1.0
+        real = np.concatenate([np.linspace(0.1, 1.0, d), np.zeros(d)])
+        real_pairs, real_matrix = oracles.perturb_population_pairs, perturb_population
+
+        def dropping_pairs(w, params, rng):
+            pairs = real_pairs(w, params, rng)
+            pairs[3], pairs[5] = (pairs[3][0], basis), (pairs[5][0], real)
+            return pairs
+
+        def dropping_rows(w, params, rng):
+            Z, W = real_matrix(w, params, rng)
+            W[3], W[5] = basis, real
+            return Z, W
+
+        monkeypatch.setattr(oracles, "perturb_population_pairs", dropping_pairs)
+        monkeypatch.setattr(evolution, "perturb_population", dropping_rows)
+        mode = FidelityMode.noisy(default_noise_model(), 256)
+        (sol, rec, state), (sol_ref, rec_ref, state_ref) = _both_runs(
+            Representation.STATEVECTOR, n, mode, 4300 + n, max_iters=6, population=8)
+        assert _same_record(rec, rec_ref)
+        assert state == state_ref
+        np.testing.assert_array_equal(sol.amplitudes, sol_ref.amplitudes)
 
     def test_degenerate_row_raises_decode_error(self, monkeypatch):
         """A zero population row fails the epoch with the one-vector decode's
@@ -401,4 +434,34 @@ class TestReadingCount:
         epochs = len(rec.fidelity_trace)
         assert 1 < epochs < params.max_iters and rec.fidelity_trace[-1] >= 0.9
         assert rec.readings == len(calls) == epochs + (epochs - 1) * params.population
+        assert rec.shots == 64 * rec.readings
+
+    @pytest.mark.parametrize("method", ["es", "nn"])
+    def test_noisy_epochs_read_once_per_candidate(self, monkeypatch, method):
+        """Noisy mode prepares each population or probe block as one stack,
+        but still takes one reading per candidate, each its own call."""
+        module = evolution if method == "es" else neural
+        calls = []
+        real = module.score_candidate
+
+        def counting(*args, prepared=None, **kwargs):
+            calls.append(prepared is not None)
+            return real(*args, prepared=prepared, **kwargs)
+
+        monkeypatch.setattr(module, "score_candidate", counting)
+        rng = RngStream(78)
+        target = TargetSpec(2, sample_random_state(2, rng), seed=78)
+        mode = FidelityMode.noisy(default_noise_model(), 64)
+        if method == "es":
+            params = ESParams(population=9, max_iters=3, thresholds=(1.0,))
+            _, rec = run_es(target, params, mode, rng)
+            block = params.population
+        else:
+            cfg = GeneratorConfig(layer_widths=(6, 5, 5, 4, 3, 8), latent_dim=7,
+                                  max_epochs=3, thresholds=(1.0,), stop_threshold=1.0)
+            _, _, rec = train_generator(target, cfg, mode, rng)
+            block = 2 * cfg.output_dim
+        assert len(rec.fidelity_trace) == 3
+        assert rec.readings == len(calls) == 3 * (block + 1)
+        assert sum(calls) == 3 * block  # every block reading came prepared
         assert rec.shots == 64 * rec.readings

@@ -573,6 +573,11 @@ class TestProbeMatrix:
         (Representation.STATEVECTOR, 1, FidelityMode.sampled(64), "swap"),
         (Representation.STATEVECTOR, 1, FidelityMode.noisy(default_noise_model(), 256),
          "swap"),
+        (Representation.STATEVECTOR, 2, FidelityMode.noisy(default_noise_model(), 256),
+         "swap"),
+        (Representation.STATEVECTOR, 3, FidelityMode.noisy(default_noise_model(), 256),
+         "swap"),
+        (Representation.UNITARY, 2, FidelityMode.noisy(default_noise_model(), 256), "swap"),
     ])
     def test_identical_records(self, monkeypatch, rep, n, mode, objective):
         (sol, params, rec, state), (sol_ref, params_ref, rec_ref, state_ref) = _train_both(
@@ -607,6 +612,41 @@ class TestProbeMatrix:
         assert {**vars(rec), "wall_time": 0} == {**vars(rec_ref), "wall_time": 0}
         assert state == state_ref
         assert np.array_equal(params.theta, params_ref.theta)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stage_dropping_probes_identical_records(self, monkeypatch, n):
+        """With the output's imaginary half zeroed and its real half made
+        nonnegative, every probe block mixes real-amplitude rows, which drop
+        the RZ stages, with rows that keep them; noisy readings of such
+        blocks train exactly as one probe at a time."""
+        real_forward = neural.mlp_forward
+
+        def real_amplitude_output(*args, **kwargs):
+            raw, cache = real_forward(*args, **kwargs)
+            half = raw.shape[0] // 2
+            return np.concatenate([np.abs(raw[:half]) + 0.1, np.zeros(half)]), cache
+
+        monkeypatch.setattr(neural, "mlp_forward", real_amplitude_output)
+        mode = FidelityMode.noisy(default_noise_model(), 256)
+        (sol, params, rec, state), (sol_ref, params_ref, rec_ref, state_ref) = _train_both(
+            monkeypatch, Representation.STATEVECTOR, n, mode, 5600 + n)
+        assert {**vars(rec), "wall_time": 0} == {**vars(rec_ref), "wall_time": 0}
+        assert state == state_ref
+        assert np.array_equal(params.theta, params_ref.theta)
+
+    def test_runtime_error_names_its_epoch(self, monkeypatch):
+        """A RuntimeError inside an epoch is wrapped like any other error."""
+        boom = RuntimeError("reading failed")
+
+        def failing(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(neural, "score_candidate", failing)
+        rng = RngStream(5310)
+        target = TargetSpec(1, sample_random_state(1, rng), seed=5310)
+        with pytest.raises(RuntimeError, match="training failed at epoch 1") as got:
+            train_generator(target, tiny_config(), FidelityMode.exact(), rng)
+        assert got.value.__cause__ is boom
 
     def test_degenerate_probe_raises_decode_error(self, monkeypatch):
         """A zero probe fails the epoch with the one-vector decode's error."""

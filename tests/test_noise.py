@@ -31,6 +31,7 @@ from swapfit.sim import (
     GateOp,
     PureState,
     RngStream,
+    basis_state,
     kraus_map_dm,
     lower_ops,
     zero_state,
@@ -378,25 +379,53 @@ class TestFusedExecutor:
 MODEL_IDS = ("default", "noiseless", "heavy")
 
 
+def _rows_of_kind(kind, n, rng):
+    """One state of ``kind`` on n qubits: generic, real-amplitude (no RZ
+    stage), basis (RY stages dropped too), or one of DEGENERATE_STATES."""
+    if kind == "generic":
+        return sample_random_state(n, RngStream(int(rng.integers(2**32))))
+    if kind == "real":
+        v = np.abs(rng.normal(size=2**n))
+        return PureState(n, (v / np.linalg.norm(v)).astype(complex))
+    if kind == "basis":
+        return basis_state(n, int(rng.integers(2**n)))
+    pool = [s for s in DEGENERATE_STATES if s.n_qubits == n]
+    return pool[int(rng.integers(len(pool)))]
+
+
 class TestCompiledPreparation:
-    """prepare_dm_noisy runs the compiled Mottonen template: it must equal
-    the general executor over the instantiated ops, dropped stages and
-    their noise included."""
+    """prepare_dm_noisy runs a stack of states through the compiled Mottonen
+    template: each row must equal the general executor over that state's
+    instantiated ops, dropped stages and their noise included."""
 
     @staticmethod
-    def assert_matches_executor(state, model):
-        n = state.n_qubits
-        want = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, state), model)
-        got = prepare_dm_noisy(state, model)
-        np.testing.assert_allclose(got.entries, want.entries, rtol=0, atol=1e-12)
+    def assert_rows_match_executor(states, model):
+        n = states[0].n_qubits
+        got = prepare_dm_noisy(np.stack([s.amplitudes for s in states]), model)
+        assert got.shape == (len(states), 2**n, 2**n)
+        for rho, state in zip(got, states):
+            want = run_circuit_dm_noisy(zero_state(n).density(), prepare_on(n, state), model)
+            np.testing.assert_allclose(rho, want.entries, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-           model=st.sampled_from(MODELS))
-    def test_matches_general_executor(self, n_qubits, seed, model):
-        self.assert_matches_executor(sample_random_state(n_qubits, RngStream(seed)), model)
+           model=st.sampled_from(MODELS),
+           kinds=st.lists(st.sampled_from(["generic", "real", "basis", "degenerate"]),
+                          min_size=1, max_size=5))
+    def test_matches_general_executor(self, n_qubits, seed, model, kinds):
+        rng = np.random.default_rng(seed)
+        states = [_rows_of_kind(kind, n_qubits, rng) for kind in kinds]
+        self.assert_rows_match_executor(states, model)
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("state", DEGENERATE_STATES, ids=DEGENERATE_IDS)
     def test_degenerate_states(self, state, model):
-        self.assert_matches_executor(state, model)
+        """Alone, and between generic rows that keep every stage."""
+        generic = [sample_random_state(state.n_qubits, RngStream(i)) for i in range(2)]
+        self.assert_rows_match_executor([state], model)
+        self.assert_rows_match_executor([generic[0], state, generic[1]], model)
+
+    def test_zero_norm_row_rejected(self):
+        rows = np.stack([sample_random_state(2, RngStream(3)).amplitudes, np.zeros(4)])
+        with pytest.raises(ValueError, match="zero-norm"):
+            prepare_dm_noisy(rows, default_noise_model())

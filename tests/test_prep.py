@@ -13,6 +13,7 @@ from swapfit.prep import (
     Representation,
     TargetSpec,
     mottonen_circuit,
+    mottonen_stages,
     prepare_on,
     sample_random_density,
     sample_random_state,
@@ -151,6 +152,23 @@ class TestMottonen:
     @pytest.mark.parametrize("state", DEGENERATE_STATES, ids=DEGENERATE_IDS)
     def test_template_drops_stages_like_loop_form(self, state):
         self.assert_matches_loop_form(state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=6))
+    def test_stacked_angles_equal_one_row_angles(self, n_qubits, seed, picks):
+        """mottonen_stages gives each row of a stack, generic or
+        stage-dropping, the bits and the kept stages it gets alone."""
+        pool = [s for s in DEGENERATE_STATES if s.n_qubits == n_qubits]
+        rng = RngStream(seed)
+        A = np.stack([pool[p % len(pool)].amplitudes if p % 2 else
+                      sample_random_state(n_qubits, rng).amplitudes for p in picks])
+        thetas, kept = mottonen_stages(A)
+        for r in range(len(picks)):
+            one_thetas, one_kept = mottonen_stages(A[r:r + 1])
+            assert np.array_equal(kept[r], one_kept[0])
+            for stacked, alone in zip(thetas, one_thetas):
+                assert np.array_equal(stacked[r], alone[0])
 
     def test_prepare_on_offset(self):
         """Preparation embeds at the right register offset."""
