@@ -35,6 +35,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Given(argparse.Action):
+    """argparse's plain store, which also lists the flag in ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here wants 1."""
 
@@ -92,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="batch experiment over random targets")
-    run.add_argument("--config", help="JSON config file; flags below override nothing when given")
+    # every run flag records itself, so _cmd_run can tell a flag from its default
+    run.register("action", None, _Given)
+    run.set_defaults(given=())
+    run.add_argument("--config", help="JSON config file; no flag but --out may be given with it")
     run.add_argument("--method", choices=["es", "nn"], default="es")
     run.add_argument("--repr", dest="representation",
                      choices=[r.value for r in Representation], default="statevector")
@@ -137,6 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if args.config:
+        ignored = [flag for flag in args.given if flag not in ("--config", "--out")]
+        if ignored:
+            raise ValueError(f"--config sets every run option; drop {', '.join(ignored)}")
         config = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
         lo, hi = _parse_qubits(args.qubits)

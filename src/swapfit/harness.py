@@ -30,7 +30,13 @@ from .noise import (
     depolarizing_channel,
     thermal_relaxation_channel,
 )
-from .prep import MAX_TARGET_QUBITS, Representation, TargetSpec, sample_random_state
+from .prep import (
+    MAX_TARGET_QUBITS,
+    Representation,
+    TargetSpec,
+    sample_random_state,
+    state_from_record,
+)
 from .sim import DensityMatrix, PureState, RngStream, basis_state, zero_state
 from .swap_test import FidelityMode, check_objective
 
@@ -319,7 +325,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Execute every trial, write results.csv + summary.json + traces.json.
 
     Per-trial failures are recorded in the summary and the run continues.
-    Returns the summary dict (also written to disk).
+    Trials run in a thread pool, and ``pool.map`` yields their outcomes in
+    job order whichever finished first, so rows, traces and failures are
+    appended as they arrive and come out ordered by (n, trial).  Returns
+    the summary dict (also written to disk).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -331,47 +340,36 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
             jobs.append((n, trial, index))
             index += 1
 
-    completed: dict = {}
-    failures: list = []
-
     def work(job):
-        n, trial, idx = job
         try:
-            return job, _run_single_trial(config, n, trial, idx)
+            return _run_single_trial(config, *job)
         except Exception as exc:
-            return job, exc
+            return exc
 
+    lines = [results_csv_header(config.thresholds)]
+    traces: list = []
+    failures: list = []
+    per_n_records: dict = {}
     with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for job, outcome in pool.map(work, jobs):
-            n, trial, idx = job
+        for (n, trial, _), outcome in zip(jobs, pool.map(work, jobs)):
             if isinstance(outcome, Exception):
                 # an optimizer names the failing epoch; its cause says why
                 cause = outcome.__cause__
                 error = str(outcome) if cause is None else f"{outcome}: {cause}"
                 failures.append({"n_qubits": n, "trial_id": trial, "error": error})
-            else:
-                completed[(n, trial)] = outcome
-
-    # single writer, rows ordered by (n, trial) no matter who finished first
-    lines = [results_csv_header(config.thresholds)]
-    traces = []
-    per_n_records: dict = {}
-    for n, trial, idx in jobs:
-        if (n, trial) not in completed:
-            continue
-        target, solution, record = completed[(n, trial)]
-        lines.append(results_csv_row(n, record, config.thresholds))
-        per_n_records.setdefault(n, []).append(record)
-        entry = {
-            "trial_id": record.trial_id,
-            "n_qubits": n,
-            "seed": record.seed,
-            "fidelity_trace": record.fidelity_trace,
-            "wall_time": record.wall_time,
-            "target": _amplitude_payload(target.state),
-            "solution": _amplitude_payload(solution),
-        }
-        traces.append(entry)
+                continue
+            target, solution, record = outcome
+            lines.append(results_csv_row(n, record, config.thresholds))
+            per_n_records.setdefault(n, []).append(record)
+            traces.append({
+                "trial_id": record.trial_id,
+                "n_qubits": n,
+                "seed": record.seed,
+                "fidelity_trace": record.fidelity_trace,
+                "wall_time": record.wall_time,
+                "target": _amplitude_payload(target.state),
+                "solution": _amplitude_payload(solution),
+            })
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
     summary = {
@@ -505,8 +503,7 @@ class SnapshotStore:
         if not path.exists():
             raise KeyError(f"no snapshot stored under label {label!r}")
         raw = json.loads(path.read_text())
-        amps = np.asarray(raw["re"], dtype=float) + 1j * np.asarray(raw["im"], dtype=float)
-        return PureState(int(raw["n_qubits"]), amps)
+        return state_from_record(raw.get("n_qubits"), raw)
 
     def labels(self) -> list:
         return sorted(p.stem for p in self.root.glob("*.json"))
@@ -566,11 +563,12 @@ def entropy_pairs_from_traces(traces_path) -> list:
         if e["target"]["kind"] != "pure" or e["solution"]["kind"] != "pure":
             continue
         n = e["n_qubits"]
-        t = PureState(n, np.asarray(e["target"]["re"]) + 1j * np.asarray(e["target"]["im"]))
-        s = PureState(
-            n, np.asarray(e["solution"]["re"]) + 1j * np.asarray(e["solution"]["im"])
-        )
-        pairs.append((f"trial-{e['trial_id']}-n{n}", t, s))
+        circuit_id = f"trial-{e['trial_id']}-n{n}"
+        try:
+            t, s = (state_from_record(n, e[side]) for side in ("target", "solution"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {circuit_id}: {exc}") from exc
+        pairs.append((circuit_id, t, s))
     return pairs
 
 

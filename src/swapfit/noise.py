@@ -12,9 +12,11 @@ Channels are plain Kraus-operator lists.  The noisy executor fuses each
 basis gate with its channel into one transfer matrix and applies that on
 the listed qubits.  ``run_circuit_dm_noisy`` does so for any lowered op
 list; ``prepare_dm_noisy`` does so for a stack of Mottonen preparations
-straight from their compiled template, without building ops.  The
-estimator prepares a whole ES population or MLP probe block in one such
-call, which is most of a noisy reading's time, and then reads each
+straight from their compiled template, without building ops.  There rz's
+own transfer matrix is a phase, so each rz multiplies every row by its own
+phases and then applies the channel's transfer matrix, shared by all rows.
+The estimator prepares a whole ES population or MLP probe block in one
+such call, which is most of a noisy reading's time, and then reads each
 candidate separately.
 """
 
@@ -38,7 +40,6 @@ from .sim import (
     GateOp,
     _check_qubits,
     apply_on_axes,
-    apply_rows_on_axes,
     dm_axes,
     reset_qubits,
 )
@@ -244,25 +245,20 @@ class NoiseModelSpec:
         )
 
     @cached_property
-    def _single_qubit_superop(self) -> np.ndarray:
-        return channel_superop(self.single_qubit_channel)
-
-    @cached_property
-    def _cx_superop(self) -> np.ndarray:
-        return channel_superop(self.cx_channel)
-
-    # each fixed basis gate fused with the channel that follows it
-    @cached_property
-    def _sx_transfer(self) -> np.ndarray:
-        return self._single_qubit_superop @ unitary_superop(SX_MAT)
-
-    @cached_property
-    def _x_transfer(self) -> np.ndarray:
-        return self._single_qubit_superop @ unitary_superop(X_MAT)
-
-    @cached_property
-    def _cx_transfer(self) -> np.ndarray:
-        return self._cx_superop @ unitary_superop(CX_MAT)
+    def fused_transfers(self) -> dict:
+        """Each noisy basis gate's transfer matrix with its channel's fused
+        in: S1 (U (x) U*) for sx and x and S_cx (U (x) U*) for cx, where S1
+        and S_cx are the channels'.  rz's own transfer matrix is a phase,
+        applied before S1 (``rz_transfer``).  A noiseless model's channels
+        prune to the identity, so it gets the bare gates'.
+        """
+        s1 = channel_superop(self.single_qubit_channel)
+        return {
+            "rz": s1,
+            "sx": s1 @ unitary_superop(SX_MAT),
+            "x": s1 @ unitary_superop(X_MAT),
+            "cx": channel_superop(self.cx_channel) @ unitary_superop(CX_MAT),
+        }
 
     def channel_for(self, kind: str) -> KrausChannel | None:
         """Channel attached after a gate of this kind, or None if noiseless."""
@@ -275,31 +271,17 @@ class NoiseModelSpec:
         return self.single_qubit_channel
 
     def gate_transfer(self, op: GateOp) -> np.ndarray:
-        """Transfer matrix of the basis gate ``op`` then its channel.
-
-        A noiseless model's channels prune to the identity, so it gets the
-        bare gate's transfer matrix.  rz's product is built per op by
-        ``rz_transfer``; sx, x and cx products are cached.
-        """
+        """Transfer matrix of the basis gate ``op`` then its channel."""
+        if op.kind not in self.fused_transfers:
+            raise ValueError(f"op kind {op.kind!r} is not a noisy basis gate")
         if op.kind == "rz":
             return self.rz_transfer(op.angle)
-        if op.kind == "sx":
-            return self._sx_transfer
-        if op.kind == "x":
-            return self._x_transfer
-        if op.kind == "cx":
-            return self._cx_transfer
-        raise ValueError(f"op kind {op.kind!r} is not a noisy basis gate")
+        return self.fused_transfers[op.kind]
 
-    def rz_transfer(self, theta) -> np.ndarray:
-        """Transfer matrix of rz(theta) then its channel.
-
-        rz's own transfer matrix is diag(1, e^{-i theta}, e^{i theta}, 1),
-        so the product is a column scaling of the channel's.  An array of
-        angles gives one matrix per angle, stacked along the leading axes.
-        """
-        phases = np.exp(np.multiply.outer(theta, _RZ_PHASE))
-        return self._single_qubit_superop * phases[..., None, :]
+    def rz_transfer(self, theta: float) -> np.ndarray:
+        """Transfer matrix of rz(theta) then its channel: S1 with its
+        columns scaled by rz's phases."""
+        return self.fused_transfers["rz"] * np.exp(theta * _RZ_PHASE)
 
     def flip_readout(self, p0: float) -> float:
         """Probability of reading 0 after the classical measurement flip."""
@@ -362,7 +344,7 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
     """
     out = rho
     for op in ops:
-        if op.kind in ("rz", "sx", "x", "cx"):
+        if op.kind in model.fused_transfers:
             s = model.gate_transfer(op)
             n = out.n_qubits
             _check_qubits(n, op.qubits)  # before the index reaches an axis permutation
@@ -384,12 +366,11 @@ def prepare_dm_noisy(amplitudes: np.ndarray, model: NoiseModelSpec) -> np.ndarra
     2^n) stack of density matrices.  Row r equals
     ``run_circuit_dm_noisy(zero_state(n).density(), mottonen_circuit(state_r),
     model)``, but no op is built: the stack is one density tensor with a
-    trailing row axis, run straight through ``mottonen_template(n)``.  The
-    fixed sx, x and cx apply as the model's cached fused transfers to every
-    row at once, and each rz slot as the (rows, 4, 4) stack of
-    ``rz_transfer`` of the rows' angles.  A stage runs only on the rows
-    ``mottonen_stages`` keeps it for, so a row that drops a stage also
-    drops that stage's noise.
+    trailing row axis, run straight through ``mottonen_template(n)``.  Every
+    gate applies one of the model's ``fused_transfers`` to all rows at
+    once; an rz first multiplies each row by its own phases (see
+    ``_run_stage``).  A stage runs only on the rows ``mottonen_stages``
+    keeps it for, so a row that drops a stage also drops that stage's noise.
     """
     thetas, kept = mottonen_stages(amplitudes)
     rows, dim = np.shape(amplitudes)
@@ -401,19 +382,25 @@ def prepare_dm_noisy(amplitudes: np.ndarray, model: NoiseModelSpec) -> np.ndarra
                  kept.all(axis=0).tolist(), kept.any(axis=0).tolist())
     for stage, angles, keep, all_rows, some_rows in stages:
         if all_rows:
-            t = _run_stage(t, stage, model.rz_transfer(angles), model)
+            t = _run_stage(t, stage, angles, model)
         elif some_rows:
-            t[..., keep] = _run_stage(t[..., keep], stage, model.rz_transfer(angles[keep]),
-                                      model)
+            t[..., keep] = _run_stage(t[..., keep], stage, angles[keep], model)
     return t.reshape(dim, dim, rows).transpose(2, 0, 1)
 
 
-def _run_stage(t: np.ndarray, stage, rz: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
-    """One template stage on a density stack; ``rz[r, slot]`` is row r's
-    transfer for the stage's rz in that slot."""
+def _run_stage(t: np.ndarray, stage, angles: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
+    """One template stage on a density stack; ``angles[r, slot]`` is row r's
+    angle for the stage's rz in that slot.  An rz multiplies each row by its
+    own phases on the qubit's row and column axes, and then applies S1 to
+    every row at once, as a fixed gate applies its transfer matrix.
+    """
+    n = (t.ndim - 1) // 2
+    q = n - stage.k  # the qubit every rz of stage k rotates
+    # phases[slot] broadcasts against t: its (2, 2) on q's row and column axes
+    shape = (-1,) + (1,) * q + (2,) + (1,) * (n - 1) + (2,) + (1,) * (n - 1 - q) + (t.shape[-1],)
+    phases = np.exp(angles.T[:, None, :] * _RZ_PHASE[:, None]).reshape(shape)
     for op, slot, axes in stage.gates:
-        if slot < 0:
-            t = apply_on_axes(t, axes, model.gate_transfer(op))
-        else:
-            t = apply_rows_on_axes(t, axes, rz[:, slot])
+        if slot >= 0:
+            t = t * phases[slot]
+        t = apply_on_axes(t, axes, model.fused_transfers[op.kind])
     return t

@@ -116,23 +116,31 @@ class TargetSpec:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("target record must be a JSON object")
-        n = raw["n_qubits"]
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_TARGET_QUBITS:
-            raise ValueError(f"'n_qubits' must be an integer in [1, {MAX_TARGET_QUBITS}], "
-                             f"got {n!r}")
-        density = raw.get("kind") == "density"
-        length = 4**n if density else 2**n
-        for key in ("re", "im"):
-            values = raw[key]
-            if not (isinstance(values, list) and len(values) == length
-                    and all(_is_finite_number(x) for x in values)):
-                raise ValueError(f"{key!r} must be a list of {length} finite numbers")
-        flat = np.asarray(raw["re"], dtype=float) + 1j * np.asarray(raw["im"], dtype=float)
-        if density:
-            state = DensityMatrix(n, flat.reshape(2**n, 2**n))
-        else:
-            state = PureState(n, flat)
-        return TargetSpec(n_qubits=n, state=state, seed=raw.get("seed"))
+        state = state_from_record(raw["n_qubits"], raw, density=raw.get("kind") == "density")
+        return TargetSpec(n_qubits=state.n_qubits, state=state, seed=raw.get("seed"))
+
+
+def state_from_record(n, raw: dict, density: bool = False):
+    """The state whose flat amplitudes, or flat density matrix, a JSON
+    record holds as the lists ``raw["re"]`` and ``raw["im"]``.  ``n`` must
+    be an integer in [1, MAX_TARGET_QUBITS] and each list hold 2^n (4^n)
+    finite numbers, or ValueError names the field; the state's own checks
+    follow."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_TARGET_QUBITS:
+        raise ValueError(f"'n_qubits' must be an integer in [1, {MAX_TARGET_QUBITS}], "
+                         f"got {n!r}")
+    length = 4**n if density else 2**n
+    for key in ("re", "im"):
+        values = raw.get(key)
+        if not (isinstance(values, list) and len(values) == length):
+            raise ValueError(f"{key!r} must be a list of {length} finite numbers")
+        if not all(_is_finite_number(x) for x in values):
+            raise ValueError(f"{key!r} must be a list of {length} finite numbers; "
+                             "it holds a non-finite or non-numeric entry")
+    flat = np.asarray(raw["re"], dtype=float) + 1j * np.asarray(raw["im"], dtype=float)
+    if density:
+        return DensityMatrix(n, flat.reshape(2**n, 2**n))
+    return PureState(n, flat)
 
 
 def _is_finite_number(value) -> bool:

@@ -12,8 +12,9 @@ operator's qubit axes are transposed to the front, and one matrix product
 with the small 2^k x 2^k operator does the rest, so no 2^n x 2^n matrix is
 ever materialized.  A density matrix is the tensor of its n row axes
 followed by its n column axes.  A stack of registers carries one more,
-trailing, row axis: ``apply_on_axes`` applies one operator to every row,
-and ``apply_rows_on_axes`` a different operator to each.
+trailing, row axis, and ``apply_on_axes`` applies one operator to every
+row; what differs between rows (the noisy preparation's rz phases) is an
+elementwise product, not an operator.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ class Tolerances:
     """Numerical tolerance budget shared by the library and its tests.
 
     structural: validity of states and channels (norms, traces, completeness).
-    algebraic: closed-form identities (update rules, exact decompositions).
     psd_slack: how far below zero a density-matrix eigenvalue may dip.
     """
 
     structural: float = 1e-10
-    algebraic: float = 1e-12
     psd_slack: float = 1e-9
 
 
@@ -82,9 +81,6 @@ class PureState:
                 raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
         self.n_qubits = n_qubits
         self.amplitudes = amps
-
-    def copy(self) -> "PureState":
-        return PureState(self.n_qubits, self.amplitudes.copy(), check=False)
 
     def density(self) -> "DensityMatrix":
         """|psi><psi| as a DensityMatrix."""
@@ -291,19 +287,6 @@ def apply_on_axes(t: np.ndarray, axes: tuple, mat: np.ndarray) -> np.ndarray:
     forward, back = _axis_order(t.ndim, axes)
     out = mat @ t.transpose(forward).reshape(mat.shape[1], -1)
     return out.reshape(t.shape).transpose(back)
-
-
-def apply_rows_on_axes(t: np.ndarray, axes: tuple, mats: np.ndarray) -> np.ndarray:
-    """Row r's ``mats[r]`` on the listed axes of a stack of register tensors.
-
-    ``t`` is the register's (2,)*m axes followed by one row axis, so the
-    register's axis indices are the same as in a lone register, and
-    ``apply_on_axes`` applies one shared operator to every row of it.
-    """
-    rows = t.shape[-1]
-    forward, back = _axis_order(t.ndim, (t.ndim - 1, *axes))
-    out = mats @ t.transpose(forward).reshape(rows, mats.shape[2], -1)
-    return out.reshape((rows,) + t.shape[:-1]).transpose(back)
 
 
 def kraus_map_dm(rho: DensityMatrix, qubits: Sequence[int], operators) -> DensityMatrix:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import swapfit
+from swapfit import harness
 from swapfit.cli import _build_mode, build_parser, main
+from swapfit.harness import ExperimentConfig
 from swapfit.noise import NoiseModelSpec, default_noise_model
 from swapfit.swap_test import DEFAULT_SHOTS, FidelityMode
 
@@ -235,9 +237,6 @@ class TestRunCommand:
         assert "mean_oracle_fidelity" in printed
 
     def test_run_from_config_file(self, tmp_path, capsys):
-        from swapfit.harness import ExperimentConfig
-        from swapfit.swap_test import FidelityMode
-
         cfg = ExperimentConfig(method="es", qubit_range=(1, 1), trials=1,
                                mode=FidelityMode.exact(), base_seed=6,
                                max_iters=40, max_workers=1)
@@ -249,6 +248,45 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
         assert summary["config"]["max_workers"] == 1
         assert ExperimentConfig.from_json(json.dumps(summary["config"])) == cfg
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--mode", "noisy", "--shots", "0", "--noise", "bogus.json", "--trials", "7"],
+         "--mode, --shots, --noise, --trials"),
+        (["--method", "es"], "--method"),
+        (["--seed=0", "--repr", "statevector"], "--seed, --repr"),
+    ], ids=["mode-flags", "default-value", "equals-form"])
+    def test_flags_next_to_config_rejected(self, tmp_path, capsys, flags, named):
+        """The config file sets every run option, so any other flag but --out
+        exits 1 and is named, even one equal to its default, before any
+        output is written."""
+        path = tmp_path / "cfg.json"
+        path.write_text(ExperimentConfig(method="es", qubit_range=(1, 1), trials=1,
+                                         max_iters=5).to_json())
+        out = tmp_path / "exp"
+        assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
+        assert f"drop {named}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_trial_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A run whose trials partly fail still writes its outputs, names the
+        failures on stderr and in summary.json, and exits 2."""
+        real = harness.run_es
+
+        def fail_second(target, params, mode, rng, trial_id=0, **kwargs):
+            if trial_id == 1:
+                raise RuntimeError("injected failure")
+            return real(target, params, mode, rng, trial_id=trial_id, **kwargs)
+
+        monkeypatch.setattr(harness, "run_es", fail_second)
+        out = tmp_path / "exp"
+        code = main(["run", "--qubits", "1", "--trials", "2", "--max-iters", "5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "1 trial(s) failed; see summary.json" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [
+            {"n_qubits": 1, "trial_id": 1, "error": "injected failure"}]
+        assert len((out / "results.csv").read_text().splitlines()) == 2
 
     def test_summary_matches_csv(self, tmp_path):
         out = tmp_path / "exp"
@@ -348,6 +386,40 @@ class TestEntropyReportCommand:
         traces.write_text(json.dumps(entries))
         assert main(["entropy-report", "--traces", str(traces)]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_skipped_entries(self, tmp_path, capsys):
+        """A density entry gives no pair, and a single-qubit pair is counted
+        as skipped, with no row."""
+        pure = {"kind": "pure", "re": [1.0, 0.0], "im": [0.0, 0.0]}
+        density = {"kind": "density", "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+        traces = tmp_path / "traces.json"
+        traces.write_text(json.dumps([
+            {"trial_id": 0, "n_qubits": 1, "target": pure, "solution": pure},
+            {"trial_id": 1, "n_qubits": 1, "target": pure, "solution": density},
+        ]))
+        assert main(["entropy-report", "--traces", str(traces)]) == 0
+        printed = capsys.readouterr().out
+        assert "skipped 1 single-qubit circuit(s) (no bipartition)" in printed
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("im", [0.0], "'im'"),
+        ("re", None, "'re'"),
+        ("n_qubits", 2.0, "'n_qubits'"),
+    ])
+    def test_bad_state_record_rejected(self, tmp_path, capsys, field, value, named):
+        """A trace entry is checked like a target file; the error names the
+        entry and the field."""
+        state = {"kind": "pure", "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+        entry = {"trial_id": 3, "n_qubits": 2, "target": state, "solution": dict(state)}
+        if field == "n_qubits":
+            entry[field] = value
+        else:
+            entry["solution"][field] = value
+        traces = tmp_path / "traces.json"
+        traces.write_text(json.dumps([entry]))
+        assert main(["entropy-report", "--traces", str(traces)]) == 1
+        err = capsys.readouterr().err
+        assert "trial-3" in err and f"{named} must be " in err
 
     def test_missing_traces(self, tmp_path, capsys):
         code = main(["entropy-report", "--traces", str(tmp_path / "no.json")])

@@ -372,6 +372,17 @@ class TestSnapshotStore:
         with pytest.raises(ValueError, match="non-finite"):
             store.get("s")
 
+    @pytest.mark.parametrize("record,named", [
+        ({"n_qubits": 1.9, "re": [0.6, 0.8], "im": [0]}, "'n_qubits'"),
+        ({"n_qubits": 1, "re": [0.6, 0.8], "im": [0]}, "'im'"),
+        ({"n_qubits": 1, "re": [0.6, "0.8"], "im": [0, 0]}, "'re'"),
+    ], ids=["float-n", "short-im", "string"])
+    def test_bad_record_rejected(self, tmp_path, record, named):
+        """Checked like a target file: nothing is truncated or broadcast."""
+        (tmp_path / "s.json").write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=f"{named} must be "):
+            SnapshotStore(tmp_path).get("s")
+
     def test_missing_label(self, tmp_path):
         with pytest.raises(KeyError):
             SnapshotStore(tmp_path).get("nope")
