@@ -52,12 +52,13 @@ from .prep import (
 )
 from .sim import DensityMatrix, GateOp, PureState, RngStream
 from .swap_test import (
+    Estimator,
     FidelityMode,
     RegisterLayout,
     fidelity_oracle,
     iterate_snapshot,
+    score_candidate,
     swap_test_exact,
-    swap_test_sampled,
 )
 
 __version__ = "0.1.0"

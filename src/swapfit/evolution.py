@@ -1,8 +1,9 @@
 """Gradient-free evolutionary reconstruction driven by fidelity feedback.
 
 One optimizer iteration: perturb the parameter vector into a population of
-N candidates (one N-row matrix, decoded in one pass; in noisy mode their
-noisy preparations are also made as one stack), score each with its own
+N candidates (one N-row matrix, decoded in one pass), take the values of
+their readings from the trial's ``Estimator`` in one call (in noisy mode
+their noisy preparations are made as one stack), turn each into its own
 SWAP-test reading, one ``score_candidate`` call per candidate so that the
 readings draw and are counted one by one, standardize the scores into
 advantages, and move the mean by
@@ -24,12 +25,7 @@ import numpy as np
 from .metrics import uhlmann_fidelity
 from .prep import Representation, TargetSpec
 from .sim import PureState, RngStream
-from .swap_test import (
-    FidelityMode,
-    fidelity_oracle,
-    prepare_noisy_candidates,
-    score_candidate,
-)
+from .swap_test import Estimator, FidelityMode, fidelity_oracle, score_candidate
 
 
 def check_threshold(value: float, name: str = "thresholds") -> None:
@@ -190,20 +186,21 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
     """
     n = target.n_qubits
     rep = params.representation
+    estimator = Estimator(target.state, mode, objective)
     log = EpochLog(params.thresholds, stop_at=max(params.thresholds))
     w = rng.gen.normal(size=rep.param_length(n))
     for epoch in range(1, params.max_iters + 1):
         try:
             state_w = rep.decode(w, n)
-            f_w = score_candidate(state_w, target.state, mode, rng, objective)
+            f_w = score_candidate(state_w, target.state, mode, rng, objective,
+                                  prepared=estimator.values([state_w])[0])
             log.readings += 1
             if log.record(epoch, f_w, state_w):
                 break
             Z, W = perturb_population(w, params, rng)
             cands = rep.decode_rows(W, n)
-            prepared = prepare_noisy_candidates(cands, target.state, mode, objective)
-            fids = [score_candidate(cand, target.state, mode, rng, objective, prepared=rho)
-                    for cand, rho in zip(cands, prepared)]
+            fids = [score_candidate(cand, target.state, mode, rng, objective, prepared=v)
+                    for cand, v in zip(cands, estimator.values(cands))]
             log.readings += len(fids)
             A = standardized_advantages(fids, params.advantage_epsilon)
             w = es_update(w, Z, A, params)

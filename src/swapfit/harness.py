@@ -37,8 +37,8 @@ from .prep import (
     sample_random_state,
     state_from_record,
 )
-from .sim import DensityMatrix, PureState, RngStream, basis_state, zero_state
-from .swap_test import FidelityMode, check_objective
+from .sim import PureState, RngStream, basis_state, zero_state
+from .swap_test import FidelityMode, check_mode
 
 MIN_QUBITS, MAX_QUBITS = 1, 6
 
@@ -54,25 +54,6 @@ def splitmix64(x: int) -> int:
 def derive_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: base XOR splitmix64(index); independent streams."""
     return (base_seed ^ splitmix64(index)) & 0xFFFFFFFFFFFFFFFF
-
-
-def check_mode(representation: Representation, mode: FidelityMode, objective: str,
-               target_state=None) -> None:
-    """Reject a stochastic mode where the reading is exact anyway.
-
-    Density matrices, as candidates or as the target, and the Uhlmann
-    objective are scored exactly, so a shot-count label would be false.
-    """
-    density = (representation is Representation.DENSITY
-               or isinstance(target_state, DensityMatrix))
-    if density and mode.kind != "exact":
-        raise ValueError(
-            f"density matrices are scored exactly; {mode.label()} mode is not supported"
-        )
-    if objective == "uhlmann" and mode.kind != "exact":
-        raise ValueError(
-            f"the uhlmann objective is scored exactly; {mode.label()} mode is not supported"
-        )
 
 
 def _is_integer(value) -> bool:
@@ -115,8 +96,7 @@ class ExperimentConfig:
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         check_run_limits(self.max_iters, self.thresholds)
-        check_objective(self.objective)
-        check_mode(self.representation, self.mode, self.objective)
+        check_mode(self.mode, self.objective, self.representation is Representation.DENSITY)
 
     def to_json(self) -> str:
         payload = {
@@ -442,7 +422,7 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 objective: str = "swap") -> dict:
     """One reconstruction run; optionally deposits the solution in a store."""
     mode = mode or FidelityMode.exact()
-    check_mode(representation, mode, objective, target.state)
+    check_mode(mode, objective, representation is Representation.DENSITY)
     solution, record = _optimize(
         target, method, representation, mode, RngStream(seed), thresholds,
         max_iters, objective,
@@ -503,6 +483,8 @@ class SnapshotStore:
         if not path.exists():
             raise KeyError(f"no snapshot stored under label {label!r}")
         raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a snapshot must be a JSON object")
         return state_from_record(raw.get("n_qubits"), raw)
 
     def labels(self) -> list:
@@ -558,12 +540,18 @@ def entropy_pairs_from_traces(traces_path) -> list:
     if not path.exists():
         raise FileNotFoundError(f"missing reconstruction artifacts: {path}")
     entries = json.loads(path.read_text())
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: traces must be a JSON list of trial records")
     pairs = []
-    for e in entries:
-        if e["target"]["kind"] != "pure" or e["solution"]["kind"] != "pure":
+    for i, e in enumerate(entries):
+        sides = [e.get(side) for side in ("target", "solution")] if isinstance(e, dict) else [None]
+        if not all(isinstance(s, dict) and s.get("kind") in ("pure", "density") for s in sides):
+            raise ValueError(f"{path}: record {i} must be an object whose 'target' and "
+                             "'solution' are objects of kind 'pure' or 'density'")
+        if any(s["kind"] != "pure" for s in sides):
             continue
-        n = e["n_qubits"]
-        circuit_id = f"trial-{e['trial_id']}-n{n}"
+        n = e.get("n_qubits")
+        circuit_id = f"trial-{e.get('trial_id')}-n{n}"
         try:
             t, s = (state_from_record(n, e[side]) for side in ("target", "solution"))
         except ValueError as exc:

@@ -12,7 +12,7 @@ eigenvalue clamping at zero, which stays stable for near-singular inputs.
 That root costs two eigendecompositions and lands a few 1e-8 off when one
 side is pure, where the fidelity is exactly <psi|sigma|psi>; so the
 training loop scores pure/mixed pairs in closed form
-(``swap_test.score_candidate``), and ``uhlmann_fidelity`` serves mixed/mixed
+(``swap_test.Estimator``), and ``uhlmann_fidelity`` serves mixed/mixed
 pairs, the end-of-trial re-score and the tests.
 """
 

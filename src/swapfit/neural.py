@@ -23,7 +23,7 @@ from scipy.special import erf
 from .evolution import EpochLog, TrialRecord, check_run_limits, check_threshold
 from .prep import Representation, TargetSpec
 from .sim import RngStream
-from .swap_test import FidelityMode, prepare_noisy_candidates, score_candidate
+from .swap_test import Estimator, FidelityMode, score_candidate
 
 N_WEIGHT_LAYERS = 6
 HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
@@ -293,10 +293,11 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
 
     Per epoch: draw (or reuse) the latent, forward, decode, score through
     the SWAP signal, finite-difference the loss on the raw output, backprop,
-    Adam.  The 2*dim probes are decoded one block of rows at a time, and in
-    noisy mode each block's noisy preparations are made as one stack; each
-    probe is still scored by its own ``score_candidate`` call, so the
-    readings draw and are counted one by one.  The trace holds the
+    Adam.  The 2*dim probes are decoded one block of rows at a time, and the
+    trial's ``Estimator`` takes each block's values in one call (in noisy
+    mode the block's noisy preparations are one stack); each probe is still
+    scored by its own ``score_candidate`` call, so the readings draw and
+    are counted one by one.  The trace holds the
     pre-update fidelity of each epoch's decoded output, so early-stop
     bookkeeping matches the evolutionary records.
     """
@@ -305,6 +306,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             f"config output width {config.output_dim} does not fit "
             f"{representation.value} on {target.n_qubits} qubit(s)"
         )
+    estimator = Estimator(target.state, mode, objective)
     log = EpochLog(config.thresholds, stop_at=config.stop_threshold)
     params = init_mlp(config, rng)
     fixed_z = rng.gen.random(config.latent_dim)
@@ -312,10 +314,9 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
 
     def losses_at(probes: np.ndarray) -> list:
         states = representation.decode_rows(probes, n)
-        prepared = prepare_noisy_candidates(states, target.state, mode, objective)
         losses = [1.0 - score_candidate(state, target.state, mode, rng, objective,
-                                        prepared=rho)
-                  for state, rho in zip(states, prepared)]
+                                        prepared=v)
+                  for state, v in zip(states, estimator.values(states))]
         log.readings += len(losses)
         return losses
 
@@ -324,7 +325,8 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             z = fixed_z if config.latent_mode == "fixed" else rng.gen.random(config.latent_dim)
             raw, cache = mlp_forward(params, z, return_cache=True)
             state = representation.decode(raw, n)
-            f = score_candidate(state, target.state, mode, rng, objective)
+            f = score_candidate(state, target.state, mode, rng, objective,
+                                prepared=estimator.values([state])[0])
             log.readings += 1
             if log.record(epoch, f, state):
                 break

@@ -15,9 +15,9 @@ list; ``prepare_dm_noisy`` does so for a stack of Mottonen preparations
 straight from their compiled template, without building ops.  There rz's
 own transfer matrix is a phase, so each rz multiplies every row by its own
 phases and then applies the channel's transfer matrix, shared by all rows.
-The estimator prepares a whole ES population or MLP probe block in one
-such call, which is most of a noisy reading's time, and then reads each
-candidate separately.
+A trial's ``swap_test.Estimator`` prepares a whole ES population or MLP
+probe block in one such call, which is most of a noisy reading's time,
+and then reads each candidate separately.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ which stages it keeps are computed (``mottonen_stages``), for a whole
 matrix of states in one pass.  ``mottonen_circuit`` instantiates one
 state's stages as gate ops, and the noisy executor
 ``noise.prepare_dm_noisy`` runs them directly on a stack of density
-matrices: an ES population or an MLP probe block is prepared as one stack,
-while each candidate still gets its own SWAP-test reading.
+matrices: a trial's ``swap_test.Estimator`` prepares an ES population or
+an MLP probe block as one stack, while each candidate still gets its own
+SWAP-test reading.
 
 Three candidate representations are supported, each decoded from a flat real
 parameter vector:

@@ -3,33 +3,32 @@
 Register layout on 2n+1 qubits: qubit 0 is the ancilla, qubits 1..n hold
 the target, qubits n+1..2n the candidate.  The circuit is H(ancilla),
 a controlled SWAP per qubit pair, H(ancilla); then F = 2 P(0) - 1 = <Z> on
-the ancilla, and every estimator here returns that reading as a float.
+the ancilla, and ``score_candidate`` returns that reading as a float.
 For pure inputs it equals |<psi|phi>|^2; for mixed inputs the same
 circuit measures Tr(rho sigma), which is NOT the Uhlmann fidelity (see
 metrics for the consequences).
 
-Noiseless pure readings are scored in closed form: P(0) = (1 + |<psi|phi>|^2)/2
-(Buhrman et al., quant-ph/0102001), so ``score_candidate`` and the
-noiseless branch of ``swap_test_sampled`` use ``fidelity_oracle`` and
-simulate no circuit.  ``swap_test_exact`` still simulates the gadget; it
-is the reference the tests hold the closed form to.  Noisy readings draw
-their shots from the exact ancilla-zero probability of the whole lowered
-circuit under the noise model, factorized per qubit pair
-(``_target_observable``) so that no (2n+1)-qubit density matrix is built,
-with each side's noisy preparation run from the Mottonen template compiled
-for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the full
-circuit the tests hold it to.  An optimizer prepares a population or probe
-block as one stack (``prepare_noisy_candidates``) and still scores each
-candidate with its own ``score_candidate`` call: the readings draw from the
-random stream in the same order, and each is counted as one reading by the
-trial record and by the benchmark, which counts those calls.
+A trial builds one ``Estimator`` for its target, mode and objective; it
+validates them once and holds what the target fixes.  Noiseless pure
+readings are scored in closed form: P(0) = (1 + |<psi|phi>|^2)/2 (Buhrman
+et al., quant-ph/0102001), via ``fidelity_oracle``, and no circuit is
+simulated.  ``swap_test_exact`` still simulates the gadget; it is the
+reference the tests hold the closed form to.  Noisy readings draw their
+shots from the exact ancilla-zero probability of the whole lowered circuit
+under the noise model, factorized per qubit pair (``_target_observable``,
+M_psi, built once per estimator) so that no (2n+1)-qubit density matrix is
+built, with each side's noisy preparation run from the Mottonen template
+compiled for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the
+full circuit the tests hold it to.  ``Estimator.values`` prepares a
+population or probe block as one stack, and each candidate's reading is
+still its own ``score_candidate`` call: the readings draw from the random
+stream in the same order, and each is counted as one reading by the trial
+record and by the benchmark, which counts those calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .metrics import hs_overlap, uhlmann_fidelity
@@ -41,6 +40,7 @@ from .noise import (
 )
 from .prep import TargetSpec, prepare_on
 from .sim import (
+    DensityMatrix,
     GateOp,
     PureState,
     RngStream,
@@ -143,8 +143,7 @@ def _pull_back(obs: np.ndarray, n_qubits: int, ops, noise: NoiseModelSpec) -> np
     return obs
 
 
-@lru_cache(maxsize=128)
-def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) -> np.ndarray:
+def _target_observable(noise: NoiseModelSpec, psi: PureState) -> np.ndarray:
     """M_psi with p0 = Tr(M_psi rho_phi), before the readout flip.
 
     The two preparations act on disjoint registers, every channel acts on
@@ -156,8 +155,8 @@ def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) 
     (x) I pulled back through the lowered cswap.  Contracted site by site
     with the noisy target state, between the first H's ancilla state and
     the second H's pulled-back projector, it leaves an operator on the
-    candidate register; intermediates hold 4^(n+1) entries.  Cached per
-    (model, n, target): a run scores thousands of candidates per target.
+    candidate register; intermediates hold 4^(n+1) entries.  A trial's
+    ``Estimator`` builds it once for the thousands of candidates it reads.
     """
     p_zero = np.array([[1, 0], [0, 0]], dtype=complex)
     h = lower_ops([GateOp.h(0)])
@@ -171,8 +170,8 @@ def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) 
     # [unit, a_r, t_r, c_r, a_c, t_c, c_c] -> [unit, (c_r c_c), (a_r a_c), (t_c t_r)]
     site = site.reshape((4,) + (2,) * 6).transpose(0, 3, 6, 1, 4, 5, 2).reshape(4, 4, 4, 4)
 
-    n = n_qubits
-    rho_t = prepare_dm_noisy(np.frombuffer(amplitudes, dtype=complex)[None, :], noise)[0]
+    n = psi.n_qubits
+    rho_t = prepare_dm_noisy(psi.amplitudes[None, :], noise)[0]
     # one (row, col) index pair per qubit, qubit 0 first; the bond starts as
     # Tr(rho_a E_kl) = rho_a[l, k] for the matrix unit E_kl
     pairs = rho_t.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
@@ -183,57 +182,20 @@ def _target_observable(noise: NoiseModelSpec, n_qubits: int, amplitudes: bytes) 
         acc = acc.transpose(0, 2, 1)
     m = (closing @ acc.reshape(4, -1)).reshape((2,) * (2 * n))
     m = m.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    m = np.ascontiguousarray(m.reshape(1 << n, 1 << n))
-    m.flags.writeable = False
-    return m
+    return np.ascontiguousarray(m.reshape(1 << n, 1 << n))
 
 
-def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec,
-                    prepared: np.ndarray | None = None) -> float:
+def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec) -> float:
     """Exact ancilla-zero probability of the noisy circuit, readout flip included.
 
     Equal to the full (2n+1)-qubit density-matrix run of ``noisy_circuit_ops``;
-    per candidate only its own n-qubit noisy preparation is evolved, by
+    only the candidate's own n-qubit noisy preparation is evolved, by
     ``prepare_dm_noisy`` from the Mottonen template compiled for n: no gate
-    op is built and the general executor does not run.  ``prepared`` is
-    that preparation when the caller already made it as one row of a stack
-    (``prepare_noisy_candidates``); otherwise it is made here as a one-row
-    stack.
+    op is built and the general executor does not run.  This is the one-pair
+    form of ``Estimator.values`` in noisy mode.
     """
-    n = psi.n_qubits
-    m = _target_observable(noise, n, psi.amplitudes.tobytes())
-    if prepared is None:
-        prepared = prepare_dm_noisy(phi.amplitudes[None, :], noise)[0]
-    return noise.flip_readout(float(np.real(np.vdot(m, prepared))))
-
-
-def swap_test_sampled(psi: PureState, phi: PureState, shots: int = DEFAULT_SHOTS,
-                      noise: NoiseModelSpec | None = None,
-                      rng: RngStream | None = None,
-                      prepared: np.ndarray | None = None) -> float:
-    """Shot-sampled reading, optionally through the noise model.
-
-    The reading is 2 p0 - 1 with p0 the ancilla-zero frequency over
-    ``shots``.  The shot outcomes are one binomial draw from the exact
-    ancilla-zero probability, which is distributionally identical to
-    simulating shots one by one.  Noiseless mode takes that probability in closed form,
-    (1 + |<psi|phi>|^2) / 2; noisy mode takes it from ``_noisy_exact_p0``,
-    with ``phi``'s noisy preparation ``prepared`` if the caller made it.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if rng is None:
-        raise ValueError("sampled mode requires an RngStream")
-    if psi.n_qubits != phi.n_qubits:
-        raise ValueError(
-            f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
-        )
-    if noise is not None and not noise.is_noiseless:
-        p_true = _noisy_exact_p0(psi, phi, noise, prepared)
-    else:
-        p_true = (1.0 + fidelity_oracle(psi, phi)) / 2.0
-    zeros = int(rng.gen.binomial(shots, min(1.0, max(0.0, p_true))))
-    return 2.0 * (zeros / shots) - 1.0
+    rho = prepare_dm_noisy(phi.amplitudes[None, :], noise)[0]
+    return noise.flip_readout(float(np.real(np.vdot(_target_observable(noise, psi), rho))))
 
 
 def iterate_snapshot(target: TargetSpec, candidate_source, budget: int) -> list[float]:
@@ -340,75 +302,108 @@ class FidelityMode:
 OBJECTIVES = ("swap", "uhlmann")
 
 
-def check_objective(objective: str) -> None:
+def check_mode(mode: FidelityMode, objective: str, density: bool = False) -> None:
+    """The one exact-only rule, applied where a run is configured.
+
+    Density matrices, as candidates or as the target (``density``), and
+    every reading under the Uhlmann objective are scored exactly, so a
+    sampled or noisy mode's shot-count label would be false.
+    """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    if mode.kind == "exact":
+        return
+    if density:
+        raise ValueError(
+            f"density matrices are scored exactly; {mode.label()} mode is not supported"
+        )
+    if objective == "uhlmann":
+        raise ValueError(
+            f"the uhlmann objective is scored exactly; {mode.label()} mode is not supported"
+        )
 
 
-def prepare_noisy_candidates(candidates: list, target, mode: FidelityMode,
-                             objective: str = "swap") -> list:
-    """Each candidate's noisy preparation, all made as one stack, for the
-    ``prepared`` argument of that candidate's own ``score_candidate`` call.
+class Estimator:
+    """The SWAP-test readings of one trial: what its target, mode and
+    objective fix, validated and built once.
 
-    Only a noisy-mode "swap" reading of a pure pair under a model with
-    noise prepares the candidate; for any other reading the list holds
-    None per candidate and ``score_candidate`` needs nothing.  The
-    preparations of a population or a probe block are one
-    ``prepare_dm_noisy`` call, which is where a noisy reading spends most
-    of its time; the readings stay one call each, in order, so each draws
-    from the stream exactly as before and each is counted as one reading.
+    ``values`` maps candidates to the value each reading is drawn from,
+    and ``score_candidate`` turns one value into one reading.  In exact
+    mode the value is the reading itself.  Pure-vs-pure it is
+    |<psi|phi>|^2 under both objectives, via ``fidelity_oracle``: the
+    closed form of the noiseless circuit (``swap_test_exact`` is its tested
+    reference) and the Uhlmann fidelity of two pure states.  A pure side
+    psi against a density matrix sigma reads <psi|sigma|psi>: the overlap
+    Tr(rho sigma) the circuit would report and also the Uhlmann fidelity
+    (Jozsa 1994).  Two density matrices keep the matrix-root forms: "swap"
+    gives the Hilbert-Schmidt overlap, "uhlmann" the proper mixed-state
+    fidelity.  In sampled and noisy modes, which take pure states under
+    "swap" only (``check_mode``), the value is the ancilla-zero
+    probability p0: (1 + |<psi|phi>|^2)/2 without noise, and under a noise
+    model flip_readout(Tr(M_psi rho_phi)) with M_psi built here once and
+    the candidates' noisy preparations made as one stack.
     """
-    if (mode.kind != "noisy" or objective != "swap" or mode.noise.is_noiseless
-            or not isinstance(target, PureState)
-            or not all(isinstance(c, PureState) for c in candidates)):
-        return [None] * len(candidates)
-    return list(prepare_dm_noisy(np.stack([c.amplitudes for c in candidates]), mode.noise))
+
+    def __init__(self, target, mode: FidelityMode, objective: str = "swap"):
+        check_mode(mode, objective, isinstance(target, DensityMatrix))
+        self.target, self.mode, self.objective = target, mode, objective
+        self._observable = None
+        if mode.kind == "noisy" and not mode.noise.is_noiseless:
+            self._observable = _target_observable(mode.noise, target)
+
+    def values(self, candidates) -> list:
+        """One value per candidate, in order.  An exact or sampled value has
+        the same bits alone or in a list; a noisy row's preparation runs in
+        one stack with the others, where BLAS may round its last bit
+        differently from a one-row stack."""
+        if self.mode.kind == "exact":
+            return [self._exact(c) for c in candidates]
+        if not all(isinstance(c, PureState) for c in candidates):
+            check_mode(self.mode, self.objective, density=True)
+        if self._observable is None:
+            return [(1.0 + fidelity_oracle(self.target, c)) / 2.0 for c in candidates]
+        noise = self.mode.noise
+        rhos = prepare_dm_noisy(np.stack([c.amplitudes for c in candidates]), noise)
+        return [noise.flip_readout(float(np.real(np.vdot(self._observable, rho))))
+                for rho in rhos]
+
+    def _exact(self, candidate) -> float:
+        target = self.target
+        cand_pure = isinstance(candidate, PureState)
+        targ_pure = isinstance(target, PureState)
+        if cand_pure and targ_pure:
+            return fidelity_oracle(target, candidate)
+        if cand_pure or targ_pure:
+            psi, sigma = (candidate, target) if cand_pure else (target, candidate)
+            if psi.n_qubits != sigma.n_qubits:
+                raise ValueError(
+                    f"qubit-count mismatch: {candidate.n_qubits} vs {target.n_qubits}"
+                )
+            a = psi.amplitudes
+            f = float(np.real(np.vdot(a, sigma.entries @ a)))
+            return min(1.0, max(0.0, f))
+        if self.objective == "swap":
+            return hs_overlap(candidate, target)
+        return uhlmann_fidelity(candidate, target)
 
 
 def score_candidate(candidate, target, mode: FidelityMode,
                     rng: RngStream | None = None, objective: str = "swap",
-                    prepared: np.ndarray | None = None) -> float:
-    """Fidelity signal for one candidate against the target.
+                    prepared: float | None = None) -> float:
+    """One SWAP-test reading of ``candidate`` against ``target``.
 
-    Pure-vs-pure with the "swap" objective is the SWAP-test reading per
-    ``mode``: exact mode returns the noiseless reading in closed form,
-    |<psi|phi>|^2 via ``fidelity_oracle`` (the circuit, ``swap_test_exact``,
-    is its tested reference); sampled and noisy modes go through
-    ``swap_test_sampled``.  Pure-vs-pure with "uhlmann" is the same
-    |<psi|phi>|^2, which is what the Uhlmann fidelity of two pure states
-    equals.  When either side is a density matrix the evaluation is exact,
-    so any other mode is rejected.  A pure side psi against a density
-    matrix sigma reads <psi|sigma|psi> in closed form under both
-    objectives: it is the overlap Tr(rho sigma) the circuit would report
-    and also the Uhlmann fidelity (Jozsa 1994).  Two density matrices keep
-    the matrix-root forms: "swap" gives the Hilbert-Schmidt overlap,
-    "uhlmann" the proper mixed-state fidelity.  ``prepared`` is the
-    candidate's noisy preparation from ``prepare_noisy_candidates``, or
-    None; only a noisy reading uses it.
+    ``prepared`` is the candidate's value from the trial's
+    ``Estimator.values``; without it a one-off estimator computes it.  In
+    exact mode the value is the reading.  Otherwise it is p0, and the
+    reading is 2 k/shots - 1 with k the ancilla-zero count of one binomial
+    draw of ``mode.shots`` from ``rng``, which is distributionally identical
+    to simulating the shots one by one.
     """
-    check_objective(objective)
-    cand_pure = isinstance(candidate, PureState)
-    targ_pure = isinstance(target, PureState)
-    if cand_pure and targ_pure:
-        if objective == "uhlmann" or mode.kind == "exact":
-            return fidelity_oracle(target, candidate)
-        return swap_test_sampled(
-            target, candidate, shots=mode.shots, noise=mode.noise, rng=rng,
-            prepared=prepared,
-        )
-    if mode.kind != "exact":
-        raise ValueError(
-            f"density-matrix inputs are scored exactly; {mode.label()} mode is not supported"
-        )
-    if cand_pure or targ_pure:
-        psi, sigma = (candidate, target) if cand_pure else (target, candidate)
-        if psi.n_qubits != sigma.n_qubits:
-            raise ValueError(
-                f"qubit-count mismatch: {candidate.n_qubits} vs {target.n_qubits}"
-            )
-        a = psi.amplitudes
-        f = float(np.real(np.vdot(a, sigma.entries @ a)))
-        return min(1.0, max(0.0, f))
-    if objective == "swap":
-        return hs_overlap(candidate, target)
-    return uhlmann_fidelity(candidate, target)
+    if prepared is None:
+        prepared = Estimator(target, mode, objective).values([candidate])[0]
+    if mode.kind == "exact":
+        return prepared
+    if rng is None:
+        raise ValueError(f"{mode.kind} mode requires an RngStream")
+    zeros = int(rng.gen.binomial(mode.shots, min(1.0, max(0.0, prepared))))
+    return 2.0 * (zeros / mode.shots) - 1.0

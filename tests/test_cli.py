@@ -421,6 +421,18 @@ class TestEntropyReportCommand:
         err = capsys.readouterr().err
         assert "trial-3" in err and f"{named} must be " in err
 
+    @pytest.mark.parametrize("content,named", [
+        ([{"trial_id": 0, "n_qubits": 2}], "record 0 must be an object whose 'target'"),
+        ({"a": 1}, "traces must be a JSON list"),
+        ([1], "record 0 must be an object whose 'target'"),
+    ], ids=["no-states", "object", "list-of-numbers"])
+    def test_malformed_traces_rejected(self, tmp_path, capsys, content, named):
+        """A file of the wrong shape is invalid input (exit 1), not a runtime failure."""
+        traces = tmp_path / "traces.json"
+        traces.write_text(json.dumps(content))
+        assert main(["entropy-report", "--traces", str(traces)]) == 1
+        assert named in capsys.readouterr().err
+
     def test_missing_traces(self, tmp_path, capsys):
         code = main(["entropy-report", "--traces", str(tmp_path / "no.json")])
         assert code == 1

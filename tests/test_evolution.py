@@ -439,7 +439,9 @@ class TestReadingCount:
     @pytest.mark.parametrize("method", ["es", "nn"])
     def test_noisy_epochs_read_once_per_candidate(self, monkeypatch, method):
         """Noisy mode prepares each population or probe block as one stack,
-        but still takes one reading per candidate, each its own call."""
+        but still takes one reading per candidate, each its own call, and
+        every reading, the lone w or MLP output included, comes prepared by
+        the trial's estimator."""
         module = evolution if method == "es" else neural
         calls = []
         real = module.score_candidate
@@ -463,5 +465,5 @@ class TestReadingCount:
             block = 2 * cfg.output_dim
         assert len(rec.fidelity_trace) == 3
         assert rec.readings == len(calls) == 3 * (block + 1)
-        assert sum(calls) == 3 * block  # every block reading came prepared
+        assert sum(calls) == 3 * (block + 1)
         assert rec.shots == 64 * rec.readings

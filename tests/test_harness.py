@@ -376,7 +376,8 @@ class TestSnapshotStore:
         ({"n_qubits": 1.9, "re": [0.6, 0.8], "im": [0]}, "'n_qubits'"),
         ({"n_qubits": 1, "re": [0.6, 0.8], "im": [0]}, "'im'"),
         ({"n_qubits": 1, "re": [0.6, "0.8"], "im": [0, 0]}, "'re'"),
-    ], ids=["float-n", "short-im", "string"])
+        ([1], "a snapshot"),
+    ], ids=["float-n", "short-im", "string", "not-an-object"])
     def test_bad_record_rejected(self, tmp_path, record, named):
         """Checked like a target file: nothing is truncated or broadcast."""
         (tmp_path / "s.json").write_text(json.dumps(record))

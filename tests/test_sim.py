@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import swapfit
-from swapfit import noise, prep, sim, swap_test
+from swapfit import prep, sim
 from swapfit.sim import (
     DensityMatrix,
     GateOp,
@@ -379,9 +379,6 @@ class TestModuleCaches:
         "swapfit.prep._angle_mixer": lambda: prep._angle_mixer(4),
         "swapfit.prep.mottonen_template": lambda: prep.mottonen_template(3),
         "swapfit.sim._axis_order": lambda: sim._axis_order(6, (4, 1)),
-        "swapfit.swap_test._target_observable": lambda: swap_test._target_observable(
-            noise.default_noise_model(), 2, oracles.random_state_dense(
-                2, np.random.default_rng(3)).tobytes()),
     }
 
     def test_every_cache_is_listed(self):

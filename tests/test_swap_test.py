@@ -9,16 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_noise import MODELS
+from test_noise import MODEL_IDS, MODELS, _rows_of_kind
 from swapfit import noise as noise_module
 from swapfit import prep as prep_module
 from swapfit import swap_test as swap_test_module
 from swapfit.metrics import hs_overlap, uhlmann_fidelity
 from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
-from swapfit.prep import TargetSpec, sample_random_density, sample_random_state
+from swapfit.prep import (
+    Representation,
+    TargetSpec,
+    sample_random_density,
+    sample_random_state,
+)
 from swapfit.sim import PureState, RngStream, basis_state, expectation_z, zero_state
 from swapfit.swap_test import (
     DEFAULT_SHOTS,
+    Estimator,
     FidelityMode,
     RegisterLayout,
     _noisy_exact_p0,
@@ -28,7 +34,6 @@ from swapfit.swap_test import (
     score_candidate,
     swap_gadget_ops,
     swap_test_exact,
-    swap_test_sampled,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -121,8 +126,8 @@ class TestClosedForm:
                                                          draw_seed, shots, noise):
         """One binomial on the circuit's p0 from an identically seeded stream."""
         psi, phi = random_pair(n, seed, same)
-        out = swap_test_sampled(psi, phi, shots=shots, noise=noise,
-                                rng=RngStream(draw_seed))
+        mode = FidelityMode.sampled(shots) if noise is None else FidelityMode.noisy(noise, shots)
+        out = score_candidate(phi, psi, mode, RngStream(draw_seed))
         p0 = (1.0 + swap_test_exact(psi, phi)) / 2.0
         want = int(RngStream(draw_seed).gen.binomial(shots, min(1.0, max(0.0, p0))))
         assert out == 2.0 * (want / shots) - 1.0
@@ -135,23 +140,23 @@ class TestSampled:
         psi = sample_random_state(2, rng)
         phi = sample_random_state(2, rng)
         want = swap_test_exact(psi, phi)
-        got = swap_test_sampled(psi, phi, shots=20000, rng=rng)
+        got = score_candidate(phi, psi, FidelityMode.sampled(20000), rng)
         assert abs(got - want) < 0.03
 
     def test_requires_rng(self):
         psi = basis_state(1, 0)
         with pytest.raises(ValueError):
-            swap_test_sampled(psi, psi, shots=16, rng=None)
+            score_candidate(psi, psi, FidelityMode.sampled(16), rng=None)
 
     def test_requires_positive_shots(self):
-        psi = basis_state(1, 0)
-        with pytest.raises(ValueError, match="shots"):
-            swap_test_sampled(psi, psi, shots=0, rng=RngStream(1))
+        """A reading takes its shot count from its mode, which checks it."""
+        with pytest.raises(ValueError, match="shot"):
+            FidelityMode.sampled(0)
 
     def test_deterministic_given_stream(self):
         psi = sample_random_state(1, RngStream(3))
-        a = swap_test_sampled(psi, psi, shots=64, rng=RngStream(5))
-        b = swap_test_sampled(psi, psi, shots=64, rng=RngStream(5))
+        a = score_candidate(psi, psi, FidelityMode.sampled(64), RngStream(5))
+        b = score_candidate(psi, psi, FidelityMode.sampled(64), RngStream(5))
         assert a == b
 
     def test_default_shots_constant(self):
@@ -200,7 +205,7 @@ class TestNoisy:
     def test_sampled_noisy_hovers_at_floor(self):
         model = default_noise_model()
         z = zero_state(1)
-        out = swap_test_sampled(z, z, shots=4096, noise=model, rng=RngStream(6))
+        out = score_candidate(z, z, FidelityMode.noisy(model, 4096), RngStream(6))
         assert abs(out - FLOOR_1Q) < 0.05
 
     def test_noisy_orders_fidelities(self):
@@ -219,7 +224,7 @@ class TestNoisy:
             rng = RngStream(11)
             psi = sample_random_state(n_qubits, rng)
             phi = sample_random_state(n_qubits, rng)
-            out = swap_test_sampled(psi, phi, shots=1024, noise=model, rng=RngStream(12))
+            out = score_candidate(phi, psi, FidelityMode.noisy(model, 1024), RngStream(12))
             zeros = RngStream(12).gen.binomial(1024, _noisy_exact_p0(psi, phi, model))
             assert out == 2.0 * (zeros / 1024) - 1.0
 
@@ -357,10 +362,15 @@ class TestScoreCandidate:
                                       FidelityMode.noisy(default_noise_model(), 64)],
                              ids=lambda m: m.kind)
     def test_pure_uhlmann_is_overlap(self, mode):
-        """Pure/pure Uhlmann fidelity is |<psi|phi>|^2, not a matrix-root value."""
+        """Pure/pure Uhlmann fidelity is |<psi|phi>|^2, not a matrix-root value;
+        it is scored exactly, so a stochastic mode is rejected as at validation."""
         rng = RngStream(44)
         for n_qubits in (1, 2, 3):
             psi, phi = sample_random_state(n_qubits, rng), sample_random_state(n_qubits, rng)
+            if mode.kind != "exact":
+                with pytest.raises(ValueError, match="uhlmann objective is scored exactly"):
+                    score_candidate(phi, psi, mode, RngStream(1), objective="uhlmann")
+                continue
             got = score_candidate(phi, psi, mode, RngStream(1), objective="uhlmann")
             assert abs(got - fidelity_oracle(psi, phi)) <= 1e-12
 
@@ -425,3 +435,105 @@ class TestPureMixed:
         assert score_candidate(rho, sigma, exact, objective="swap") == hs_overlap(rho, sigma)
         assert (score_candidate(rho, sigma, exact, objective="uhlmann")
                 == uhlmann_fidelity(rho, sigma))
+
+
+# Every (mode, objective, candidate representation, target kind) an
+# estimator accepts: sampled and noisy modes read pure pairs under "swap".
+PURE_REPS = (Representation.STATEVECTOR, Representation.UNITARY)
+EXACT_CASES = [(FidelityMode.exact(), objective, rep, density_target)
+               for objective in ("swap", "uhlmann") for rep in Representation
+               for density_target in (False, True)]
+NOISY_MODES = [FidelityMode.noisy(model, 256) for model in MODELS]
+STOCHASTIC_CASES = [(mode, "swap", rep, False)
+                    for mode in [FidelityMode.sampled(256)] + NOISY_MODES for rep in PURE_REPS]
+
+
+def _estimator_inputs(case, n, seed, kinds):
+    """(target, candidates): decoded rows of the case's representation, with
+    real-amplitude and basis rows mixed in where ``kinds`` says."""
+    _, _, rep, density_target = case
+    rng = np.random.default_rng(seed)
+    stream = RngStream(seed)
+    target = sample_random_density(n, stream) if density_target else sample_random_state(n, stream)
+    decoded = rep.decode_rows(rng.normal(size=(len(kinds), rep.param_length(n))), n)
+    cands = []
+    for kind, row in zip(kinds, decoded):
+        if kind != "decoded":
+            row = _rows_of_kind(kind, n, rng)
+            row = row.density() if rep is Representation.DENSITY else row
+        cands.append(row)
+    return target, cands
+
+
+KINDS = st.lists(st.sampled_from(["decoded", "real", "basis"]), min_size=1, max_size=5)
+
+
+class TestEstimator:
+    """Estimator.values, the value each reading is drawn from: a stacked row
+    against its one-row value, and every mode against an independent
+    reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(EXACT_CASES + STOCHASTIC_CASES), n=st.integers(1, 4),
+           seed=SEEDS, kinds=KINDS)
+    def test_stacked_row_equals_one_row(self, case, n, seed, kinds):
+        mode, objective, _, _ = case
+        target, cands = _estimator_inputs(case, n, seed, kinds)
+        estimator = Estimator(target, mode, objective)
+        stacked = estimator.values(cands)
+        alone = [estimator.values([c])[0] for c in cands]
+        if mode.kind == "noisy" and not mode.noise.is_noiseless:
+            # BLAS multiplies a one-row preparation's matrices by gemv, and the
+            # last columns of a stack's by gemm edge kernels, so a stacked noisy
+            # density can differ from the one-row density in its last bit
+            assert max(abs(a - b) for a, b in zip(stacked, alone)) <= 1e-12
+        else:
+            assert stacked == alone
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(EXACT_CASES), n=st.integers(1, 4), seed=SEEDS, kinds=KINDS)
+    def test_exact_values_match_references(self, case, n, seed, kinds):
+        """The reading itself: pure pairs against the amplitudes and the
+        simulated circuit, a pure side against <psi|sigma|psi>, and two
+        density matrices against the dense overlap or scipy's matrix root."""
+        mode, objective, _, _ = case
+        target, cands = _estimator_inputs(case, n, seed, kinds)
+        for value, cand in zip(Estimator(target, mode, objective).values(cands), cands):
+            pure = [s for s in (target, cand) if isinstance(s, PureState)]
+            if len(pure) == 2:
+                assert abs(value - fidelity_oracle(target, cand)) <= 1e-12
+                assert abs(value - swap_test_exact(target, cand)) <= 1e-12
+            elif pure:
+                sigma = cand if pure[0] is target else target
+                assert abs(value - oracles.pure_expectation(pure[0].amplitudes,
+                                                            sigma.entries)) <= 1e-12
+            elif objective == "swap":
+                want = float(np.real(np.trace(cand.entries @ target.entries)))
+                assert abs(value - want) <= 1e-12
+            else:
+                # the matrix-root form against scipy's, full-rank side first; a
+                # rank-one (basis or real) row costs it up to ~3e-8, as in TestPureMixed
+                want = oracles.uhlmann_scipy(target.entries, cand.entries)
+                assert abs(value - want) <= 1e-7
+
+    @settings(max_examples=30, deadline=None)
+    @given(rep=st.sampled_from(PURE_REPS), n=st.integers(1, 4), seed=SEEDS, kinds=KINDS)
+    def test_sampled_values_are_circuit_p0(self, rep, n, seed, kinds):
+        case = (FidelityMode.sampled(256), "swap", rep, False)
+        target, cands = _estimator_inputs(case, n, seed, kinds)
+        for value, cand in zip(Estimator(target, case[0]).values(cands), cands):
+            assert abs(value - (1.0 + swap_test_exact(target, cand)) / 2.0) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(mode=st.sampled_from(NOISY_MODES), rep=st.sampled_from(PURE_REPS),
+           n=st.integers(1, 3), seed=SEEDS,
+           kinds=st.lists(st.sampled_from(["decoded", "real", "basis"]),
+                          min_size=1, max_size=3))
+    def test_noisy_values_match_full_circuit(self, mode, rep, n, seed, kinds):
+        """p0 against the (2n+1)-qubit density matrix run over every lowered op."""
+        target, cands = _estimator_inputs((mode, "swap", rep, False), n, seed, kinds)
+        for value, cand in zip(Estimator(target, mode).values(cands), cands):
+            rho = zero_state(2 * n + 1).density()
+            rho = run_circuit_dm_noisy(rho, noisy_circuit_ops(target, cand), mode.noise)
+            want = mode.noise.flip_readout((1.0 + expectation_z(rho, 0)) / 2.0)
+            assert abs(value - want) <= 1e-12
