@@ -1,18 +1,20 @@
 """Gradient-free evolutionary reconstruction driven by fidelity feedback.
 
 One optimizer iteration: perturb the parameter vector into a population of
-N candidates (one N-row matrix, decoded in one pass), take the values of
-their readings from the trial's ``Estimator`` in one call (in noisy mode
-their noisy preparations are made as one stack), turn each into its own
-SWAP-test reading, one ``score_candidate`` call per candidate so that the
-readings draw and are counted one by one, standardize the scores into
-advantages, and move the mean by
+N candidates (one N-row matrix, decoded in one pass into one array of
+amplitude rows or density matrices), take the values of their readings
+from the trial's ``Estimator`` in one call (a few array operations over
+the block; in noisy mode the noisy preparations are one stack), turn each
+into its own SWAP-test reading, one ``score_candidate`` call per candidate
+so that the readings draw and are counted one by one, standardize the
+scores into advantages, and move the mean by
 
     w <- w + alpha/(N sigma) * sum_i A_i z_i.
 
 The per-epoch fidelity reported in traces is that of the decoded mean
-vector w (the quantity the update steers); the best-scoring decoded state
-seen so far is kept separately and returned as the solution.
+vector w (the quantity the update steers), the one state object an epoch
+builds; the best-scoring decoded state seen so far is kept separately and
+returned as the solution.
 """
 
 from __future__ import annotations
@@ -193,14 +195,14 @@ def run_es(target: TargetSpec, params: ESParams, mode: FidelityMode,
         try:
             state_w = rep.decode(w, n)
             f_w = score_candidate(state_w, target.state, mode, rng, objective,
-                                  prepared=estimator.values([state_w])[0])
+                                  prepared=estimator.value(state_w))
             log.readings += 1
             if log.record(epoch, f_w, state_w):
                 break
             Z, W = perturb_population(w, params, rng)
-            cands = rep.decode_rows(W, n)
-            fids = [score_candidate(cand, target.state, mode, rng, objective, prepared=v)
-                    for cand, v in zip(cands, estimator.values(cands))]
+            block = rep.decode_rows(W, n)
+            fids = [score_candidate(row, target.state, mode, rng, objective, prepared=v)
+                    for row, v in zip(block, estimator.values(block))]
             log.readings += len(fids)
             A = standardized_advantages(fids, params.advantage_epsilon)
             w = es_update(w, Z, A, params)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -301,13 +302,25 @@ def summarize_records(records: list, thresholds) -> dict:
     return out
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Execute every trial, write results.csv + summary.json + traces.json.
 
     Per-trial failures are recorded in the summary and the run continues.
-    Trials run in a thread pool, and ``pool.map`` yields their outcomes in
-    job order whichever finished first, so rows, traces and failures are
-    appended as they arrive and come out ordered by (n, trial).  Returns
+    Trials run in a thread pool of min(max_workers, usable CPUs, trials)
+    threads: ``max_workers`` is an upper bound, because a trial thread
+    beyond the CPUs only waits for the GIL.  ``pool.map`` yields the
+    outcomes in job order whichever finished first, so rows, traces and
+    failures are appended as they arrive and come out ordered by (n,
+    trial), and the outputs do not depend on the thread count.  Returns
     the summary dict (also written to disk).
     """
     out = Path(out_dir)
@@ -330,7 +343,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     traces: list = []
     failures: list = []
     per_n_records: dict = {}
-    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
+    workers = min(config.max_workers, usable_cpus(), len(jobs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for (n, trial, _), outcome in zip(jobs, pool.map(work, jobs)):
             if isinstance(outcome, Exception):
                 # an optimizer names the failing epoch; its cause says why

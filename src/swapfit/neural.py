@@ -27,9 +27,12 @@ from .swap_test import Estimator, FidelityMode, score_candidate
 
 N_WEIGHT_LAYERS = 6
 HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
-# Elements per Adam block: 512 KiB per float64 operand.  8K-16K blocks run as
-# fast single-threaded but lose most of the gain to GIL hand-offs between the
-# trial threads; one whole-vector block falls out of cache.
+# Elements per Adam block: 512 KiB per float64 operand, about nine blocks for
+# the reference network.  Each block costs fifteen numpy calls, between which
+# the trial threads hand the GIL over; on nn-exact with two trial threads on
+# two CPUs, 64K blocks beat 16K blocks in 10 of 10 alternated pairs (median
+# 2.56 against 2.15 trials/s, BENCH_block_values.json).  One whole-vector
+# block falls out of cache.
 ADAM_BLOCK = 65536
 # Coordinates per finite-difference probe block (2*FD_BLOCK probe rows).  At
 # the largest output, density on 6 qubits (dim 8192), one block's probes and
@@ -293,11 +296,13 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
 
     Per epoch: draw (or reuse) the latent, forward, decode, score through
     the SWAP signal, finite-difference the loss on the raw output, backprop,
-    Adam.  The 2*dim probes are decoded one block of rows at a time, and the
-    trial's ``Estimator`` takes each block's values in one call (in noisy
-    mode the block's noisy preparations are one stack); each probe is still
-    scored by its own ``score_candidate`` call, so the readings draw and
-    are counted one by one.  The trace holds the
+    Adam.  The 2*dim probes are decoded one block of rows at a time into
+    one array, and the trial's ``Estimator`` takes each block's values in
+    one call, a few array operations with no state object per probe (in
+    noisy mode the block's noisy preparations are one stack); each probe is
+    still scored by its own ``score_candidate`` call, so the readings draw
+    and are counted one by one.  Only the output gets a state object, which
+    the log keeps when it reads best.  The trace holds the
     pre-update fidelity of each epoch's decoded output, so early-stop
     bookkeeping matches the evolutionary records.
     """
@@ -313,10 +318,10 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     n = target.n_qubits
 
     def losses_at(probes: np.ndarray) -> list:
-        states = representation.decode_rows(probes, n)
-        losses = [1.0 - score_candidate(state, target.state, mode, rng, objective,
+        block = representation.decode_rows(probes, n)
+        losses = [1.0 - score_candidate(row, target.state, mode, rng, objective,
                                         prepared=v)
-                  for state, v in zip(states, estimator.values(states))]
+                  for row, v in zip(block, estimator.values(block))]
         log.readings += len(losses)
         return losses
 
@@ -326,7 +331,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             raw, cache = mlp_forward(params, z, return_cache=True)
             state = representation.decode(raw, n)
             f = score_candidate(state, target.state, mode, rng, objective,
-                                prepared=estimator.values([state])[0])
+                                prepared=estimator.value(state))
             log.readings += 1
             if log.record(epoch, f, state):
                 break

@@ -10,6 +10,11 @@ matrices: a trial's ``swap_test.Estimator`` prepares an ES population or
 an MLP probe block as one stack, while each candidate still gets its own
 SWAP-test reading.
 
+``Representation.decode_rows`` decodes a whole parameter matrix into one
+array, a block of amplitude rows or of density matrices, which the
+estimator scores without building a state object per row;
+``Representation.decode`` wraps one decoded row in a state.
+
 Three candidate representations are supported, each decoded from a flat real
 parameter vector:
 
@@ -46,14 +51,15 @@ class Representation(enum.Enum):
         d = 2**n_qubits
         return 2 * d if self is Representation.STATEVECTOR else 2 * d * d
 
-    def decode_rows(self, W: np.ndarray, n_qubits: int) -> list:
+    def decode_rows(self, W: np.ndarray, n_qubits: int) -> np.ndarray:
         """Decode every row of a (rows, param_length) matrix in one pass.
 
-        Returns one state per row.  A degenerate row (a near-zero
-        statevector, a singular unitary factor or a zero-trace density
-        factor) raises ValueError for the whole matrix.  A row's state does
-        not depend on the other rows, so ``decode`` of that row alone gives
-        the same bits, or the same error.
+        Returns the block as one complex array: (rows, 2^n) amplitudes for
+        statevector and unitary, (rows, 2^n, 2^n) density matrices for
+        density.  A degenerate row (a near-zero statevector, a singular
+        unitary factor or a zero-trace density factor) raises ValueError
+        for the whole matrix.  A row does not depend on the other rows, so
+        ``decode`` of that row alone gives the same bits, or the same error.
         """
         W = np.asarray(W, dtype=float)
         length = self.param_length(n_qubits)
@@ -66,12 +72,16 @@ class Representation(enum.Enum):
         return _density_rows(W, n_qubits)
 
     def decode(self, w: np.ndarray, n_qubits: int):
-        """``decode_rows`` of the one vector w."""
+        """``decode_rows`` of the one vector w, as a PureState or, for
+        density, a DensityMatrix."""
         w = np.asarray(w, dtype=float)
         length = self.param_length(n_qubits)
         if w.shape != (length,):
             raise ValueError(f"parameter vector has shape {w.shape}, expected ({length},)")
-        return self.decode_rows(w[None, :], n_qubits)[0]
+        row = self.decode_rows(w[None, :], n_qubits)[0]
+        if self is Representation.DENSITY:
+            return DensityMatrix(n_qubits, row, check=False)
+        return PureState(n_qubits, row, check=False)
 
 
 @dataclass(frozen=True)
@@ -318,15 +328,15 @@ def mottonen_circuit(target: PureState) -> list[GateOp]:
 # ---------------------------------------------------------------------------
 #
 # Each representation decodes a whole parameter matrix with stacked numpy
-# calls; ``Representation.decode`` is a one-row call of it.  Every stacked
-# call works matrix by matrix or row by row, so a row decodes to the same
-# bits alone or in a batch.
+# calls into one array; ``Representation.decode`` is a one-row call of it.
+# Every stacked call works matrix by matrix or row by row, so a row decodes
+# to the same bits alone or in a batch.
 
 def _complex_rows(W: np.ndarray, half: int) -> np.ndarray:
     return W[:, :half] + 1j * W[:, half:]
 
 
-def _statevector_rows(W: np.ndarray, n_qubits: int) -> list:
+def _statevector_rows(W: np.ndarray, n_qubits: int) -> np.ndarray:
     """First half real parts, second half imaginary parts, normalized."""
     C = _complex_rows(W, 2**n_qubits)
     # vecdot runs BLAS ddot on each row's strided real and imaginary parts,
@@ -334,20 +344,20 @@ def _statevector_rows(W: np.ndarray, n_qubits: int) -> list:
     norms = np.sqrt(np.vecdot(C.real, C.real) + np.vecdot(C.imag, C.imag))
     if np.any(norms <= 1e-12):
         raise ValueError("parameter vector has near-zero norm; resample the candidate")
-    return [PureState(n_qubits, a, check=False) for a in C / norms[:, None]]
+    return C / norms[:, None]
 
 
-def _unitary_rows(W: np.ndarray, n_qubits: int) -> list:
+def _unitary_rows(W: np.ndarray, n_qubits: int) -> np.ndarray:
     """U|0...0> for U = M (M+M)^{-1/2}, the polar projection via SVD of M."""
     d = 2**n_qubits
     M = _complex_rows(W, d * d).reshape(-1, d, d)
     u, s, vh = np.linalg.svd(M)
     if np.any(s[:, -1] <= 1e-10):
         raise ValueError("decoded matrix is singular; resample the candidate")
-    return [PureState(n_qubits, col, check=False) for col in (u @ vh)[:, :, 0]]
+    return (u @ vh)[:, :, 0]
 
 
-def _density_rows(W: np.ndarray, n_qubits: int) -> list:
+def _density_rows(W: np.ndarray, n_qubits: int) -> np.ndarray:
     """rho = L L+ / Tr(L L+) from the decoded factor L."""
     d = 2**n_qubits
     L = _complex_rows(W, d * d).reshape(-1, d, d)
@@ -355,7 +365,7 @@ def _density_rows(W: np.ndarray, n_qubits: int) -> list:
     tr = np.trace(rho, axis1=1, axis2=2).real
     if np.any(tr <= 1e-12):
         raise ValueError("decoded factor is numerically zero; resample the candidate")
-    return [DensityMatrix(n_qubits, r, check=False) for r in rho / tr[:, None, None]]
+    return rho / tr[:, None, None]
 
 
 def prepare_on(n_qubits: int, target: PureState, offset: int = 0) -> list[GateOp]:

@@ -19,11 +19,14 @@ under the noise model, factorized per qubit pair (``_target_observable``,
 M_psi, built once per estimator) so that no (2n+1)-qubit density matrix is
 built, with each side's noisy preparation run from the Mottonen template
 compiled for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the
-full circuit the tests hold it to.  ``Estimator.values`` prepares a
-population or probe block as one stack, and each candidate's reading is
-still its own ``score_candidate`` call: the readings draw from the random
-stream in the same order, and each is counted as one reading by the trial
-record and by the benchmark, which counts those calls.
+full circuit the tests hold it to.  ``Estimator.values`` scores a whole
+population or probe block, as decoded by ``Representation.decode_rows``,
+with a few array operations: one BLAS dot per row, or in noisy mode one
+stacked preparation and one dot per row, and no state object per row.
+Each candidate's reading is still its own ``score_candidate`` call: the
+readings draw from the random stream in the same order, and each is
+counted as one reading by the trial record and by the benchmark, which
+counts those calls.
 """
 
 from __future__ import annotations
@@ -327,21 +330,23 @@ class Estimator:
     """The SWAP-test readings of one trial: what its target, mode and
     objective fix, validated and built once.
 
-    ``values`` maps candidates to the value each reading is drawn from,
-    and ``score_candidate`` turns one value into one reading.  In exact
-    mode the value is the reading itself.  Pure-vs-pure it is
-    |<psi|phi>|^2 under both objectives, via ``fidelity_oracle``: the
-    closed form of the noiseless circuit (``swap_test_exact`` is its tested
-    reference) and the Uhlmann fidelity of two pure states.  A pure side
-    psi against a density matrix sigma reads <psi|sigma|psi>: the overlap
-    Tr(rho sigma) the circuit would report and also the Uhlmann fidelity
-    (Jozsa 1994).  Two density matrices keep the matrix-root forms: "swap"
-    gives the Hilbert-Schmidt overlap, "uhlmann" the proper mixed-state
-    fidelity.  In sampled and noisy modes, which take pure states under
-    "swap" only (``check_mode``), the value is the ancilla-zero
-    probability p0: (1 + |<psi|phi>|^2)/2 without noise, and under a noise
-    model flip_readout(Tr(M_psi rho_phi)) with M_psi built here once and
-    the candidates' noisy preparations made as one stack.
+    ``values`` maps a decoded block (``Representation.decode_rows``) to the
+    value each row's reading is drawn from, in a few array operations and
+    without a state object per row; ``score_candidate`` turns one value
+    into one reading.  In exact mode the value is the reading itself.
+    Pure-vs-pure it is |<psi|phi>|^2 under both objectives, the form of
+    ``fidelity_oracle``: the closed form of the noiseless circuit
+    (``swap_test_exact`` is its tested reference) and the Uhlmann fidelity
+    of two pure states.  A pure side psi against a density matrix sigma
+    reads <psi|sigma|psi>: the overlap Tr(rho sigma) the circuit would
+    report and also the Uhlmann fidelity (Jozsa 1994).  Two density
+    matrices keep the per-row matrix-root forms: "swap" gives the
+    Hilbert-Schmidt overlap, "uhlmann" the proper mixed-state fidelity.  In
+    sampled and noisy modes, which take pure states under "swap" only
+    (``check_mode``), the value is the ancilla-zero probability p0:
+    (1 + |<psi|phi>|^2)/2 without noise, and under a noise model
+    flip_readout(Tr(M_psi rho_phi)) with M_psi built here once and the
+    rows' noisy preparations made as one stack.
     """
 
     def __init__(self, target, mode: FidelityMode, objective: str = "swap"):
@@ -349,42 +354,58 @@ class Estimator:
         self.target, self.mode, self.objective = target, mode, objective
         self._observable = None
         if mode.kind == "noisy" and not mode.noise.is_noiseless:
-            self._observable = _target_observable(mode.noise, target)
+            self._observable = _target_observable(mode.noise, target).ravel()
 
-    def values(self, candidates) -> list:
-        """One value per candidate, in order.  An exact or sampled value has
-        the same bits alone or in a list; a noisy row's preparation runs in
-        one stack with the others, where BLAS may round its last bit
-        differently from a one-row stack."""
+    def values(self, block: np.ndarray) -> list:
+        """One value per row of ``block``, in order, as Python floats.
+
+        ``block`` holds (rows, 2^n) amplitudes or (rows, 2^n, 2^n) density
+        matrices.  Each value has the bits of the row's one-pair form
+        (``vecdot`` runs the same BLAS dot as ``np.vdot`` on each row); a
+        noisy row's preparation runs in one stack with the others, where
+        BLAS may round its last bit differently from a one-row stack.
+        """
+        d = 2**self.target.n_qubits
+        if block.ndim not in (2, 3) or block.shape[1:] != (d,) * (block.ndim - 1):
+            raise ValueError(f"qubit-count mismatch: candidate block has shape {block.shape}, "
+                             f"expected (rows, {d}) or (rows, {d}, {d})")
         if self.mode.kind == "exact":
-            return [self._exact(c) for c in candidates]
-        if not all(isinstance(c, PureState) for c in candidates):
+            return self._exact(block)
+        if block.ndim == 3:
             check_mode(self.mode, self.objective, density=True)
         if self._observable is None:
-            return [(1.0 + fidelity_oracle(self.target, c)) / 2.0 for c in candidates]
+            return [(1.0 + f) / 2.0 for f in self._pure_overlaps(block)]
         noise = self.mode.noise
-        rhos = prepare_dm_noisy(np.stack([c.amplitudes for c in candidates]), noise)
-        return [noise.flip_readout(float(np.real(np.vdot(self._observable, rho))))
-                for rho in rhos]
+        rhos = prepare_dm_noisy(block, noise).reshape(block.shape[0], -1)
+        return noise.flip_readout(np.real(np.vecdot(self._observable, rhos))).tolist()
 
-    def _exact(self, candidate) -> float:
+    def value(self, state) -> float:
+        """``values`` of the one-row block of a PureState or DensityMatrix."""
+        row = state.amplitudes if isinstance(state, PureState) else state.entries
+        return self.values(row[None])[0]
+
+    def _pure_overlaps(self, block: np.ndarray) -> list:
+        # abs and ** on Python scalars, as fidelity_oracle takes them
+        return [abs(z) ** 2 for z in np.vecdot(self.target.amplitudes, block).tolist()]
+
+    def _exact(self, block: np.ndarray) -> list:
         target = self.target
-        cand_pure = isinstance(candidate, PureState)
-        targ_pure = isinstance(target, PureState)
-        if cand_pure and targ_pure:
-            return fidelity_oracle(target, candidate)
-        if cand_pure or targ_pure:
-            psi, sigma = (candidate, target) if cand_pure else (target, candidate)
-            if psi.n_qubits != sigma.n_qubits:
-                raise ValueError(
-                    f"qubit-count mismatch: {candidate.n_qubits} vs {target.n_qubits}"
-                )
-            a = psi.amplitudes
-            f = float(np.real(np.vdot(a, sigma.entries @ a)))
-            return min(1.0, max(0.0, f))
-        if self.objective == "swap":
-            return hs_overlap(candidate, target)
-        return uhlmann_fidelity(candidate, target)
+        pure_rows = block.ndim == 2
+        if isinstance(target, PureState):
+            if pure_rows:
+                return self._pure_overlaps(block)
+            psi = target.amplitudes
+            f = np.vecdot(psi, block @ psi)
+        elif pure_rows:
+            # one matrix-vector product per row, as sigma @ a for a lone row
+            f = np.vecdot(block, np.matmul(target.entries, block[:, :, None])[:, :, 0])
+        else:
+            # two density matrices: the matrix-root forms, one row at a time
+            metric = hs_overlap if self.objective == "swap" else uhlmann_fidelity
+            n = target.n_qubits
+            return [metric(DensityMatrix(n, rho, check=False), target) for rho in block]
+        # maximum before minimum, each with the bound first, as min(1, max(0, f))
+        return np.minimum(1.0, np.maximum(0.0, np.real(f))).tolist()
 
 
 def score_candidate(candidate, target, mode: FidelityMode,
@@ -392,15 +413,17 @@ def score_candidate(candidate, target, mode: FidelityMode,
                     prepared: float | None = None) -> float:
     """One SWAP-test reading of ``candidate`` against ``target``.
 
-    ``prepared`` is the candidate's value from the trial's
-    ``Estimator.values``; without it a one-off estimator computes it.  In
+    ``prepared`` is the candidate's value from the trial's ``Estimator``,
+    and ``candidate`` is then not read; without it a one-off estimator
+    computes the value of ``candidate``, a lone PureState or
+    DensityMatrix.  In
     exact mode the value is the reading.  Otherwise it is p0, and the
     reading is 2 k/shots - 1 with k the ancilla-zero count of one binomial
     draw of ``mode.shots`` from ``rng``, which is distributionally identical
     to simulating the shots one by one.
     """
     if prepared is None:
-        prepared = Estimator(target, mode, objective).values([candidate])[0]
+        prepared = Estimator(target, mode, objective).value(candidate)
     if mode.kind == "exact":
         return prepared
     if rng is None:

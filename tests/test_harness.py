@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from swapfit import evolution
+from swapfit import evolution, harness
 from swapfit.evolution import TrialRecord
 from swapfit.harness import (
     ExperimentConfig,
@@ -301,6 +302,61 @@ class TestRunExperiment:
                                max_iters=30)
         summary = run_experiment(cfg, tmp_path)
         assert summary["failures"] == []
+
+
+class TestThreadCap:
+    """The pool runs min(max_workers, usable CPUs, trials) threads, and the
+    thread count changes no deterministic output."""
+
+    @staticmethod
+    def config(max_workers):
+        return ExperimentConfig(method="es", qubit_range=(1, 2), trials=2,
+                                mode=FidelityMode.sampled(64), base_seed=31,
+                                max_iters=12, max_workers=max_workers)
+
+    @staticmethod
+    def outputs(out):
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["config"]["max_workers"]  # the configured bound, not the threads run
+        traces = json.loads((out / "traces.json").read_text())
+        for trace in traces:
+            del trace["wall_time"]
+        return (out / "results.csv").read_bytes(), summary, traces
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class SpyPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus,max_workers,threads", [
+        (1, 4, 1),  # capped by the CPUs
+        (2, 4, 2),
+        (2, 1, 1),  # capped by max_workers
+        (8, 16, 4),  # capped by the 4 trials (2 per n, n = 1..2)
+    ])
+    def test_threads_capped(self, tmp_path, monkeypatch, pool_sizes, cpus, max_workers,
+                            threads):
+        reference = run_experiment(self.config(1), tmp_path / "ref")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        summary = run_experiment(self.config(max_workers), tmp_path / "capped")
+        assert pool_sizes == [1, threads]
+        assert summary["config"]["max_workers"] == max_workers
+        assert reference["failures"] == summary["failures"] == []
+        assert self.outputs(tmp_path / "capped") == self.outputs(tmp_path / "ref")
+
+    def test_cpu_count_without_affinity(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness.usable_cpus() == 3
+        run_experiment(self.config(4), tmp_path)
+        assert pool_sizes == [3]
 
 
 class TestPresets:

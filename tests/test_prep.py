@@ -303,14 +303,17 @@ class TestDecodeRows:
                     _VECTOR_REFERENCE[rep](W[i], n)
                 assert str(batch.value) == str(one.value) == str(old.value)
             return
-        states = rep.decode_rows(W, n)
-        assert len(states) == rows
-        for i, state in enumerate(states):
+        block = rep.decode_rows(W, n)
+        d = 2**n
+        assert block.shape == ((rows, d, d) if rep is Representation.DENSITY else (rows, d))
+        assert block.dtype == complex
+        for i, row in enumerate(block):
             alone = rep.decode(W[i], n)
-            assert type(state) is type(alone)
-            assert state.n_qubits == alone.n_qubits == n
-            assert np.array_equal(_payload(state), _payload(alone))
-            assert np.array_equal(_payload(state), _VECTOR_REFERENCE[rep](W[i], n))
+            assert type(alone) is (DensityMatrix if rep is Representation.DENSITY
+                                   else PureState)
+            assert alone.n_qubits == n
+            assert np.array_equal(row, _payload(alone))
+            assert np.array_equal(row, _VECTOR_REFERENCE[rep](W[i], n))
 
     def test_shapes_checked(self):
         rep = Representation.STATEVECTOR
@@ -320,7 +323,7 @@ class TestDecodeRows:
             rep.decode_rows(np.zeros((3, 5)), 1)
         with pytest.raises(ValueError, match=r"parameter vector has shape \(5,\)"):
             rep.decode(np.zeros(5), 1)
-        assert rep.decode_rows(np.zeros((0, 4)), 1) == []
+        assert rep.decode_rows(np.zeros((0, 4)), 1).shape == (0, 2)
 
 
 class TestTargetSpec:

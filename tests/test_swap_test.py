@@ -21,7 +21,14 @@ from swapfit.prep import (
     sample_random_density,
     sample_random_state,
 )
-from swapfit.sim import PureState, RngStream, basis_state, expectation_z, zero_state
+from swapfit.sim import (
+    DensityMatrix,
+    PureState,
+    RngStream,
+    basis_state,
+    expectation_z,
+    zero_state,
+)
 from swapfit.swap_test import (
     DEFAULT_SHOTS,
     Estimator,
@@ -449,20 +456,23 @@ STOCHASTIC_CASES = [(mode, "swap", rep, False)
 
 
 def _estimator_inputs(case, n, seed, kinds):
-    """(target, candidates): decoded rows of the case's representation, with
-    real-amplitude and basis rows mixed in where ``kinds`` says."""
+    """(target, block): a decoded block of the case's representation, with
+    real-amplitude and basis rows written in where ``kinds`` says."""
     _, _, rep, density_target = case
     rng = np.random.default_rng(seed)
     stream = RngStream(seed)
     target = sample_random_density(n, stream) if density_target else sample_random_state(n, stream)
-    decoded = rep.decode_rows(rng.normal(size=(len(kinds), rep.param_length(n))), n)
-    cands = []
-    for kind, row in zip(kinds, decoded):
+    block = rep.decode_rows(rng.normal(size=(len(kinds), rep.param_length(n))), n)
+    for i, kind in enumerate(kinds):
         if kind != "decoded":
-            row = _rows_of_kind(kind, n, rng)
-            row = row.density() if rep is Representation.DENSITY else row
-        cands.append(row)
-    return target, cands
+            state = _rows_of_kind(kind, n, rng)
+            block[i] = state.density().entries if rep is Representation.DENSITY else state.amplitudes
+    return target, block
+
+
+def _state(row, n):
+    """The state object a block row stands for."""
+    return PureState(n, row, check=False) if row.ndim == 1 else DensityMatrix(n, row, check=False)
 
 
 KINDS = st.lists(st.sampled_from(["decoded", "real", "basis"]), min_size=1, max_size=5)
@@ -478,10 +488,10 @@ class TestEstimator:
            seed=SEEDS, kinds=KINDS)
     def test_stacked_row_equals_one_row(self, case, n, seed, kinds):
         mode, objective, _, _ = case
-        target, cands = _estimator_inputs(case, n, seed, kinds)
+        target, block = _estimator_inputs(case, n, seed, kinds)
         estimator = Estimator(target, mode, objective)
-        stacked = estimator.values(cands)
-        alone = [estimator.values([c])[0] for c in cands]
+        stacked = estimator.values(block)
+        alone = [estimator.value(_state(row, n)) for row in block]
         if mode.kind == "noisy" and not mode.noise.is_noiseless:
             # BLAS multiplies a one-row preparation's matrices by gemv, and the
             # last columns of a stack's by gemm edge kernels, so a stacked noisy
@@ -497,8 +507,9 @@ class TestEstimator:
         simulated circuit, a pure side against <psi|sigma|psi>, and two
         density matrices against the dense overlap or scipy's matrix root."""
         mode, objective, _, _ = case
-        target, cands = _estimator_inputs(case, n, seed, kinds)
-        for value, cand in zip(Estimator(target, mode, objective).values(cands), cands):
+        target, block = _estimator_inputs(case, n, seed, kinds)
+        for value, row in zip(Estimator(target, mode, objective).values(block), block):
+            cand = _state(row, n)
             pure = [s for s in (target, cand) if isinstance(s, PureState)]
             if len(pure) == 2:
                 assert abs(value - fidelity_oracle(target, cand)) <= 1e-12
@@ -520,9 +531,9 @@ class TestEstimator:
     @given(rep=st.sampled_from(PURE_REPS), n=st.integers(1, 4), seed=SEEDS, kinds=KINDS)
     def test_sampled_values_are_circuit_p0(self, rep, n, seed, kinds):
         case = (FidelityMode.sampled(256), "swap", rep, False)
-        target, cands = _estimator_inputs(case, n, seed, kinds)
-        for value, cand in zip(Estimator(target, case[0]).values(cands), cands):
-            assert abs(value - (1.0 + swap_test_exact(target, cand)) / 2.0) <= 1e-12
+        target, block = _estimator_inputs(case, n, seed, kinds)
+        for value, row in zip(Estimator(target, case[0]).values(block), block):
+            assert abs(value - (1.0 + swap_test_exact(target, _state(row, n))) / 2.0) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(mode=st.sampled_from(NOISY_MODES), rep=st.sampled_from(PURE_REPS),
@@ -531,9 +542,142 @@ class TestEstimator:
                           min_size=1, max_size=3))
     def test_noisy_values_match_full_circuit(self, mode, rep, n, seed, kinds):
         """p0 against the (2n+1)-qubit density matrix run over every lowered op."""
-        target, cands = _estimator_inputs((mode, "swap", rep, False), n, seed, kinds)
-        for value, cand in zip(Estimator(target, mode).values(cands), cands):
+        target, block = _estimator_inputs((mode, "swap", rep, False), n, seed, kinds)
+        for value, row in zip(Estimator(target, mode).values(block), block):
             rho = zero_state(2 * n + 1).density()
-            rho = run_circuit_dm_noisy(rho, noisy_circuit_ops(target, cand), mode.noise)
+            rho = run_circuit_dm_noisy(rho, noisy_circuit_ops(target, _state(row, n)),
+                                       mode.noise)
             want = mode.noise.flip_readout((1.0 + expectation_z(rho, 0)) / 2.0)
             assert abs(value - want) <= 1e-12
+
+
+def _per_row_value(target, row, n, mode, objective):
+    """The per-row form ``Estimator.values`` replaced, for one exact or
+    sampled row: a state object per row and one scalar formula each."""
+    cand = _state(row, n)
+    if isinstance(target, PureState) and isinstance(cand, PureState):
+        f = fidelity_oracle(target, cand)
+    elif isinstance(target, PureState) or isinstance(cand, PureState):
+        psi, sigma = (cand, target) if isinstance(cand, PureState) else (target, cand)
+        a = psi.amplitudes
+        f = min(1.0, max(0.0, float(np.real(np.vdot(a, sigma.entries @ a)))))
+    elif objective == "swap":
+        f = hs_overlap(cand, target)
+    else:
+        f = uhlmann_fidelity(cand, target)
+    return f if mode.kind == "exact" else (1.0 + f) / 2.0
+
+
+WIDE_KINDS = st.lists(st.sampled_from(["decoded", "real", "basis"]), min_size=1, max_size=6)
+
+
+class TestBlockValues:
+    """The block form of ``Estimator.values`` against the per-row forms it
+    replaced, bit for bit, over the three representations and n = 1..6."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(EXACT_CASES + STOCHASTIC_CASES[:len(PURE_REPS)]),
+           n=st.integers(1, 6), seed=SEEDS, kinds=WIDE_KINDS)
+    def test_exact_and_sampled_bit_for_bit(self, case, n, seed, kinds):
+        mode, objective, _, _ = case
+        target, block = _estimator_inputs(case, n, seed, kinds)
+        got = Estimator(target, mode, objective).values(block)
+        assert all(type(v) is float for v in got)
+        assert got == [_per_row_value(target, row, n, mode, objective) for row in block]
+
+    @settings(max_examples=25, deadline=None)
+    @given(mode=st.sampled_from(NOISY_MODES), rep=st.sampled_from(PURE_REPS),
+           n=st.integers(1, 3), seed=SEEDS, kinds=WIDE_KINDS)
+    def test_noisy_bit_for_bit_on_the_same_stack(self, mode, rep, n, seed, kinds):
+        """One vecdot over the stack against one np.vdot per row of the same
+        stack, bit for bit, and against the one-pair reference to 1e-12."""
+        target, block = _estimator_inputs((mode, "swap", rep, False), n, seed, kinds)
+        got = Estimator(target, mode).values(block)
+        noise = mode.noise
+        if noise.is_noiseless:
+            want = [(1.0 + fidelity_oracle(target, _state(row, n))) / 2.0 for row in block]
+            assert got == want
+            return
+        observable = swap_test_module._target_observable(noise, target)
+        rhos = noise_module.prepare_dm_noisy(block, noise)
+        assert got == [noise.flip_readout(float(np.real(np.vdot(observable, rho))))
+                       for rho in rhos]
+        for value, row in zip(got, block):
+            assert abs(value - _noisy_exact_p0(target, _state(row, n), noise)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(mode=st.sampled_from([FidelityMode.sampled(256)] + NOISY_MODES),
+           rep=st.sampled_from(PURE_REPS), n=st.integers(1, 3), seed=SEEDS,
+           kinds=WIDE_KINDS)
+    def test_draws_and_stream_match_per_row_path(self, mode, rep, n, seed, kinds):
+        """Readings drawn from the block's values take the same draws, and
+        leave the stream in the same state, as the per-row path: one p0 per
+        state object and one binomial each."""
+        target, block = _estimator_inputs((mode, "swap", rep, False), n, seed, kinds)
+        rng_block, rng_rows = RngStream(seed), RngStream(seed)
+        got = [score_candidate(row, target, mode, rng_block, prepared=v)
+               for row, v in zip(block, Estimator(target, mode).values(block))]
+        if mode.kind == "sampled" or mode.noise.is_noiseless:
+            p0 = [(1.0 + fidelity_oracle(target, _state(row, n))) / 2.0 for row in block]
+        else:
+            observable = swap_test_module._target_observable(mode.noise, target)
+            p0 = [mode.noise.flip_readout(float(np.real(np.vdot(observable, rho))))
+                  for rho in noise_module.prepare_dm_noisy(block, mode.noise)]
+        want = []
+        for p in p0:
+            zeros = int(rng_rows.gen.binomial(mode.shots, min(1.0, max(0.0, p))))
+            want.append(2.0 * (zeros / mode.shots) - 1.0)
+        assert got == want
+        assert rng_block.gen.bit_generator.state == rng_rows.gen.bit_generator.state
+
+
+class TestBlockValidation:
+    """What a state object per row used to check, checked on the block."""
+
+    @pytest.mark.parametrize("mode", [FidelityMode.sampled(64),
+                                      FidelityMode.noisy(default_noise_model(), 64)],
+                             ids=["sampled", "noisy"])
+    def test_density_block_in_stochastic_mode_raises(self, mode):
+        rng = RngStream(70)
+        target = sample_random_state(2, rng)
+        block = Representation.DENSITY.decode_rows(np.random.default_rng(70).normal(
+            size=(3, Representation.DENSITY.param_length(2))), 2)
+        with pytest.raises(ValueError, match="density matrices are scored exactly"):
+            Estimator(target, mode).values(block)
+
+    @pytest.mark.parametrize("mode", [FidelityMode.exact(), FidelityMode.sampled(64),
+                                      FidelityMode.noisy(default_noise_model(), 64)],
+                             ids=["exact", "sampled", "noisy"])
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 8, 8), (4,), (3, 4, 8), (3, 4, 4, 4)])
+    def test_width_mismatch_names_the_shape(self, mode, shape):
+        target = sample_random_state(2, RngStream(71))
+        block = np.zeros(shape, dtype=complex)
+        want = r"candidate block has shape \(" + r",\s*".join(map(str, shape))
+        with pytest.raises(ValueError, match=want):
+            Estimator(target, mode).values(block)
+
+    def test_density_target_width_mismatch(self):
+        target = sample_random_density(2, RngStream(72))
+        for shape in ((2, 2), (2, 8, 8)):
+            with pytest.raises(ValueError, match="qubit-count mismatch"):
+                Estimator(target, FidelityMode.exact()).values(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("mode", [FidelityMode.exact(), FidelityMode.sampled(64),
+                                      FidelityMode.noisy(default_noise_model(), 64)],
+                             ids=["exact", "sampled", "noisy"])
+    def test_lone_states_still_accepted(self, mode):
+        """``score_candidate`` without ``prepared`` reads a lone state, as the
+        benchmark's estimator sweep and the tests call it."""
+        rng = RngStream(73)
+        psi, phi = sample_random_state(2, rng), sample_random_state(2, rng)
+        estimator = Estimator(psi, mode)
+        a, b = RngStream(5), RngStream(5)
+        assert (score_candidate(phi, psi, mode, a)
+                == score_candidate(phi, psi, mode, b,
+                                   prepared=estimator.values(phi.amplitudes[None])[0]))
+        if mode.kind == "exact":
+            sigma = sample_random_density(2, rng)
+            assert (score_candidate(sigma, psi, mode)
+                    == Estimator(psi, mode).values(sigma.entries[None])[0])
+            assert (score_candidate(phi, sigma, mode)
+                    == Estimator(sigma, mode).values(phi.amplitudes[None])[0])
