@@ -26,11 +26,7 @@ from .harness import (
 )
 from .metrics import (
     bipartite_entropy,
-    helstrom_success,
     hs_overlap,
-    mixed_state_report,
-    swap_discrimination_bound,
-    trace_distance,
     uhlmann_fidelity,
     von_neumann_entropy,
 )
@@ -56,7 +52,6 @@ from .swap_test import (
     FidelityMode,
     RegisterLayout,
     fidelity_oracle,
-    iterate_snapshot,
     score_candidate,
     swap_test_exact,
 )

@@ -434,15 +434,25 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 max_iters: int = 100, thresholds=(0.95, 0.99),
                 store: "SnapshotStore | None" = None, label: str | None = None,
                 objective: str = "swap") -> dict:
-    """One reconstruction run; optionally deposits the solution in a store."""
+    """One reconstruction run; optionally deposits the solution in a store.
+
+    The store keeps pure states and a label names a stored solution, so a
+    store next to the density representation, or a label without a store,
+    is rejected before the run and before the store is written to.
+    """
     mode = mode or FidelityMode.exact()
     check_mode(mode, objective, representation is Representation.DENSITY)
+    if store is not None and representation is Representation.DENSITY:
+        raise ValueError("--store keeps pure states; the density representation's "
+                         "solution cannot be stored")
+    if label is not None and store is None:
+        raise ValueError("--label names a stored solution; it needs --store")
     solution, record = _optimize(
         target, method, representation, mode, RngStream(seed), thresholds,
         max_iters, objective,
     )
     stored_as = None
-    if store is not None and isinstance(solution, PureState):
+    if store is not None:
         stored_as = label or f"{method}-{representation.value}-seed{seed}"
         store.put(
             stored_as, solution,
@@ -469,8 +479,7 @@ class SnapshotStore:
     _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
     def __init__(self, root):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # created by the first put
 
     def _path(self, label: str) -> Path:
         if not self._LABEL_RE.match(label):
@@ -483,6 +492,7 @@ class SnapshotStore:
         path = self._path(label)
         if path.exists():
             raise ValueError(f"label {label!r} already exists in the store")
+        self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "label": label,
             "n_qubits": state.n_qubits,

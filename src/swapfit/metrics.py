@@ -3,8 +3,7 @@
 These quantify what the SWAP-test objective cannot see: the estimator
 converges to the Hilbert-Schmidt overlap Tr(rho sigma), which for mixed
 states disagrees with the Uhlmann fidelity (I/2 vs itself scores 0.5 on
-overlap but 1.0 on fidelity).  Reports produced here carry that distinction
-explicitly.
+overlap but 1.0 on fidelity), so this module keeps the two apart.
 
 Entropies are reported in bits (log base 2) unless the natural-log flag is
 set.  Matrix square roots go through Hermitian eigendecomposition with
@@ -24,6 +23,7 @@ import numpy as np
 
 from .sim import TOL, DensityMatrix, PureState, partial_trace
 
+# Ceiling on the success of state discrimination through SWAP-test readings
 SWAP_DISCRIMINATION_BOUND = 0.75
 
 
@@ -103,67 +103,3 @@ def hs_overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             f"qubit-count mismatch: {rho.n_qubits} vs {sigma.n_qubits}"
         )
     return float(np.real(np.trace(rho.entries @ sigma.entries)))
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) sum |eigenvalues| of rho - sigma."""
-    if rho.n_qubits != sigma.n_qubits:
-        raise ValueError(
-            f"qubit-count mismatch: {rho.n_qubits} vs {sigma.n_qubits}"
-        )
-    vals = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return float(0.5 * np.sum(np.abs(vals)))
-
-
-def helstrom_success(rho: DensityMatrix, sigma: DensityMatrix) -> dict:
-    """Both conventions for the optimal discrimination success probability.
-
-    "one_minus_distance" is 1 - (1/2) Tr|rho - sigma|; "textbook" is the
-    standard equal-prior value 1/2 + (1/4) Tr|rho - sigma|.  They disagree
-    except at trace distance 1/2, and the first DECREASES as the states
-    become more distinguishable, so reports must always say which one they
-    quote.
-    """
-    d = trace_distance(rho, sigma)
-    return {
-        "one_minus_distance": 1.0 - d,
-        "textbook": 0.5 + 0.5 * d,
-    }
-
-
-def swap_discrimination_bound() -> float:
-    """Ceiling on SWAP-test-based state discrimination success (3/4)."""
-    return SWAP_DISCRIMINATION_BOUND
-
-
-def mixed_state_report(rho: DensityMatrix, sigma: DensityMatrix) -> dict:
-    """All mixed-state diagnostics for one pair, with annotations.
-
-    The notes call out the overlap-vs-fidelity divergence and flag any
-    discrimination success quoted above the SWAP-test ceiling.
-    """
-    overlap = hs_overlap(rho, sigma)
-    fid = uhlmann_fidelity(rho, sigma)
-    dist = trace_distance(rho, sigma)
-    hel = helstrom_success(rho, sigma)
-    notes = []
-    if abs(overlap - fid) > 1e-6:
-        notes.append(
-            "swap-test overlap and Uhlmann fidelity disagree: a SWAP-test "
-            "objective optimizes the former, not the latter"
-        )
-    for label, value in hel.items():
-        if value > SWAP_DISCRIMINATION_BOUND + 1e-12:
-            notes.append(
-                f"helstrom[{label}]={value:.4f} exceeds the SWAP-test "
-                f"discrimination ceiling {SWAP_DISCRIMINATION_BOUND}; such success "
-                "is unreachable through SWAP-test measurements"
-            )
-    return {
-        "hs_overlap": overlap,
-        "uhlmann_fidelity": fid,
-        "trace_distance": dist,
-        "helstrom_success": hel,
-        "swap_discrimination_bound": SWAP_DISCRIMINATION_BOUND,
-        "notes": notes,
-    }

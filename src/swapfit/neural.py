@@ -314,6 +314,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     estimator = Estimator(target.state, mode, objective)
     log = EpochLog(config.thresholds, stop_at=config.stop_threshold)
     params = init_mlp(config, rng)
+    # drawn in "resample" mode too, unread there: skipping it would shift every trial's stream
     fixed_z = rng.gen.random(config.latent_dim)
     n = target.n_qubits
 

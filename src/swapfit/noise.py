@@ -5,8 +5,10 @@ application:
 
 * single-qubit gates (id, rz, sx, x): bit flip then depolarizing,
 * cx: two-qubit depolarizing then thermal relaxation on both qubits,
-* measure: a classical flip of the outcome bit,
-* reset: noiseless.
+* reset: noiseless,
+
+and the ancilla's readout is a classical flip of the outcome bit
+(``NoiseModelSpec.flip_readout``).
 
 Channels are plain Kraus-operator lists.  The noisy executor fuses each
 basis gate with its channel into one transfer matrix and applies that on
@@ -189,7 +191,7 @@ def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
 # The calibrated model
 # ---------------------------------------------------------------------------
 
-NOISY_KINDS = frozenset({"id", "rz", "sx", "x", "cx", "measure"})
+NOISY_KINDS = frozenset({"id", "rz", "sx", "x", "cx"})
 _RZ_PHASE = np.array([0.0, -1j, 1j, 0.0])
 
 
@@ -266,8 +268,6 @@ class NoiseModelSpec:
             return None
         if kind == "cx":
             return self.cx_channel
-        if kind == "measure":
-            return None  # classical outcome flip, handled by flip_readout
         return self.single_qubit_channel
 
     def gate_transfer(self, op: GateOp) -> np.ndarray:
@@ -351,7 +351,7 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
             out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s),
                                 check=False)
         elif op.kind == "reset":
-            out = reset_qubits(out, op.qubits, None)
+            out = reset_qubits(out, op.qubits)
         else:
             raise ValueError(
                 f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"

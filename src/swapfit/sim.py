@@ -148,18 +148,17 @@ class DensityMatrix:
 # Gate vocabulary
 # ---------------------------------------------------------------------------
 
-UNITARY_KINDS = frozenset({"h", "x", "rz", "sx", "cx", "cswap"})
 BASIS_KINDS = frozenset({"rz", "sx", "x", "cx"})
-_ARITY = {"h": 1, "x": 1, "rz": 1, "sx": 1, "cx": 2, "cswap": 3, "reset": 1, "measure": 1}
+_ARITY = {"h": 1, "x": 1, "rz": 1, "sx": 1, "cx": 2, "cswap": 3, "reset": 1}
 
 
 @dataclass(frozen=True)
 class GateOp:
     """One circuit instruction.
 
-    kind is one of {h, x, rz, sx, cx, cswap, reset, measure}; ``angle`` is
-    used only by rz.  cx lists (control, target); cswap lists
-    (control, a, b).
+    kind is one of {h, x, rz, sx, cx, cswap, reset}; ``angle`` is used
+    only by rz, and reset only by the density-matrix executors.  cx lists
+    (control, target); cswap lists (control, a, b).
     """
 
     kind: str
@@ -207,10 +206,6 @@ class GateOp:
     def reset(q: int) -> "GateOp":
         return GateOp("reset", (q,))
 
-    @staticmethod
-    def measure(q: int) -> "GateOp":
-        return GateOp("measure", (q,))
-
     def shifted(self, offset: int) -> "GateOp":
         """Same op with every qubit index moved up by ``offset``."""
         return GateOp(self.kind, tuple(q + offset for q in self.qubits), self.angle)
@@ -241,7 +236,7 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
     if op.kind == "rz":
         return rz_mat(op.angle)
     if op.kind not in _FIXED_GATES:
-        raise ValueError(f"{op.kind} is not a unitary gate; use measure_z/reset_qubits")
+        raise ValueError(f"{op.kind} is not a unitary gate")
     return _FIXED_GATES[op.kind]
 
 
@@ -317,23 +312,12 @@ def apply_gate_dm(rho: DensityMatrix, op: GateOp) -> DensityMatrix:
     return kraus_map_dm(rho, op.qubits, (_gate_matrix(op),))
 
 
-def run_circuit(state: PureState, ops: Iterable[GateOp],
-                rng: RngStream | None = None) -> PureState:
-    """Apply a gate list to a statevector; reset/measure ops need an rng."""
+def run_circuit(state: PureState, ops: Iterable[GateOp]) -> PureState:
+    """Apply a list of unitary-kind ops to a statevector; any other kind,
+    reset included, raises ValueError."""
     out = state
     for op in ops:
-        if op.kind in UNITARY_KINDS:
-            out = apply_gate(out, op)
-        elif op.kind == "reset":
-            if rng is None:
-                raise ValueError("reset in circuit requires an RngStream")
-            out = reset_qubits(out, op.qubits, rng)
-        elif op.kind == "measure":
-            if rng is None:
-                raise ValueError("measure in circuit requires an RngStream")
-            _, out = measure_z(out, op.qubits[0], rng)
-        else:  # pragma: no cover
-            raise ValueError(f"unsupported op {op.kind}")
+        out = apply_gate(out, op)
     return out
 
 
@@ -341,19 +325,15 @@ def run_circuit_dm(rho: DensityMatrix, ops: Iterable[GateOp]) -> DensityMatrix:
     """Apply a gate list to a density matrix (reset becomes its channel)."""
     out = rho
     for op in ops:
-        if op.kind in UNITARY_KINDS:
-            out = apply_gate_dm(out, op)
-        elif op.kind == "reset":
-            out = reset_qubits(out, op.qubits, None)
+        if op.kind == "reset":
+            out = reset_qubits(out, op.qubits)
         else:
-            raise ValueError(
-                f"{op.kind} is not supported on the density-matrix path"
-            )
+            out = apply_gate_dm(out, op)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Measurement, reset, expectation
+# Reset and expectation
 # ---------------------------------------------------------------------------
 
 
@@ -363,50 +343,19 @@ def _bit_view(values: np.ndarray, n: int, qubit: int) -> np.ndarray:
     return values.reshape(1 << qubit, 2, -1)
 
 
-def measure_z(state: PureState, qubit: int, rng: RngStream) -> tuple[int, PureState]:
-    """Projective Z measurement: returns (bit, collapsed renormalized state)."""
-    n = state.n_qubits
-    amps = _bit_view(state.amplitudes, n, qubit)
-    p0 = float(np.sum(np.abs(amps[:, 0]) ** 2))
-    bit = 0 if rng.gen.random() < p0 else 1
-    prob = p0 if bit == 0 else 1.0 - p0
-    divisor = math.sqrt(prob)
-    if divisor < 1e-15:
-        raise RuntimeError(
-            f"measurement selected a branch with probability {prob} (qubit {qubit})"
-        )
-    out = np.zeros_like(amps)
-    out[:, bit] = amps[:, bit] / divisor
-    return bit, PureState(n, out.reshape(-1), check=False)
-
-
 _RESET_KRAUS = (
     np.array([[1, 0], [0, 0]], dtype=complex),   # |0><0|
     np.array([[0, 1], [0, 0]], dtype=complex),   # |0><1|
 )
 
 
-def reset_qubits(state, qubits: Sequence[int], rng: RngStream | None):
-    """Force the listed qubits to |0>.
-
-    PureState: measure-then-conditional-X per qubit (needs an rng).
-    DensityMatrix: the reset channel {|0><0|, |0><1|} per qubit (rng unused).
-    """
-    if isinstance(state, PureState):
-        if rng is None:
-            raise ValueError("resetting a PureState requires an RngStream")
-        out = state
-        for q in qubits:
-            bit, out = measure_z(out, q, rng)
-            if bit:
-                out = apply_gate(out, GateOp.x(q))
-        return out
-    if isinstance(state, DensityMatrix):
-        out = state
-        for q in qubits:
-            out = kraus_map_dm(out, (q,), _RESET_KRAUS)
-        return out
-    raise TypeError(f"unsupported state type {type(state)}")
+def reset_qubits(rho: DensityMatrix, qubits: Sequence[int]) -> DensityMatrix:
+    """Force the listed qubits to |0>: the reset channel {|0><0|, |0><1|}
+    on each in turn."""
+    out = rho
+    for q in qubits:
+        out = kraus_map_dm(out, (q,), _RESET_KRAUS)
+    return out
 
 
 def expectation_z(state, qubit: int) -> float:
@@ -510,7 +459,7 @@ def lower_cswap(control: int, a: int, b: int) -> list[GateOp]:
 
 def lower_op(op: GateOp) -> list[GateOp]:
     """Express one op in the basis set; basis ops pass through unchanged."""
-    if op.kind in BASIS_KINDS or op.kind in ("reset", "measure"):
+    if op.kind in BASIS_KINDS or op.kind == "reset":
         return [op]
     if op.kind == "h":
         return lower_h(op.qubits[0])

@@ -41,7 +41,7 @@ from .noise import (
     default_noise_model,
     prepare_dm_noisy,
 )
-from .prep import TargetSpec, prepare_on
+from .prep import prepare_on
 from .sim import (
     DensityMatrix,
     GateOp,
@@ -50,7 +50,6 @@ from .sim import (
     expectation_z,
     lower_ops,
     run_circuit,
-    zero_state,
 )
 
 
@@ -186,62 +185,6 @@ def _target_observable(noise: NoiseModelSpec, psi: PureState) -> np.ndarray:
     m = (closing @ acc.reshape(4, -1)).reshape((2,) * (2 * n))
     m = m.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     return np.ascontiguousarray(m.reshape(1 << n, 1 << n))
-
-
-def _noisy_exact_p0(psi: PureState, phi: PureState, noise: NoiseModelSpec) -> float:
-    """Exact ancilla-zero probability of the noisy circuit, readout flip included.
-
-    Equal to the full (2n+1)-qubit density-matrix run of ``noisy_circuit_ops``;
-    only the candidate's own n-qubit noisy preparation is evolved, by
-    ``prepare_dm_noisy`` from the Mottonen template compiled for n: no gate
-    op is built and the general executor does not run.  This is the one-pair
-    form of ``Estimator.values`` in noisy mode.
-    """
-    rho = prepare_dm_noisy(phi.amplitudes[None, :], noise)[0]
-    return noise.flip_readout(float(np.real(np.vdot(_target_observable(noise, psi), rho))))
-
-
-def iterate_snapshot(target: TargetSpec, candidate_source, budget: int) -> list[float]:
-    """Run the reconstruction loop shape and record every fidelity readout.
-
-    Each iteration is one simulated execution: the register starts fresh,
-    the target is Mottonen-prepared on its qubits, the ancilla and candidate
-    registers are formally reset, the iteration's candidate is prepared, and
-    the gadget runs with an exact readout.  ``candidate_source(i, last)``
-    supplies candidate i and receives the previous iteration's fidelity
-    (None on the first call).
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    state = target.state
-    if not isinstance(state, PureState):
-        raise TypeError("iterate_snapshot requires a pure target")
-    n = state.n_qubits
-    lay = RegisterLayout(n)
-    target_prep = prepare_on(lay.total, state, offset=lay.target[0])
-    # resets land on qubits that a fresh execution leaves in |0>, so their
-    # outcome is deterministic and the throwaway stream is never observable
-    quiet = RngStream(0)
-    reset_ops = [GateOp.reset(lay.ancilla)] + [GateOp.reset(q) for q in lay.candidate]
-    gadget = swap_gadget_ops(n)
-    trace: list[float] = []
-    last: float | None = None
-    for i in range(budget):
-        try:
-            candidate = candidate_source(i, last)
-        except Exception as exc:
-            raise RuntimeError(f"candidate source failed at iteration {i}") from exc
-        if candidate.n_qubits != n:
-            raise ValueError(
-                f"candidate at iteration {i} has {candidate.n_qubits} qubit(s), expected {n}"
-            )
-        reg = run_circuit(zero_state(lay.total), target_prep)
-        reg = run_circuit(reg, reset_ops, rng=quiet)
-        reg = run_circuit(reg, prepare_on(lay.total, candidate, offset=lay.candidate[0]))
-        reg = run_circuit(reg, gadget)
-        last = expectation_z(reg, lay.ancilla)
-        trace.append(last)
-    return trace
 
 
 # ---------------------------------------------------------------------------

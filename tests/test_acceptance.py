@@ -16,9 +16,9 @@ import oracles
 from swapfit.evolution import ESParams, es_update, perturb_population
 from swapfit.harness import derive_seed, preset_target, reconstruct
 from swapfit.metrics import (
+    SWAP_DISCRIMINATION_BOUND,
     bipartite_entropy,
     hs_overlap,
-    swap_discrimination_bound,
     uhlmann_fidelity,
 )
 from swapfit.neural import fd_gradient
@@ -47,8 +47,8 @@ from swapfit.sim import (
     zero_state,
 )
 from swapfit.swap_test import (
+    Estimator,
     FidelityMode,
-    _noisy_exact_p0,
     fidelity_oracle,
     noisy_circuit_ops,
     swap_test_exact,
@@ -213,7 +213,7 @@ def test_criterion_07_maximally_mixed_divergence():
     half = DensityMatrix(1, np.eye(2) / 2.0)
     overlap = hs_overlap(half, half)
     uhl = uhlmann_fidelity(half, half)
-    bound = swap_discrimination_bound()
+    bound = SWAP_DISCRIMINATION_BOUND
     p0 = (1.0 + overlap) / 2.0
     ok = (
         abs(overlap - 0.5) <= 1e-12
@@ -355,7 +355,7 @@ def test_criterion_11_es_noisy_sampled_single_qubit():
     ]
     ceilings = [_noisy_identical_reading(psi, model) for psi in targets]
     fast_gap = max(
-        abs(2.0 * _noisy_exact_p0(psi, psi, model) - 1.0 - c)
+        abs(2.0 * Estimator(psi, mode).value(psi) - 1.0 - c)
         for psi, c in zip(targets, ceilings)
     )
     assert fast_gap <= 1e-12, f"cached noisy path off the full circuit by {fast_gap:.2e}"

@@ -315,6 +315,22 @@ class TestReconstructCommand:
         assert "cli-zero" in capsys.readouterr().out
         assert (store / "cli-zero.json").exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--repr", "density", "--objective", "uhlmann", "--store", "STORE"], "--store"),
+        (["--label", "orphan"], "--label"),
+    ], ids=["density-store", "label-without-store"])
+    def test_store_flags_rejected_before_writing(self, tmp_path, capsys, flags, named):
+        """The store keeps pure states and a label names a stored solution:
+        each misuse exits 1 naming its flag, before the run and before the
+        store directory is created."""
+        store = tmp_path / "store"
+        flags = [str(store) if flag == "STORE" else flag for flag in flags]
+        assert main(["reconstruct", "--target", "zero", "--max-iters", "5", *flags]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+        assert not store.exists()
+
     def test_target_file(self, tmp_path, capsys):
         from swapfit.harness import preset_target
 

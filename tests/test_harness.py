@@ -452,6 +452,13 @@ class TestSnapshotStore:
 
 
 class TestReconstruct:
+    def test_density_solution_not_stored(self, tmp_path):
+        """A library caller gets the rule too, with the store left untouched."""
+        with pytest.raises(ValueError, match="--store keeps pure states"):
+            reconstruct(preset_target("zero", 1), representation=Representation.DENSITY,
+                        store=SnapshotStore(tmp_path / "store"), max_iters=5)
+        assert not (tmp_path / "store").exists()
+
     def test_preset_reconstruction_stores(self, tmp_path):
         store = SnapshotStore(tmp_path)
         out = reconstruct(preset_target("zero", 1), method="es", seed=1,

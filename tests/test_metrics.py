@@ -8,15 +8,11 @@ from swapfit.metrics import (
     SWAP_DISCRIMINATION_BOUND,
     EntropyReport,
     bipartite_entropy,
-    helstrom_success,
     hs_overlap,
-    mixed_state_report,
-    swap_discrimination_bound,
-    trace_distance,
     uhlmann_fidelity,
     von_neumann_entropy,
 )
-from swapfit.sim import DensityMatrix, GateOp, PureState, RngStream, run_circuit, zero_state
+from swapfit.sim import DensityMatrix, GateOp, RngStream, run_circuit, zero_state
 from swapfit.prep import sample_random_density, sample_random_state
 
 
@@ -104,46 +100,11 @@ class TestOverlapAndDistance:
         want = float(np.real(np.trace(rho.entries @ sig.entries)))
         np.testing.assert_allclose(hs_overlap(rho, sig), want, atol=1e-13)
 
-    def test_trace_distance_range(self):
-        rng = RngStream(7)
-        rho, sig = sample_random_density(2, rng), sample_random_density(2, rng)
-        d = trace_distance(rho, sig)
-        assert 0.0 <= d <= 1.0
-
-    def test_trace_distance_orthogonal_pure(self):
-        a = PureState(1, np.array([1, 0], dtype=complex)).density()
-        b = PureState(1, np.array([0, 1], dtype=complex)).density()
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_helstrom_conventions(self):
-        a = PureState(1, np.array([1, 0], dtype=complex)).density()
-        b = PureState(1, np.array([0, 1], dtype=complex)).density()
-        out = helstrom_success(a, b)
-        assert out["one_minus_distance"] == pytest.approx(0.0, abs=1e-12)
-        assert out["textbook"] == pytest.approx(1.0, abs=1e-12)
-
     def test_bound_constant(self):
         assert SWAP_DISCRIMINATION_BOUND == 0.75
-        assert swap_discrimination_bound() == 0.75
 
 
 class TestReport:
-    def test_keys_present(self):
-        rng = RngStream(8)
-        rep = mixed_state_report(sample_random_density(2, rng),
-                                 sample_random_density(2, rng))
-        for key in ("hs_overlap", "uhlmann_fidelity", "trace_distance",
-                    "helstrom_success", "notes"):
-            assert key in rep
-
-    def test_divergence_noted_for_mixed_pair(self):
-        """I/2 vs I/2 shows the overlap-fidelity gap in the notes."""
-        half = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
-        rep = mixed_state_report(half, half)
-        assert rep["hs_overlap"] == pytest.approx(0.5, abs=1e-12)
-        assert rep["uhlmann_fidelity"] == pytest.approx(1.0, abs=1e-9)
-        assert any("overlap" in note.lower() for note in rep["notes"])
-
     def test_entropy_report_csv_row(self):
         rep = EntropyReport(circuit_id="bell", n_qubits=2, partition=(0,),
                             target_entropy=1.0, reconstructed_entropy=0.999)

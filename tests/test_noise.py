@@ -36,7 +36,7 @@ from swapfit.sim import (
     lower_ops,
     zero_state,
 )
-from swapfit.swap_test import _noisy_exact_p0, noisy_circuit_ops
+from swapfit.swap_test import Estimator, FidelityMode, noisy_circuit_ops
 from test_prep import DEGENERATE_IDS, DEGENERATE_STATES
 
 
@@ -219,7 +219,7 @@ class TestModel:
         np.testing.assert_allclose(model.gate_transfer(GateOp.x(0)),
                                    dense @ np.kron(oracles.X, oracles.X), atol=1e-15)
         with pytest.raises(ValueError, match="not a noisy basis gate"):
-            model.gate_transfer(GateOp.measure(0))
+            model.gate_transfer(GateOp.reset(0))
         bare = noiseless_model()
         for op, u in ((GateOp.sx(0), oracles.SX), (GateOp.rz(0.3, 0), oracles.rz(0.3)),
                       (GateOp.cx(0, 1), oracles.cx_matrix())):
@@ -360,7 +360,7 @@ class TestFusedExecutor:
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     def test_cached_p0_matches_dense_full_circuit(self, n_qubits):
-        """_noisy_exact_p0 against the dense oracle over every lowered op."""
+        """The trial Estimator's noisy p0 against the dense oracle over every lowered op."""
         model = default_noise_model()
         rng = RngStream(500 + n_qubits)
         psi = sample_random_state(n_qubits, rng)
@@ -372,7 +372,7 @@ class TestFusedExecutor:
         rho = oracles.run_dense_dm_noisy(rho, noisy_circuit_ops(psi, phi), total, model)
         # ancilla is qubit 0, the most significant bit: P(0) is the top half
         p0 = float(np.real(np.trace(rho[: dim // 2, : dim // 2])))
-        np.testing.assert_allclose(_noisy_exact_p0(psi, phi, model),
+        np.testing.assert_allclose(Estimator(psi, FidelityMode.noisy(model)).value(phi),
                                    model.flip_readout(p0), rtol=0, atol=1e-12)
 
 

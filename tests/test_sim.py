@@ -27,7 +27,6 @@ from swapfit.sim import (
     lower_op,
     lower_ops,
     lower_ry,
-    measure_z,
     partial_trace,
     reset_qubits,
     run_circuit,
@@ -120,6 +119,11 @@ class TestGateKernels:
             want = oracles.run_dense(amps, ops, n_qubits)
             np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
 
+    def test_statevector_rejects_reset(self):
+        """The statevector executor applies unitary ops only."""
+        with pytest.raises(ValueError, match="reset is not a unitary gate"):
+            run_circuit(zero_state(1), [GateOp.reset(0)])
+
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_density_vs_dense(self, n_qubits):
         rng = np.random.default_rng(200 + n_qubits)
@@ -200,45 +204,20 @@ class TestMeasurement:
                                        expectation_z(state.density(), q),
                                        atol=1e-13)
 
-    def test_measure_z_statistics(self):
-        """|+> measures 0 about half the time."""
-        rng = RngStream(123)
-        plus = PureState(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
-        zeros = sum(1 - measure_z(plus, 0, rng)[0] for _ in range(2000))
-        assert 880 < zeros < 1120
-
-    def test_measure_collapses(self):
-        rng = RngStream(5)
-        plus = PureState(1, np.array([1, 1], dtype=complex) / np.sqrt(2))
-        bit, post = measure_z(plus, 0, rng)
-        np.testing.assert_allclose(abs(post.amplitudes[bit]), 1.0, atol=1e-12)
-
     @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_measure_and_expectation_against_projectors(self, qubit):
-        """<Z> and the collapsed state on every qubit, against embedded projectors."""
+        """<Z> on every qubit, against the embedded Pauli Z."""
         amps = oracles.random_state_dense(3, np.random.default_rng(53 + qubit))
         state = PureState(3, amps)
         z = np.diag([1, -1]).astype(complex)
         want_z = np.real(np.vdot(amps, oracles.embed(z, 3, (qubit,)) @ amps))
         np.testing.assert_allclose(expectation_z(state, qubit), want_z, atol=1e-13)
-        bit, post = measure_z(state, qubit, RngStream(qubit))
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[bit, bit] = 1.0
-        kept = oracles.embed(proj, 3, (qubit,)) @ amps
-        np.testing.assert_allclose(post.amplitudes, kept / np.linalg.norm(kept),
-                                   atol=1e-13)
-
-    def test_reset_pure(self):
-        rng = RngStream(17)
-        state = run_circuit(zero_state(2), [GateOp.h(0), GateOp.cx(0, 1)])
-        out = reset_qubits(state, (0,), rng)
-        assert expectation_z(out, 0) == pytest.approx(1.0)
 
     def test_reset_dm_matches_measure_average(self):
         """Kraus reset equals the outcome-averaged measure-and-flip reset."""
         rng = np.random.default_rng(29)
         rho = oracles.random_density_dense(2, rng)
-        out = reset_qubits(DensityMatrix(2, rho), (0,), None)
+        out = reset_qubits(DensityMatrix(2, rho), (0,))
         k0 = np.array([[1, 0], [0, 0]], dtype=complex)
         k1 = np.array([[0, 1], [0, 0]], dtype=complex)
         want = oracles.apply_kraus_dense(rho, [k0, k1], 2, (0,))
@@ -346,6 +325,10 @@ class TestGateOp:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):
             GateOp.cx(1, 1)
+
+    def test_measure_is_not_a_kind(self):
+        with pytest.raises(ValueError, match="unknown gate kind 'measure'"):
+            GateOp("measure", (0,))
 
     def test_frozen(self):
         op = GateOp.h(0)

@@ -1,4 +1,4 @@
-"""The fidelity estimator circuit in all three modes, plus the loop shape."""
+"""The fidelity estimator circuit in all three modes."""
 
 import collections
 import time
@@ -17,7 +17,6 @@ from swapfit.metrics import hs_overlap, uhlmann_fidelity
 from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
 from swapfit.prep import (
     Representation,
-    TargetSpec,
     sample_random_density,
     sample_random_state,
 )
@@ -34,9 +33,7 @@ from swapfit.swap_test import (
     Estimator,
     FidelityMode,
     RegisterLayout,
-    _noisy_exact_p0,
     fidelity_oracle,
-    iterate_snapshot,
     noisy_circuit_ops,
     score_candidate,
     swap_gadget_ops,
@@ -44,6 +41,13 @@ from swapfit.swap_test import (
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _m_psi_p0(psi, phi, noise):
+    """p0 through M_psi, which the Estimator skips for a noiseless model."""
+    rho = noise_module.prepare_dm_noisy(phi.amplitudes[None, :], noise)[0]
+    m_psi = swap_test_module._target_observable(noise, psi)
+    return noise.flip_readout(float(np.real(np.vdot(m_psi, rho))))
 
 
 def random_pair(n_qubits, seed, same):
@@ -179,7 +183,8 @@ class TestNoisy:
             psi = sample_random_state(n_qubits, rng)
             phi = sample_random_state(n_qubits, rng)
             for name, model in zip(("default", "noiseless", "heavy"), MODELS):
-                fast = _noisy_exact_p0(psi, phi, model)
+                fast = (_m_psi_p0(psi, phi, model) if model.is_noiseless
+                        else Estimator(psi, FidelityMode.noisy(model)).value(phi))
                 rho = zero_state(2 * n_qubits + 1).density()
                 rho = run_circuit_dm_noisy(rho, noisy_circuit_ops(psi, phi), model)
                 slow = model.flip_readout((1.0 + expectation_z(rho, 0)) / 2.0)
@@ -191,7 +196,7 @@ class TestNoisy:
     def test_noiseless_reading_is_closed_form(self, n_qubits, seed, same):
         """With no noise the factorized route is the ideal (1 + |<psi|phi>|^2)/2."""
         psi, phi = random_pair(n_qubits, seed, same)
-        np.testing.assert_allclose(_noisy_exact_p0(psi, phi, noiseless_model()),
+        np.testing.assert_allclose(_m_psi_p0(psi, phi, noiseless_model()),
                                    (1.0 + fidelity_oracle(psi, phi)) / 2.0,
                                    rtol=0, atol=1e-12)
 
@@ -200,13 +205,13 @@ class TestNoisy:
         model = default_noise_model()
         for n_qubits, floor in ((1, FLOOR_1Q), (2, FLOOR_2Q)):
             z = zero_state(n_qubits)
-            np.testing.assert_allclose(2 * _noisy_exact_p0(z, z, model) - 1, floor,
-                                       atol=1e-12)
+            p0 = Estimator(z, FidelityMode.noisy(model)).value(z)
+            np.testing.assert_allclose(2 * p0 - 1, floor, atol=1e-12)
 
     def test_floor_is_noise_only(self):
         """With the noiseless budget the floor sits at exactly 1."""
         z = zero_state(1)
-        np.testing.assert_allclose(2 * _noisy_exact_p0(z, z, noiseless_model()) - 1, 1.0,
+        np.testing.assert_allclose(2 * _m_psi_p0(z, z, noiseless_model()) - 1, 1.0,
                                    atol=1e-12)
 
     def test_sampled_noisy_hovers_at_floor(self):
@@ -219,20 +224,22 @@ class TestNoisy:
         """Noisy estimates still rank a good candidate above a bad one."""
         model = default_noise_model()
         psi = basis_state(1, 0)
-        good = _noisy_exact_p0(psi, psi, model)
-        bad = _noisy_exact_p0(psi, basis_state(1, 1), model)
+        estimator = Estimator(psi, FidelityMode.noisy(model))
+        good = estimator.value(psi)
+        bad = estimator.value(basis_state(1, 1))
         assert good > bad + 0.3
 
     def test_trajectory_fallback_runs(self):
         """n=5 and 6 (11 and 13 circuit qubits) read exactly, like every n:
-        one binomial draw from _noisy_exact_p0, not per-shot trajectories."""
+        one binomial draw from the Estimator's p0, not per-shot trajectories."""
         model = default_noise_model()
         for n_qubits in (5, 6):
             rng = RngStream(11)
             psi = sample_random_state(n_qubits, rng)
             phi = sample_random_state(n_qubits, rng)
             out = score_candidate(phi, psi, FidelityMode.noisy(model, 1024), RngStream(12))
-            zeros = RngStream(12).gen.binomial(1024, _noisy_exact_p0(psi, phi, model))
+            p0 = Estimator(psi, FidelityMode.noisy(model)).value(phi)
+            zeros = RngStream(12).gen.binomial(1024, p0)
             assert out == 2.0 * (zeros / 1024) - 1.0
 
     def test_reading_builds_no_ops(self, monkeypatch):
@@ -288,39 +295,6 @@ class TestMixed:
         from swapfit.sim import DensityMatrix
         half = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
         assert hs_overlap(half, half) == pytest.approx(0.5, abs=1e-15)
-
-
-class TestIterateSnapshot:
-    def test_constant_candidate_trace(self):
-        rng = RngStream(31)
-        target = TargetSpec(2, sample_random_state(2, rng), seed=31)
-        cand = sample_random_state(2, rng)
-        want = fidelity_oracle(target.state, cand)
-        trace = iterate_snapshot(target, lambda i, last: cand, budget=4)
-        np.testing.assert_allclose(trace, [want] * 4, atol=1e-10)
-
-    def test_feedback_passes_previous_reading(self):
-        rng = RngStream(32)
-        target = TargetSpec(1, sample_random_state(1, rng), seed=32)
-        seen = []
-
-        def source(i, last):
-            seen.append(last)
-            return target.state
-
-        iterate_snapshot(target, source, budget=3)
-        assert seen[0] is None
-        assert seen[1] == pytest.approx(1.0, abs=1e-10)
-
-    def test_candidate_error_wrapped(self):
-        rng = RngStream(33)
-        target = TargetSpec(1, sample_random_state(1, rng), seed=33)
-
-        def broken(i, last):
-            raise KeyError("boom")
-
-        with pytest.raises(RuntimeError, match="iteration 0"):
-            iterate_snapshot(target, broken, budget=2)
 
 
 class TestFidelityMode:
@@ -603,7 +577,7 @@ class TestBlockValues:
         assert got == [noise.flip_readout(float(np.real(np.vdot(observable, rho))))
                        for rho in rhos]
         for value, row in zip(got, block):
-            assert abs(value - _noisy_exact_p0(target, _state(row, n), noise)) <= 1e-12
+            assert abs(value - Estimator(target, mode).value(_state(row, n))) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(mode=st.sampled_from([FidelityMode.sampled(256)] + NOISY_MODES),
