@@ -436,9 +436,10 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 objective: str = "swap") -> dict:
     """One reconstruction run; optionally deposits the solution in a store.
 
-    The store keeps pure states and a label names a stored solution, so a
-    store next to the density representation, or a label without a store,
-    is rejected before the run and before the store is written to.
+    The store keeps pure states and a label names a new stored solution, so
+    a store next to the density representation, a label without a store, a
+    malformed label or one already in the store is rejected before the run
+    and before the store is written to.
     """
     mode = mode or FidelityMode.exact()
     check_mode(mode, objective, representation is Representation.DENSITY)
@@ -447,13 +448,15 @@ def reconstruct(target: TargetSpec, method: str = "es",
                          "solution cannot be stored")
     if label is not None and store is None:
         raise ValueError("--label names a stored solution; it needs --store")
+    stored_as = None
+    if store is not None:
+        stored_as = label or f"{method}-{representation.value}-seed{seed}"
+        store.new_path(stored_as)
     solution, record = _optimize(
         target, method, representation, mode, RngStream(seed), thresholds,
         max_iters, objective,
     )
-    stored_as = None
     if store is not None:
-        stored_as = label or f"{method}-{representation.value}-seed{seed}"
         store.put(
             stored_as, solution,
             created_from={
@@ -488,10 +491,16 @@ class SnapshotStore:
             )
         return self.root / f"{label}.json"
 
-    def put(self, label: str, state: PureState, created_from: dict | None = None) -> None:
+    def new_path(self, label: str) -> Path:
+        """The file a new snapshot under ``label`` goes to; ValueError if the
+        label is malformed or already taken."""
         path = self._path(label)
         if path.exists():
             raise ValueError(f"label {label!r} already exists in the store")
+        return path
+
+    def put(self, label: str, state: PureState, created_from: dict | None = None) -> None:
+        path = self.new_path(label)
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "label": label,

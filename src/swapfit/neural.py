@@ -10,6 +10,11 @@ by a constant scaling factor, which compensates for the tiny magnitude of
 fidelity differences.  Weights, biases, the gradient and both Adam moments
 are each one flat vector with per-layer views; Adam walks those vectors in
 fixed-size blocks, independent of the layer edges.
+
+GELU's erf is a numpy port of the Cephes erf that ``scipy.special.erf``
+runs, equal to it bit for bit, so the package needs no scipy at run time.
+Each forward pass takes the erf of every hidden pre-activation once and
+keeps it in its ``ForwardCache``, where backprop's GELU derivative reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .evolution import EpochLog, TrialRecord, check_run_limits, check_threshold
 from .prep import Representation, TargetSpec
@@ -146,14 +150,80 @@ def init_mlp(config: GeneratorConfig, rng: RngStream) -> MlpParams:
     return params
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+# Cephes erf coefficients: x*T(x^2)/U(x^2) for |x| <= 1, and
+# erf = 1 - exp(-x^2)*P(|x|)/Q(|x|) above; U and Q are monic, the leading 1 left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+def _erf_tail(x: float) -> float:
+    """erf(x) for |x| > 1 or NaN, in Python floats, so exp is the C library's
+    as in scipy; numpy's vectorized exp rounds differently on some inputs.
+    Cephes switches to a second rational form at |x| = 8, but from |x| ~ 6 on
+    its 1 - erfc rounds to 1.0 either way."""
+    if math.isnan(x):
+        return math.nan  # scipy's NaN, whatever the input's payload
+    a = abs(x)
+    if a >= 8.0:
+        return math.copysign(1.0, x)
+    p = _ERF_P[0]
+    for c in _ERF_P[1:]:
+        p = p * a + c
+    q = a + _ERF_Q[0]
+    for c in _ERF_Q[1:]:
+        q = q * a + c
+    return math.copysign(1.0 - math.exp(-a * a) * p / q, x)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, bit for bit ``scipy.special.erf`` (Cephes).
+
+    Every element takes the |x| <= 1 form, the others with 0 in place of x
+    so that huge inputs cannot overflow; those, a few per hidden layer in
+    training, are then overwritten one by one by ``_erf_tail``.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    small = np.abs(flat) <= 1.0  # False for NaN
+    s = np.where(small, flat, 0.0)
+    z = s * s
+    p = _ERF_T[0] * z
+    p += _ERF_T[1]
+    for c in _ERF_T[2:]:
+        p *= z
+        p += c
+    q = z + _ERF_U[0]
+    for c in _ERF_U[1:]:
+        q *= z
+        q += c
+    y = s * p
+    y /= q
+    for i in np.flatnonzero(~small).tolist():
+        y[i] = _erf_tail(float(flat[i]))
+    return y.reshape(x.shape)
+
+
+def gelu_erf(x: np.ndarray) -> np.ndarray:
+    """erf(x / sqrt(2)), which gelu and gelu_grad take as ``e``."""
+    return erf(x / math.sqrt(2.0))
+
+
+def gelu(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Exact Gaussian-CDF GELU: x * Phi(x), with Phi(x) = (1 + e) / 2."""
+    return 0.5 * x * (1.0 + e)
+
+
+def gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * phi
+    return 0.5 * (1.0 + e) + x * phi
 
 
 @dataclass
@@ -163,6 +233,7 @@ class ForwardCache:
     z: np.ndarray
     pre_activations: list
     activations: list  # activations[0] is z itself
+    erfs: list  # gelu_erf of each hidden layer's pre-activation
 
 
 def mlp_forward(params: MlpParams, z: np.ndarray, return_cache: bool = False):
@@ -173,15 +244,19 @@ def mlp_forward(params: MlpParams, z: np.ndarray, return_cache: bool = False):
             f"latent shape {z.shape} does not match input width {params.weights[0].shape[1]}"
         )
     h = z
-    pres, acts = [], [h]
+    pres, acts, erfs = [], [h], []
     last = len(params.weights) - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
         a = W @ h + b
         pres.append(a)
-        h = gelu(a) if k < last else a
+        if k < last:
+            erfs.append(gelu_erf(a))
+            h = gelu(a, erfs[-1])
+        else:
+            h = a
         acts.append(h)
     if return_cache:
-        return h, ForwardCache(z=z, pre_activations=pres, activations=acts)
+        return h, ForwardCache(z=z, pre_activations=pres, activations=acts, erfs=erfs)
     return h
 
 
@@ -236,7 +311,7 @@ def mlp_backward(params: MlpParams, cache: ForwardCache,
     n_layers = len(params.weights)
     for k in range(n_layers - 1, -1, -1):
         if k < n_layers - 1:
-            delta = delta * gelu_grad(cache.pre_activations[k])
+            delta = delta * gelu_grad(cache.pre_activations[k], cache.erfs[k])
         np.outer(delta, cache.activations[k], out=dW[k])
         db[k][...] = delta
         if k > 0:

@@ -191,7 +191,7 @@ def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
 # The calibrated model
 # ---------------------------------------------------------------------------
 
-NOISY_KINDS = frozenset({"id", "rz", "sx", "x", "cx"})
+NOISY_KINDS = frozenset({"rz", "sx", "x", "cx"})
 _RZ_PHASE = np.array([0.0, -1j, 1j, 0.0])
 
 
@@ -233,7 +233,7 @@ class NoiseModelSpec:
 
     @cached_property
     def single_qubit_channel(self) -> KrausChannel:
-        """Composite for id/rz/sx/x: bit flip, then depolarizing."""
+        """Composite for rz/sx/x: bit flip, then depolarizing."""
         return compose_channels(
             bitflip_channel(self.p_bitflip), depolarizing_channel(self.p_dep1, 1)
         )

@@ -3,8 +3,8 @@
 Index convention used everywhere in this package: qubit 0 is the MOST
 significant bit of the amplitude index.  For a 3-qubit register the basis
 state |q0 q1 q2> = |011> sits at amplitude index 0b011 = 3, and qubit 0
-owns the bitmask ``1 << 2``.  Tensor products follow the same rule:
-``tensor(a, b)`` puts ``a`` on the lower (more significant) qubit indices.
+owns the bitmask ``1 << 2``, so in a Kronecker product ``np.kron(a, b)``
+the first factor ``a`` takes the lower (more significant) qubit indices.
 
 One kernel, ``apply_on_axes``, multiplies every gate, Kraus operator and
 transfer matrix into a register: the register is a (2,)*m tensor, the
@@ -25,6 +25,9 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+# imported at load: numpy 2 loads numpy.random lazily, so otherwise the first
+# RngStream, built inside run_experiment, would pay for the import
+from numpy.random import PCG64, Generator
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class RngStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
+        self.gen = Generator(PCG64(self.seed))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"
@@ -394,13 +397,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
         perm = [remaining.index(q) for q in keep]
         t = t.transpose(perm + [k + p for p in perm])
     return DensityMatrix(k, t.reshape(2**k, 2**k), check=False)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker composite with ``a`` on the lower (more significant) qubits."""
-    return PureState(
-        a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes), check=False
-    )
 
 
 def zero_state(n: int) -> PureState:

@@ -63,6 +63,25 @@ class TestModuleEntryPoint:
         assert "error" in proc.stderr
 
 
+class TestImportSurface:
+    """What ``import swapfit.cli`` loads, in a fresh interpreter: scipy is a
+    test dependency only, and numpy.random is loaded up front rather than
+    lazily inside the first run."""
+
+    def test_cli_import(self):
+        src = str(Path(swapfit.__file__).resolve().parents[1])
+        code = ("import json, sys, swapfit.cli; "
+                "print(json.dumps(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'numpy'))))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+        assert "numpy.random" in loaded
+
+
 class TestConfigValidation:
     """Bad run settings exit 1 at validation time, before any trial runs."""
 
@@ -330,6 +349,32 @@ class TestReconstructCommand:
         assert named in captured.err
         assert captured.out == ""
         assert not store.exists()
+
+    @pytest.mark.parametrize("label,named", [
+        ("../x", "must be alphanumeric"),
+        ("taken", "already exists"),
+    ], ids=["malformed", "duplicate"])
+    def test_label_rejected_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                           label, named):
+        """A malformed label or one already stored exits 1 before any epoch
+        runs, and the store is left as it was."""
+        from swapfit import harness
+
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "taken.json").write_text("{}\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the optimization ran")
+
+        monkeypatch.setattr(harness, "_optimize", no_run)
+        assert main(["reconstruct", "--target", "zero", "--store", str(store),
+                     "--label", label]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "epoch" not in captured.out
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["store", "taken.json"]
+        assert (store / "taken.json").read_text() == "{}\n"
 
     def test_target_file(self, tmp_path, capsys):
         from swapfit.harness import preset_target

@@ -18,6 +18,7 @@ from swapfit.neural import (
     default_config,
     fd_gradient,
     gelu,
+    gelu_erf,
     gelu_grad,
     init_mlp,
     mlp_backward,
@@ -154,14 +155,30 @@ class TestInitAndForward:
     def test_gelu_values(self):
         x = np.array([-2.0, 0.0, 1.5])
         want = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-        np.testing.assert_allclose(gelu(x), want, atol=1e-15)
-        assert gelu(np.array([0.0]))[0] == 0.0
+        np.testing.assert_allclose(gelu(x, gelu_erf(x)), want, atol=1e-15)
+        assert gelu(np.zeros(1), gelu_erf(np.zeros(1)))[0] == 0.0
+
+    def test_cached_erf_gelu_is_the_scipy_formula(self):
+        """gelu and gelu_grad fed the forward pass's gelu_erf give the bits of
+        the formulas on scipy's erf, layer by layer through a real forward."""
+        params = init_mlp(default_config(2, Representation.STATEVECTOR), RngStream(13))
+        _, cache = mlp_forward(params, RngStream(14).gen.random(256), return_cache=True)
+        assert len(cache.erfs) == N_WEIGHT_LAYERS - 1
+        for k, e in enumerate(cache.erfs):
+            x = cache.pre_activations[k]
+            want_e = erf(x / np.sqrt(2.0))
+            phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+            assert np.array_equal(e, want_e)
+            assert np.array_equal(gelu(x, e), 0.5 * x * (1.0 + want_e))
+            assert np.array_equal(cache.activations[k + 1], gelu(x, e))
+            assert np.array_equal(gelu_grad(x, e), 0.5 * (1.0 + want_e) + x * phi)
 
     def test_gelu_grad_matches_fd(self):
         x = np.linspace(-3, 3, 13)
         eps = 1e-6
-        fd = (gelu(x + eps) - gelu(x - eps)) / (2 * eps)
-        np.testing.assert_allclose(gelu_grad(x), fd, atol=1e-9)
+        up, down = x + eps, x - eps
+        fd = (gelu(up, gelu_erf(up)) - gelu(down, gelu_erf(down))) / (2 * eps)
+        np.testing.assert_allclose(gelu_grad(x, gelu_erf(x)), fd, atol=1e-9)
 
     def test_forward_matches_naive_loop(self):
         """Layer arithmetic checked against the written-out recursion."""
@@ -172,7 +189,7 @@ class TestInitAndForward:
         h = z
         for k in range(N_WEIGHT_LAYERS):
             a = params.weights[k] @ h + params.biases[k]
-            h = gelu(a) if k < N_WEIGHT_LAYERS - 1 else a
+            h = gelu(a, gelu_erf(a)) if k < N_WEIGHT_LAYERS - 1 else a
         np.testing.assert_allclose(got, h, atol=1e-14)
 
     def test_last_layer_linear(self):
@@ -189,6 +206,50 @@ class TestInitAndForward:
         params = init_mlp(tiny_config(), RngStream(8))
         with pytest.raises(ValueError):
             mlp_forward(params, np.zeros(3))
+
+
+ERF_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+             np.nextafter(1.0, 0.0), 8.0, -8.0, np.nextafter(8.0, 0.0),
+             np.nextafter(-8.0, -9.0), np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, 26.6, -27.3, 1e200, -1.7976931348623157e308,
+             -np.nan, np.array(0x7FF8000000000001).view(float).item()]  # a NaN payload
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit patterns, NaN included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestErf:
+    """neural.erf is scipy.special.erf (Cephes) bit for bit."""
+
+    def test_edges(self):
+        x = np.array(ERF_EDGES)
+        assert same_bits(neural.erf(x), erf(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                    | st.floats(-1.5, 1.5) | st.floats(-9.0, 9.0)
+                    | st.sampled_from(ERF_EDGES), max_size=40))
+    def test_matches_scipy(self, values):
+        x = np.array(values, dtype=float)
+        assert same_bits(neural.erf(x), erf(x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 0.5, 2.0, 6.0]))
+    def test_matches_scipy_on_blocks(self, seed, scale):
+        """Whole arrays at the magnitudes of hidden pre-activations and
+        beyond, in any shape."""
+        x = np.random.default_rng(seed).normal(scale=scale, size=(3, 700))
+        assert same_bits(neural.erf(x), erf(x))
+
+    def test_shape_and_input_kept(self):
+        x = np.array([[2.0, -0.5], [9.0, np.nan]])
+        keep = x.copy()
+        assert neural.erf(x).shape == (2, 2)
+        assert same_bits(x, keep)
+        assert neural.erf(np.zeros(0)).shape == (0,)
 
 
 class TestFdGradient:

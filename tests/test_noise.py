@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from swapfit import sim
 from swapfit.noise import (
+    NOISY_KINDS,
     KrausChannel,
     NoiseModelSpec,
     apply_superop_dm,
@@ -197,12 +199,21 @@ class TestModel:
 
     def test_channel_for_mapping(self):
         model = default_noise_model()
-        for kind in ("id", "rz", "sx", "x"):
+        for kind in ("rz", "sx", "x"):
             assert model.channel_for(kind).arity == 1
         assert model.channel_for("cx").arity == 2
+        assert model.channel_for("id") is None
         assert model.channel_for("measure") is None
         assert model.channel_for("reset") is None
         assert model.channel_for("cswap") is None
+
+    @pytest.mark.parametrize("kind", sorted(NOISY_KINDS))
+    def test_noisy_kinds_are_buildable_basis_gates(self, kind):
+        """Each kind a channel follows is a GateOp kind with a fused transfer."""
+        op = GateOp(kind, tuple(range(sim._ARITY[kind])), angle=0.3 if kind == "rz" else None)
+        model = default_noise_model()
+        assert model.channel_for(kind).arity == len(op.qubits)
+        assert model.gate_transfer(op).shape == (4 ** len(op.qubits),) * 2
 
     def test_noiseless_model_returns_none(self):
         model = noiseless_model()

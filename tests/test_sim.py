@@ -31,7 +31,6 @@ from swapfit.sim import (
     reset_qubits,
     run_circuit,
     run_circuit_dm,
-    tensor,
     zero_state,
 )
 
@@ -103,7 +102,8 @@ class TestStates:
 
     def test_tensor_order(self):
         """First factor takes the more significant qubits."""
-        joint = tensor(basis_state(1, 1), basis_state(1, 0))
+        joint = PureState(2, np.kron(basis_state(1, 1).amplitudes,
+                                     basis_state(1, 0).amplitudes))
         assert joint.amplitudes[2] == 1.0
 
 
@@ -246,7 +246,7 @@ class TestPartialTrace:
     def test_product_state_separates(self):
         a = basis_state(1, 1)
         b = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
-        joint = tensor(a, b).density()
+        joint = PureState(2, np.kron(a.amplitudes, b.amplitudes)).density()
         np.testing.assert_allclose(partial_trace(joint, (0,)).entries,
                                    a.density().entries, atol=1e-14)
         np.testing.assert_allclose(partial_trace(joint, (1,)).entries,
