@@ -6,6 +6,18 @@ trials are independent and order-insensitive; workers may finish in any
 order but rows are sorted and written by a single writer.  results.csv and
 summary.json therefore contain deterministic values only; wall-clock times
 go to traces.json, which is documented as not byte-stable.
+
+Where trials run: ES trials one after another in the calling thread, MLP
+trials on a thread pool.  An ES trial is Python and numpy calls on arrays
+of at most a few hundred elements; each call that releases the interpreter
+lock hands it to the other trial thread and then waits to get it back.  On
+two trial threads (2 vCPUs, 30 trials at n=1..3, exact mode, traced) the
+process used 1.03 CPU-seconds per wall second and each trial waited 44%
+of its wall time, so the trials took 0.203 s of summed wall time against
+0.088 s inline, where they wait 0.05%.  An MLP trial spends most of its
+time in Adam's 64K-element blocks and the backward pass's outer products,
+which release the lock for long stretches, so its trials do overlap on a
+pool.
 """
 
 from __future__ import annotations
@@ -74,7 +86,7 @@ class ExperimentConfig:
     thresholds: tuple = (0.95, 0.99)
     base_seed: int = 0
     max_iters: int = 100
-    max_workers: int = 4
+    max_workers: int = 4  # bounds MLP trial threads only; ES trials run inline
     objective: str = "swap"
 
     def __post_init__(self):
@@ -311,17 +323,30 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _outcomes(work, jobs, threads: int):
+    """(job, work(job)) for each job, in job order: in the calling thread
+    for one thread, else on a pool of that many threads."""
+    if threads == 1:
+        yield from zip(jobs, map(work, jobs))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from zip(jobs, pool.map(work, jobs))
+
+
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Execute every trial, write results.csv + summary.json + traces.json.
 
     Per-trial failures are recorded in the summary and the run continues.
-    Trials run in a thread pool of min(max_workers, usable CPUs, trials)
-    threads: ``max_workers`` is an upper bound, because a trial thread
-    beyond the CPUs only waits for the GIL.  ``pool.map`` yields the
-    outcomes in job order whichever finished first, so rows, traces and
-    failures are appended as they arrive and come out ordered by (n,
-    trial), and the outputs do not depend on the thread count.  Returns
-    the summary dict (also written to disk).
+    ES trials run one after another in the calling thread: on a pool they
+    spend about half their wall time waiting for the interpreter lock (see
+    the module docstring).  MLP trials run in a thread pool of
+    min(max_workers, usable CPUs, trials) threads: ``max_workers`` is an
+    upper bound, because a trial thread beyond the CPUs only waits for the
+    lock, and a pool of one thread runs inline too.  Outcomes come in job
+    order either way, so rows, traces and failures are appended as they
+    arrive and come out ordered by (n, trial), and the outputs do not
+    depend on the thread count.  Returns the summary dict (also written to
+    disk).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -343,27 +368,26 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     traces: list = []
     failures: list = []
     per_n_records: dict = {}
-    workers = min(config.max_workers, usable_cpus(), len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for (n, trial, _), outcome in zip(jobs, pool.map(work, jobs)):
-            if isinstance(outcome, Exception):
-                # an optimizer names the failing epoch; its cause says why
-                cause = outcome.__cause__
-                error = str(outcome) if cause is None else f"{outcome}: {cause}"
-                failures.append({"n_qubits": n, "trial_id": trial, "error": error})
-                continue
-            target, solution, record = outcome
-            lines.append(results_csv_row(n, record, config.thresholds))
-            per_n_records.setdefault(n, []).append(record)
-            traces.append({
-                "trial_id": record.trial_id,
-                "n_qubits": n,
-                "seed": record.seed,
-                "fidelity_trace": record.fidelity_trace,
-                "wall_time": record.wall_time,
-                "target": _amplitude_payload(target.state),
-                "solution": _amplitude_payload(solution),
-            })
+    threads = 1 if config.method == "es" else min(config.max_workers, usable_cpus(), len(jobs))
+    for (n, trial, _), outcome in _outcomes(work, jobs, threads):
+        if isinstance(outcome, Exception):
+            # an optimizer names the failing epoch; its cause says why
+            cause = outcome.__cause__
+            error = str(outcome) if cause is None else f"{outcome}: {cause}"
+            failures.append({"n_qubits": n, "trial_id": trial, "error": error})
+            continue
+        target, solution, record = outcome
+        lines.append(results_csv_row(n, record, config.thresholds))
+        per_n_records.setdefault(n, []).append(record)
+        traces.append({
+            "trial_id": record.trial_id,
+            "n_qubits": n,
+            "seed": record.seed,
+            "fidelity_trace": record.fidelity_trace,
+            "wall_time": record.wall_time,
+            "target": _amplitude_payload(target.state),
+            "solution": _amplitude_payload(solution),
+        })
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
     summary = {

@@ -305,14 +305,15 @@ class TestRunExperiment:
 
 
 class TestThreadCap:
-    """The pool runs min(max_workers, usable CPUs, trials) threads, and the
-    thread count changes no deterministic output."""
+    """MLP trials run on a pool of min(max_workers, usable CPUs, trials)
+    threads, a pool of one runs inline, and the thread count changes no
+    deterministic output."""
 
     @staticmethod
-    def config(max_workers):
-        return ExperimentConfig(method="es", qubit_range=(1, 2), trials=2,
+    def config(max_workers, method="nn"):
+        return ExperimentConfig(method=method, qubit_range=(1, 2), trials=2,
                                 mode=FidelityMode.sampled(64), base_seed=31,
-                                max_iters=12, max_workers=max_workers)
+                                max_iters=3, max_workers=max_workers)
 
     @staticmethod
     def outputs(out):
@@ -346,7 +347,7 @@ class TestThreadCap:
         reference = run_experiment(self.config(1), tmp_path / "ref")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         summary = run_experiment(self.config(max_workers), tmp_path / "capped")
-        assert pool_sizes == [1, threads]
+        assert pool_sizes == ([threads] if threads > 1 else [])  # one thread runs inline
         assert summary["config"]["max_workers"] == max_workers
         assert reference["failures"] == summary["failures"] == []
         assert self.outputs(tmp_path / "capped") == self.outputs(tmp_path / "ref")
@@ -357,6 +358,16 @@ class TestThreadCap:
         assert harness.usable_cpus() == 3
         run_experiment(self.config(4), tmp_path)
         assert pool_sizes == [3]
+
+    def test_es_runs_inline(self, tmp_path, monkeypatch, pool_sizes):
+        """ES trials build no pool whatever max_workers and the CPUs allow."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        run_experiment(self.config(1, "es"), tmp_path / "ref")
+        summary = run_experiment(self.config(4, "es"), tmp_path / "es")
+        assert pool_sizes == []
+        assert summary["failures"] == []
+        assert ((tmp_path / "es" / "results.csv").read_bytes()
+                == (tmp_path / "ref" / "results.csv").read_bytes())
 
 
 class TestPresets:

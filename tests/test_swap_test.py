@@ -271,14 +271,16 @@ class TestNoisy:
                          "swapfit.prep.mottonen_circuit": 2}
 
     def test_six_qubit_noisy_score_is_fast(self):
-        """A cold n=6 noisy reading, target preparation included, takes under 1 s."""
+        """A cold n=6 noisy reading, target preparation included, takes under
+        1 s of this process's CPU time (every thread, BLAS included), which
+        another process sharing the CPUs does not inflate."""
         rng = RngStream(13)
         psi = sample_random_state(6, rng)
         phi = sample_random_state(6, rng)
         mode = FidelityMode.noisy(default_noise_model(), 1024)
-        start = time.perf_counter()
+        start = time.process_time()
         score_candidate(phi, psi, mode, rng)
-        assert time.perf_counter() - start < 1.0
+        assert time.process_time() - start < 1.0
 
 
 class TestMixed:
