@@ -50,7 +50,6 @@ from .sim import DensityMatrix, GateOp, PureState, RngStream
 from .swap_test import (
     Estimator,
     FidelityMode,
-    RegisterLayout,
     fidelity_oracle,
     score_candidate,
     swap_test_exact,

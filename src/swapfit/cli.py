@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 for configuration/usage errors, 2 for runtime
 failures (including runs that completed with recorded per-trial failures).
+
+``run`` and ``reconstruct`` keep only the flags given: an unset flag is
+absent from the parsed namespace, so it takes ``ExperimentConfig``'s or
+``reconstruct()``'s default, and no default is written here.
 """
 
 from __future__ import annotations
@@ -35,14 +39,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Given(argparse.Action):
-    """argparse's plain store, which also lists the flag in ``given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*namespace.given, self.option_strings[0])
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here wants 1."""
 
@@ -59,6 +55,10 @@ def _parse_qubits(text: str) -> tuple:
     return n, n
 
 
+def _parse_thresholds(text: str) -> tuple:
+    return tuple(float(t) for t in text.split(","))
+
+
 def _parse_noise(text: str) -> NoiseModelSpec | None:
     if text == "default":
         return default_noise_model()
@@ -71,63 +71,65 @@ def _parse_noise(text: str) -> NoiseModelSpec | None:
 _MODE_FLAGS = {"exact": (), "sampled": ("shots",), "noisy": ("shots", "noise")}
 
 
-def _build_mode(args) -> FidelityMode:
+def _build_mode(flags: dict) -> FidelityMode:
+    """The mode the given flags name; takes --mode, --shots and --noise out of ``flags``."""
+    kind = flags.pop("mode", "exact")
     for flag in ("shots", "noise"):
-        if getattr(args, flag) is not None and flag not in _MODE_FLAGS[args.mode]:
-            raise ValueError(f"--mode {args.mode} does not read --{flag}")
-    shots = DEFAULT_SHOTS if args.shots is None else args.shots
-    if args.mode == "exact":
+        if flag in flags and flag not in _MODE_FLAGS[kind]:
+            raise ValueError(f"--mode {kind} does not read --{flag}")
+    shots = flags.pop("shots", DEFAULT_SHOTS)
+    if kind == "exact":
         return FidelityMode.exact()
-    if args.mode == "sampled":
+    if kind == "sampled":
         return FidelityMode.sampled(shots)
-    noise = _parse_noise("default" if args.noise is None else args.noise)
+    noise = _parse_noise(flags.pop("noise", "default"))
     if noise is None:
         raise ValueError("--mode noisy requires --noise default or --noise <file>")
     return FidelityMode.noisy(noise, shots)
 
 
-def _add_mode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["exact", "sampled", "noisy"], default="exact")
+def _add_run_flags(p: argparse.ArgumentParser, seed_dest: str) -> None:
+    """The flags ``run`` and ``reconstruct`` share."""
+    p.add_argument("--method", choices=["es", "nn"])
+    p.add_argument("--repr", dest="representation", type=Representation,
+                   metavar="{" + ",".join(r.value for r in Representation) + "}")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--objective", choices=OBJECTIVES)
+    p.add_argument("--mode", choices=list(_MODE_FLAGS))
     p.add_argument("--shots", type=int,
                    help=f"sampled and noisy modes: shots per reading ({DEFAULT_SHOTS} if unset)")
     p.add_argument("--noise",
                    help="noisy mode: default (if unset), none, or a JSON file path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest=seed_dest, type=int, metavar="SEED")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swapfit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="batch experiment over random targets")
-    # every run flag records itself, so _cmd_run can tell a flag from its default
-    run.register("action", None, _Given)
-    run.set_defaults(given=())
+    # an unset run or reconstruct flag is left out of the namespace
+    run = sub.add_parser("run", help="batch experiment over random targets",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--config", help="JSON config file; no flag but --out may be given with it")
-    run.add_argument("--method", choices=["es", "nn"], default="es")
-    run.add_argument("--repr", dest="representation",
-                     choices=[r.value for r in Representation], default="statevector")
-    run.add_argument("--qubits", default="1", help="N or LO:HI (within 1..6)")
-    run.add_argument("--trials", type=int, default=100,
-                     help="trials per qubit count (100 default; use 1000 for full scale)")
-    run.add_argument("--thresholds", default="0.95,0.99")
-    run.add_argument("--max-iters", type=int, default=100)
-    run.add_argument("--objective", choices=OBJECTIVES, default="swap")
+    run.add_argument("--qubits", dest="qubit_range", type=_parse_qubits, metavar="QUBITS",
+                     help="N or LO:HI (within 1..6)")
+    run.add_argument("--trials", type=int,
+                     help="trials per qubit count (use 1000 for full scale)")
+    run.add_argument("--thresholds", type=_parse_thresholds,
+                     help="comma-separated fidelity thresholds")
     run.add_argument("--out", required=True, help="output directory")
-    _add_mode_flags(run)
+    _add_run_flags(run, "base_seed")
 
-    rec = sub.add_parser("reconstruct", help="reconstruct one target state")
+    rec = sub.add_parser("reconstruct", help="reconstruct one target state",
+                         argument_default=argparse.SUPPRESS)
     rec.add_argument("--target", required=True,
                      help=f"preset {'|'.join(PRESETS)} or a TargetSpec JSON file")
-    rec.add_argument("--qubits", type=int, default=1)
-    rec.add_argument("--method", choices=["es", "nn"], default="es")
-    rec.add_argument("--repr", dest="representation",
-                     choices=[r.value for r in Representation], default="statevector")
-    rec.add_argument("--max-iters", type=int, default=100)
-    rec.add_argument("--objective", choices=OBJECTIVES, default="swap")
-    rec.add_argument("--store", help="snapshot store directory for the solution")
+    rec.add_argument("--qubits", dest="n_qubits", type=int, metavar="QUBITS",
+                     help="qubits of a preset target; a target file sets its own")
+    rec.add_argument("--store", type=SnapshotStore,
+                     help="snapshot store directory for the solution")
     rec.add_argument("--label", help="snapshot label (default derived)")
-    _add_mode_flags(rec)
+    _add_run_flags(rec, "seed")
 
     ent = sub.add_parser("entropy-report", help="entanglement entropy comparison")
     ent.add_argument("--traces", required=True, help="traces.json from a run")
@@ -146,27 +148,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The parser ``build_parser`` made for one subcommand."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+def _check_config_alone(parser: argparse.ArgumentParser, flags: dict) -> None:
+    """The config file sets every run option, so any other flag but --out
+    is an error, named in command-line order."""
+    options = {a.dest: a.option_strings[0] for a in _subcommand(parser, "run")._actions}
+    ignored = [options[dest] for dest in flags if dest not in ("config", "out")]
+    if ignored:
+        raise ValueError(f"--config sets every run option; drop {', '.join(ignored)}")
+
+
 def _cmd_run(args) -> int:
-    if args.config:
-        ignored = [flag for flag in args.given if flag not in ("--config", "--out")]
-        if ignored:
-            raise ValueError(f"--config sets every run option; drop {', '.join(ignored)}")
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
+    flags = vars(args)
+    out = flags.pop("out")
+    if "config" in flags:
+        config = ExperimentConfig.from_json(Path(flags["config"]).read_text())
     else:
-        lo, hi = _parse_qubits(args.qubits)
-        config = ExperimentConfig(
-            method=args.method,
-            representation=Representation(args.representation),
-            qubit_range=(lo, hi),
-            trials=args.trials,
-            mode=_build_mode(args),
-            thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-            base_seed=args.seed,
-            max_iters=args.max_iters,
-            objective=args.objective,
-        )
-    summary = run_experiment(config, args.out)
-    print(f"wrote {args.out}/results.csv, summary.json, traces.json")
+        config = ExperimentConfig(mode=_build_mode(flags), **flags)
+    summary = run_experiment(config, out)
+    print(f"wrote {out}/results.csv, summary.json, traces.json")
     for n, stats in summary["per_qubit_count"].items():
         top = max(config.thresholds)
         block = stats[f"threshold_{top}"]
@@ -183,22 +188,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.target in PRESETS:
-        target = preset_target(args.target, n_qubits=args.qubits, seed=args.seed)
+    flags = vars(args)
+    name = flags.pop("target")
+    if name in PRESETS:
+        # --seed also draws the random preset; --qubits sizes a preset only
+        shape = {key: flags[key] for key in ("n_qubits", "seed") if key in flags}
+        flags.pop("n_qubits", None)
+        target = preset_target(name, **shape)
+    elif "n_qubits" in flags:
+        raise ValueError(f"--target {name} is a file, which sets the qubit count; "
+                         "drop --qubits")
     else:
-        target = load_target_file(args.target)
-    store = SnapshotStore(args.store) if args.store else None
-    result = reconstruct(
-        target,
-        method=args.method,
-        representation=Representation(args.representation),
-        mode=_build_mode(args),
-        seed=args.seed,
-        max_iters=args.max_iters,
-        store=store,
-        label=args.label,
-        objective=args.objective,
-    )
+        target = load_target_file(name)
+    result = reconstruct(target, mode=_build_mode(flags), **flags)
     record = result["record"]
     for epoch, f in enumerate(record.fidelity_trace, start=1):
         print(f"epoch {epoch}: fidelity {f:.6f}")
@@ -207,7 +209,7 @@ def _cmd_reconstruct(args) -> int:
         f"final={record.final_fidelity:.6f} oracle={record.oracle_fidelity:.6f}"
     )
     if result["stored_as"]:
-        print(f"solution stored as {result['stored_as']!r} in {args.store}")
+        print(f"solution stored as {result['stored_as']!r} in {flags['store'].root}")
     return 0
 
 
@@ -275,8 +277,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # what is left in vars(args) are the command's flags
+    command = vars(args).pop("command")
     try:
-        return _COMMANDS[args.command](args)
+        if "config" in vars(args):
+            _check_config_alone(parser, vars(args))
+        return _COMMANDS[command](args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,9 +76,13 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One batch configuration: method x representation x qubit range."""
+    """One batch configuration: method x representation x qubit range.
 
-    method: str  # "es" or "nn"
+    The field defaults are those of ``swapfit run`` and of a config file,
+    which pass only the flags or keys given.
+    """
+
+    method: str = "es"  # or "nn"
     representation: Representation = Representation.STATEVECTOR
     qubit_range: tuple = (1, 1)  # inclusive (lo, hi)
     trials: int = 100
@@ -141,26 +145,22 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"config has unknown field(s) {unknown}")
+        # required, though the field has a default: a config file names its optimizer
+        if "method" not in raw:
+            raise ValueError("config missing required field 'method'")
+        given = dict(raw)
+        noise = given.pop("noise", None)
         try:
-            mode = FidelityMode.from_label(raw.get("mode", "exact"))
-            if mode.kind == "noisy" and raw.get("noise") is not None:
-                mode = FidelityMode.noisy(
-                    NoiseModelSpec.from_json(json.dumps(raw["noise"])), mode.shots
+            for key, decode in (("representation", Representation), ("qubit_range", tuple),
+                                ("thresholds", tuple), ("mode", FidelityMode.from_label)):
+                if key in given:
+                    given[key] = decode(given[key])
+            mode = given.get("mode")
+            if mode is not None and mode.kind == "noisy" and noise is not None:
+                given["mode"] = FidelityMode.noisy(
+                    NoiseModelSpec.from_json(json.dumps(noise)), mode.shots
                 )
-            return ExperimentConfig(
-                method=raw["method"],
-                representation=Representation(raw.get("representation", "statevector")),
-                qubit_range=tuple(raw.get("qubit_range", [1, 1])),
-                trials=raw.get("trials", 100),
-                mode=mode,
-                thresholds=tuple(raw.get("thresholds", [0.95, 0.99])),
-                base_seed=raw.get("base_seed", 0),
-                max_iters=raw.get("max_iters", 100),
-                max_workers=raw.get("max_workers", 4),
-                objective=raw.get("objective", "swap"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"config missing required field {exc.args[0]!r}") from exc
+            return ExperimentConfig(**given)
         except TypeError as exc:
             raise ValueError(f"config field of the wrong type: {exc}") from exc
 
@@ -459,6 +459,9 @@ def reconstruct(target: TargetSpec, method: str = "es",
                 store: "SnapshotStore | None" = None, label: str | None = None,
                 objective: str = "swap") -> dict:
     """One reconstruction run; optionally deposits the solution in a store.
+
+    The defaults are those of ``swapfit reconstruct``, which passes only the
+    flags given.
 
     The store keeps pure states and a label names a new stored solution, so
     a store next to the density representation, a label without a store, a

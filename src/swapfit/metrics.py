@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import TOL, DensityMatrix, PureState, partial_trace
+from .sim import TOL, DensityMatrix, PureState
 
 # Ceiling on the success of state discrimination through SWAP-test readings
 SWAP_DISCRIMINATION_BOUND = 0.75
@@ -57,23 +57,35 @@ def _clamped_eigvals(rho: DensityMatrix) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def von_neumann_entropy(rho: DensityMatrix, natural_log: bool = False) -> float:
-    """-sum lambda log lambda over the spectrum, with 0 log 0 := 0."""
-    vals = _clamped_eigvals(rho)
+def _spectrum_entropy(vals: np.ndarray, natural_log: bool) -> float:
     nz = vals[vals > 0.0]
     log = np.log(nz) if natural_log else np.log2(nz)
     return max(0.0, float(-np.sum(nz * log)))
 
 
+def von_neumann_entropy(rho: DensityMatrix, natural_log: bool = False) -> float:
+    """-sum lambda log lambda over the spectrum, with 0 log 0 := 0."""
+    return _spectrum_entropy(_clamped_eigvals(rho), natural_log)
+
+
 def bipartite_entropy(psi: PureState, partition, natural_log: bool = False) -> float:
-    """Entanglement entropy of a pure state across the given cut."""
+    """Entanglement entropy of a pure state across the given cut.
+
+    The reduced state's spectrum is the Schmidt probabilities: the squared
+    singular values of the amplitudes as a (2^k, 2^(n-k)) matrix with the
+    k partition qubits first.  No density matrix is built.
+    """
+    n = psi.n_qubits
     part = tuple(partition)
     if not part or len(set(part)) != len(part):
         raise ValueError(f"partition must be nonempty and distinct, got {part}")
-    if set(part) == set(range(psi.n_qubits)):
-        raise ValueError("partition must be a proper subset of the register")
-    reduced = partial_trace(psi.density(), part)
-    return von_neumann_entropy(reduced, natural_log=natural_log)
+    if not set(part) < set(range(n)):
+        raise ValueError(f"partition must be a proper subset of the qubits 0..{n - 1}, "
+                         f"got {part}")
+    rest = tuple(q for q in range(n) if q not in part)
+    amps = psi.amplitudes.reshape((2,) * n).transpose(part + rest)
+    schmidt = np.linalg.svd(amps.reshape(2 ** len(part), -1), compute_uv=False)
+    return _spectrum_entropy(schmidt**2, natural_log)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

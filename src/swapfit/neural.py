@@ -56,7 +56,6 @@ class GeneratorConfig:
     fd_epsilon: float = 1e-3
     scaling_factor: float = 100.0
     max_epochs: int = 500
-    latent_mode: str = "resample"  # or "fixed"
     thresholds: tuple = (0.95, 0.99)
     stop_threshold: float = 0.999
 
@@ -73,8 +72,6 @@ class GeneratorConfig:
             raise ValueError("fd_epsilon must be positive")
         if self.scaling_factor <= 0.0:
             raise ValueError("scaling_factor must be positive")
-        if self.latent_mode not in ("resample", "fixed"):
-            raise ValueError(f"unknown latent_mode {self.latent_mode!r}")
         if not self.learning_rate > 0.0:  # also rejects NaN
             raise ValueError("learning_rate must be positive")
         if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
@@ -369,7 +366,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
                     objective: str = "swap") -> tuple[object, MlpParams, TrialRecord]:
     """Train until the stop threshold or max_epochs; returns the best state.
 
-    Per epoch: draw (or reuse) the latent, forward, decode, score through
+    Per epoch: draw the latent, forward, decode, score through
     the SWAP signal, finite-difference the loss on the raw output, backprop,
     Adam.  The 2*dim probes are decoded one block of rows at a time into
     one array, and the trial's ``Estimator`` takes each block's values in
@@ -389,8 +386,8 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     estimator = Estimator(target.state, mode, objective)
     log = EpochLog(config.thresholds, stop_at=config.stop_threshold)
     params = init_mlp(config, rng)
-    # drawn in "resample" mode too, unread there: skipping it would shift every trial's stream
-    fixed_z = rng.gen.random(config.latent_dim)
+    # a latent no epoch reads: skipping its draw would shift every trial's stream
+    rng.gen.random(config.latent_dim)
     n = target.n_qubits
 
     def losses_at(probes: np.ndarray) -> list:
@@ -403,7 +400,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
 
     for epoch in range(1, config.max_epochs + 1):
         try:
-            z = fixed_z if config.latent_mode == "fixed" else rng.gen.random(config.latent_dim)
+            z = rng.gen.random(config.latent_dim)
             raw, cache = mlp_forward(params, z, return_cache=True)
             state = representation.decode(raw, n)
             f = score_candidate(state, target.state, mode, rng, objective,

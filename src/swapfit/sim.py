@@ -128,9 +128,6 @@ class DensityMatrix:
         self.n_qubits = n_qubits
         self.entries = mat
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.entries.copy(), check=False)
-
     def validate(self) -> None:
         """Full invariant check including positivity (eigendecomposition)."""
         herm = np.max(np.abs(self.entries - self.entries.conj().T))
@@ -371,32 +368,6 @@ def expectation_z(state, qubit: int) -> float:
         raise TypeError(f"unsupported state type {type(state)}")
     p0 = float(np.sum(_bit_view(probs, state.n_qubits, qubit)[:, 0]))
     return 2.0 * p0 - 1.0
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep``; result qubit i is keep[i]."""
-    n = rho.n_qubits
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep list must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate qubit indices in {keep}")
-    _check_qubits(n, keep)
-    if sorted(keep) == list(range(n)) and keep == list(range(n)):
-        return rho.copy()
-    traced = sorted(set(range(n)) - set(keep), reverse=True)
-    t = rho.entries.reshape((2,) * (2 * n))
-    remaining = list(range(n))
-    for q in traced:
-        i = remaining.index(q)
-        m = len(remaining)
-        t = np.trace(t, axis1=i, axis2=m + i)
-        remaining.pop(i)
-    k = len(remaining)
-    if remaining != keep:
-        perm = [remaining.index(q) for q in keep]
-        t = t.transpose(perm + [k + p for p in perm])
-    return DensityMatrix(k, t.reshape(2**k, 2**k), check=False)
 
 
 def zero_state(n: int) -> PureState:

@@ -53,33 +53,6 @@ from .sim import (
 )
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Index bookkeeping for the 2n+1-qubit estimator register."""
-
-    n_qubits: int
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-
-    @property
-    def ancilla(self) -> int:
-        return 0
-
-    @property
-    def target(self) -> tuple:
-        return tuple(range(1, self.n_qubits + 1))
-
-    @property
-    def candidate(self) -> tuple:
-        return tuple(range(self.n_qubits + 1, 2 * self.n_qubits + 1))
-
-    @property
-    def total(self) -> int:
-        return 2 * self.n_qubits + 1
-
-
 DEFAULT_SHOTS = 1024
 
 
@@ -97,13 +70,14 @@ def fidelity_oracle(psi: PureState, phi: PureState) -> float:
 
 
 def swap_gadget_ops(n_qubits: int) -> list[GateOp]:
-    """H(ancilla), one cswap per pair, H(ancilla); not yet lowered."""
-    lay = RegisterLayout(n_qubits)
-    ops = [GateOp.h(lay.ancilla)]
-    for t, c in zip(lay.target, lay.candidate):
-        ops.append(GateOp.cswap(lay.ancilla, t, c))
-    ops.append(GateOp.h(lay.ancilla))
-    return ops
+    """H(ancilla), one cswap per pair, H(ancilla); not yet lowered.
+
+    Ancilla 0, target 1..n, candidate n+1..2n, as in the module docstring.
+    """
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    cswaps = [GateOp.cswap(0, t, t + n_qubits) for t in range(1, n_qubits + 1)]
+    return [GateOp.h(0), *cswaps, GateOp.h(0)]
 
 
 def _joint_state(psi: PureState, phi: PureState) -> PureState:

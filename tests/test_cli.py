@@ -1,5 +1,6 @@
 """End-to-end command-line checks (exit codes and printed artifacts)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import swapfit
-from swapfit import harness
-from swapfit.cli import _build_mode, build_parser, main
+from swapfit import cli, harness
+from swapfit.cli import _build_mode, _subcommand, build_parser, main
 from swapfit.harness import ExperimentConfig
 from swapfit.noise import NoiseModelSpec, default_noise_model
 from swapfit.swap_test import DEFAULT_SHOTS, FidelityMode
@@ -177,7 +178,7 @@ class TestConfigValidation:
     ])
     def test_unset_mode_flags_take_defaults(self, flags, want):
         for command in (["run", "--out", "unused"], ["reconstruct", "--target", "zero"]):
-            assert _build_mode(build_parser().parse_args([*command, *flags])) == want
+            assert _build_mode(vars(build_parser().parse_args([*command, *flags]))) == want
 
     def test_density_reconstruct_rejects_stochastic_mode(self, tmp_path, capsys):
         """Density matrices are scored exactly, so a shot label would be false."""
@@ -241,6 +242,45 @@ class TestConfigValidation:
 
         with pytest.raises(ValueError, match="bogus"):
             ExperimentConfig(method="nn", objective="bogus")
+
+
+class TestDefaults:
+    """Each run default lives on ExperimentConfig and each reconstruct default
+    in reconstruct()'s signature; the CLI passes only the flags given."""
+
+    def test_run_flags_are_config_fields(self):
+        run = _subcommand(build_parser(), "run")
+        dests = {a.dest for a in run._actions if a.option_strings} - {"help"}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert dests - fields <= {"config", "out", "mode", "shots", "noise"}
+        assert vars(run.parse_args(["--out", "d"])) == {"out": "d"}
+
+    def test_unset_run_flags_take_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(config, out_dir):
+            seen.append(config)
+            return {"per_qubit_count": {}, "failures": []}
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        assert main(["run", "--out", str(tmp_path)]) == 0
+        assert seen == [ExperimentConfig(method="es")]
+
+    def test_unset_reconstruct_flags_take_its_defaults(self, monkeypatch):
+        seen = []
+
+        def spy(target, method, representation, mode, rng, thresholds, max_iters,
+                objective, trial_id=0):
+            seen.append((target.n_qubits, target.state.amplitudes.tolist(), method,
+                         representation, mode, rng.seed, tuple(thresholds), max_iters,
+                         objective, trial_id))
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(harness, "_optimize", spy)
+        with pytest.raises(RuntimeError, match="stop after the call"):
+            harness.reconstruct(harness.preset_target("zero"))
+        assert main(["reconstruct", "--target", "zero"]) == 2
+        assert len(seen) == 2 and seen[0] == seen[1]
 
 
 class TestRunCommand:
@@ -385,6 +425,16 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--target", str(path), "--seed", "5",
                      "--max-iters", "60"])
         assert code == 0
+
+    def test_qubits_next_to_target_file_rejected(self, tmp_path, capsys):
+        """A target file sets its own qubit count, so --qubits exits 1 and is
+        named, instead of being ignored."""
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n_qubits": 1, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+        assert main(["reconstruct", "--target", str(path), "--qubits", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "drop --qubits" in captured.err
+        assert captured.out == ""
 
     def test_target_file_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -1,5 +1,7 @@
 """Mixed-state and entanglement diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from swapfit.metrics import (
     uhlmann_fidelity,
     von_neumann_entropy,
 )
-from swapfit.sim import DensityMatrix, GateOp, RngStream, run_circuit, zero_state
+from swapfit.sim import DensityMatrix, GateOp, PureState, RngStream, run_circuit, zero_state
 from swapfit.prep import sample_random_density, sample_random_state
 
 
@@ -63,6 +65,21 @@ class TestEntropy:
             bipartite_entropy(bell_state(), (0, 1))
         with pytest.raises(ValueError):
             bipartite_entropy(bell_state(), ())
+        with pytest.raises(ValueError, match="proper subset"):
+            bipartite_entropy(bell_state(), (2,))
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+    def test_against_dense_partial_trace(self, n_qubits):
+        """The Schmidt probabilities give the entropy of the reduced density
+        matrix, summed index by index, for every proper partition in both
+        qubit orders."""
+        amps = oracles.random_state_dense(n_qubits, np.random.default_rng(80 + n_qubits))
+        psi, rho = PureState(n_qubits, amps), np.outer(amps, amps.conj())
+        for k in range(1, n_qubits):
+            for part in itertools.combinations(range(n_qubits), k):
+                want = oracles.entropy_bits(oracles.partial_trace_dense(rho, n_qubits, part))
+                for order in (part, part[::-1]):
+                    assert abs(bipartite_entropy(psi, order) - want) <= 1e-12
 
 
 class TestUhlmann:

@@ -56,10 +56,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(layer_widths=(4, 4, 4))
 
-    def test_bad_latent_mode_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_config(latent_mode="frozen")
-
     @pytest.mark.parametrize("overrides", [
         {"max_epochs": 0},
         {"thresholds": (1.5,)},
@@ -584,18 +580,6 @@ class TestTrainGenerator:
         _, _, rec = train_generator(target, cfg, FidelityMode.exact(), rng)
         if len(rec.fidelity_trace) < cfg.max_epochs:
             assert rec.fidelity_trace[-1] >= cfg.stop_threshold
-
-    def test_fixed_latent_mode_differs(self):
-        rng_a = RngStream(305)
-        target = TargetSpec(1, sample_random_state(1, rng_a), seed=305)
-        cfg_fix = default_config(1, Representation.STATEVECTOR, max_epochs=10,
-                                 latent_mode="fixed")
-        cfg_re = default_config(1, Representation.STATEVECTOR, max_epochs=10)
-        _, _, rec_fix = train_generator(target, cfg_fix, FidelityMode.exact(),
-                                        RngStream(306))
-        _, _, rec_re = train_generator(target, cfg_re, FidelityMode.exact(),
-                                       RngStream(306))
-        assert rec_fix.fidelity_trace != rec_re.fidelity_trace
 
     def test_config_width_mismatch_rejected(self):
         rng = RngStream(307)

@@ -1,4 +1,4 @@
-"""Simulator substrate: gate kernels, measurement, partial trace, lowering."""
+"""Simulator substrate: gate kernels, measurement, lowering."""
 
 import dataclasses
 import importlib
@@ -27,7 +27,6 @@ from swapfit.sim import (
     lower_op,
     lower_ops,
     lower_ry,
-    partial_trace,
     reset_qubits,
     run_circuit,
     run_circuit_dm,
@@ -222,41 +221,6 @@ class TestMeasurement:
         k1 = np.array([[0, 1], [0, 0]], dtype=complex)
         want = oracles.apply_kraus_dense(rho, [k0, k1], 2, (0,))
         np.testing.assert_allclose(out.entries, want, atol=1e-13)
-
-
-class TestPartialTrace:
-    @pytest.mark.parametrize("keep", [(0,), (1,), (0, 1), (2,), (1, 2)])
-    def test_against_dense(self, keep):
-        rng = np.random.default_rng(hash(keep) % 1000)
-        rho = oracles.random_density_dense(3, rng)
-        got = partial_trace(DensityMatrix(3, rho), keep)
-        want = oracles.partial_trace_dense(rho, 3, keep)
-        np.testing.assert_allclose(got.entries, want, atol=1e-13)
-
-    def test_unsorted_keep_transposes(self):
-        """Keeping (1, 0) must swap the subsystem order relative to (0, 1)."""
-        rng = np.random.default_rng(41)
-        rho = DensityMatrix(2, oracles.random_density_dense(2, rng))
-        fwd = partial_trace(rho, (0, 1))
-        rev = partial_trace(rho, (1, 0))
-        perm = [0, 2, 1, 3]
-        np.testing.assert_allclose(rev.entries, fwd.entries[np.ix_(perm, perm)],
-                                   atol=1e-14)
-
-    def test_product_state_separates(self):
-        a = basis_state(1, 1)
-        b = PureState(1, np.array([1, 1j], dtype=complex) / np.sqrt(2))
-        joint = PureState(2, np.kron(a.amplitudes, b.amplitudes)).density()
-        np.testing.assert_allclose(partial_trace(joint, (0,)).entries,
-                                   a.density().entries, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(joint, (1,)).entries,
-                                   b.density().entries, atol=1e-14)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(3)
-        rho = DensityMatrix(3, oracles.random_density_dense(3, rng))
-        reduced = partial_trace(rho, (1,))
-        np.testing.assert_allclose(np.trace(reduced.entries), 1.0, atol=1e-13)
 
 
 class TestLowering:

@@ -32,7 +32,6 @@ from swapfit.swap_test import (
     DEFAULT_SHOTS,
     Estimator,
     FidelityMode,
-    RegisterLayout,
     fidelity_oracle,
     noisy_circuit_ops,
     score_candidate,
@@ -69,15 +68,15 @@ FLOOR_2Q = 0.7444893200195593
 
 class TestLayout:
     def test_register_indices(self):
-        lay = RegisterLayout(3)
-        assert lay.ancilla == 0
-        assert lay.target == (1, 2, 3)
-        assert lay.candidate == (4, 5, 6)
-        assert lay.total == 7
+        """Ancilla 0, target 1..3, candidate 4..6: seven qubits in all."""
+        ops = swap_gadget_ops(3)
+        assert [op.kind for op in ops] == ["h", "cswap", "cswap", "cswap", "h"]
+        assert [op.qubits for op in ops] == [(0,), (0, 1, 4), (0, 2, 5), (0, 3, 6), (0,)]
+        assert {q for op in ops for q in op.qubits} == set(range(7))
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
-            RegisterLayout(0)
+            swap_gadget_ops(0)
 
 
 class TestExact:
