@@ -11,6 +11,7 @@ absent from the parsed namespace, so it takes ``ExperimentConfig``'s or
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from .harness import (
     SnapshotStore,
     TimingBudget,
     check_timing_budget,
+    derive_seed,
     entropy_pairs_from_traces,
     entropy_report,
     load_target_file,
@@ -191,10 +193,12 @@ def _cmd_reconstruct(args) -> int:
     flags = vars(args)
     name = flags.pop("target")
     if name in PRESETS:
-        # --seed also draws the random preset; --qubits sizes a preset only
-        shape = {key: flags[key] for key in ("n_qubits", "seed") if key in flags}
-        flags.pop("n_qubits", None)
-        target = preset_target(name, **shape)
+        # --qubits sizes a preset only.  The random preset is drawn as `run
+        # --seed S` draws its first trial's target, from derive_seed(S, 0),
+        # and not from RngStream(S), which the optimizer starts from
+        seed = flags.get("seed", inspect.signature(reconstruct).parameters["seed"].default)
+        shape = {"n_qubits": flags.pop("n_qubits")} if "n_qubits" in flags else {}
+        target = preset_target(name, seed=derive_seed(seed, 0), **shape)
     elif "n_qubits" in flags:
         raise ValueError(f"--target {name} is a file, which sets the qubit count; "
                          "drop --qubits")

@@ -19,6 +19,7 @@ returned as the solution.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -157,12 +158,16 @@ def standardized_advantages(fidelities, epsilon: float = 1e-8) -> np.ndarray:
     """A_i = (F_i - mean F) / (population std F + epsilon).
 
     All-equal scores give exactly zero advantages, so a converged or
-    flat-landscape population leaves w untouched.
+    flat-landscape population leaves w untouched.  One pass of the
+    operations ``F.mean()`` and ``F.std()`` make, with the deviations
+    computed once: the same bits, without their per-call overhead.
     """
     F = np.asarray(fidelities, dtype=float)
-    if F.shape[0] < 2:
+    n = F.shape[0]
+    if n < 2:
         raise ValueError("need at least two fidelities to standardize")
-    return (F - F.mean()) / (F.std() + epsilon)
+    d = F - F.sum() / n
+    return d / (math.sqrt((d * d).sum() / n) + epsilon)
 
 
 def es_update(w: np.ndarray, Z: np.ndarray, advantages, params: ESParams) -> np.ndarray:

@@ -502,8 +502,8 @@ def reconstruct(target: TargetSpec, method: str = "es",
 class SnapshotStore:
     """Directory of reconstructed states, one JSON file per label.
 
-    Deposit keeps the exact amplitudes (bit-exact round trip); withdrawal is
-    a get plus Mottonen synthesis on a device or simulator.
+    Deposit keeps the exact amplitudes, so ``prep.state_from_record`` reads
+    a stored file back bit for bit.
     """
 
     _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -511,17 +511,14 @@ class SnapshotStore:
     def __init__(self, root):
         self.root = Path(root)  # created by the first put
 
-    def _path(self, label: str) -> Path:
+    def new_path(self, label: str) -> Path:
+        """The file a new snapshot under ``label`` goes to; ValueError if the
+        label is malformed or already taken."""
         if not self._LABEL_RE.match(label):
             raise ValueError(
                 f"label {label!r} must be alphanumeric with ._- separators"
             )
-        return self.root / f"{label}.json"
-
-    def new_path(self, label: str) -> Path:
-        """The file a new snapshot under ``label`` goes to; ValueError if the
-        label is malformed or already taken."""
-        path = self._path(label)
+        path = self.root / f"{label}.json"
         if path.exists():
             raise ValueError(f"label {label!r} already exists in the store")
         return path
@@ -537,18 +534,6 @@ class SnapshotStore:
             "created_from": created_from or {},
         }
         path.write_text(json.dumps(payload) + "\n")
-
-    def get(self, label: str) -> PureState:
-        path = self._path(label)
-        if not path.exists():
-            raise KeyError(f"no snapshot stored under label {label!r}")
-        raw = json.loads(path.read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: a snapshot must be a JSON object")
-        return state_from_record(raw.get("n_qubits"), raw)
-
-    def labels(self) -> list:
-        return sorted(p.stem for p in self.root.glob("*.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,25 @@ application:
 and the ancilla's readout is a classical flip of the outcome bit
 (``NoiseModelSpec.flip_readout``).
 
-Channels are plain Kraus-operator lists.  The noisy executor fuses each
-basis gate with its channel into one transfer matrix and applies that on
-the listed qubits.  ``run_circuit_dm_noisy`` does so for any lowered op
-list; ``prepare_dm_noisy`` does so for a stack of Mottonen preparations
+Channels are plain Kraus-operator tuples.  Composing, tensoring and
+turning them into transfer matrices works on the operators stacked into
+one array: one broadcast multiply or one stacked matmul, then an in-order
+sum over the stack, which has the bits of the one-operator-at-a-time loop.
+The noisy executor fuses each basis gate with its channel into one
+transfer matrix and applies that on the listed qubits.
+``run_circuit_dm_noisy`` does so for any lowered op list;
+``prepare_dm_noisy`` does so for a stack of Mottonen preparations
 straight from their compiled template, without building ops.  There rz's
 own transfer matrix is a phase, so each rz multiplies every row by its own
 phases and then applies the channel's transfer matrix, shared by all rows.
 A trial's ``swap_test.Estimator`` prepares a whole ES population or MLP
 probe block in one such call, which is most of a noisy reading's time,
 and then reads each candidate separately.
+
+A ``NoiseModelSpec`` builds what depends on it alone once, on the
+instance: its channels, their fused transfer matrices, and the SWAP
+gadget's tensors (``swap_gadget``), which every Estimator on the model
+shares.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .sim import (
     _check_qubits,
     apply_on_axes,
     dm_axes,
+    lower_ops,
     reset_qubits,
 )
 from .prep import mottonen_stages, mottonen_template
@@ -51,7 +61,7 @@ _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS_1Q = (_I2, _X, _Y, _Z)
+_PAULIS_1Q = np.stack((_I2, _X, _Y, _Z))
 
 
 @dataclass(frozen=True)
@@ -75,11 +85,23 @@ class KrausChannel:
 
     def completeness_residual(self) -> float:
         """max |sum K+K - I|; zero for an exactly trace-preserving map."""
-        d = 2**self.arity
-        acc = np.zeros((d, d), dtype=complex)
-        for K in self.operators:
-            acc += K.conj().T @ K
-        return float(np.max(np.abs(acc - np.eye(d))))
+        K = np.stack(self.operators)
+        acc = _sum_stack(np.matmul(K.conj().transpose(0, 2, 1), K))
+        return float(np.max(np.abs(acc - np.eye(2**self.arity))))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the trailing matrices of ``a`` and ``b``, broadcast over
+    their leading axes: one multiply, the one ``np.kron`` makes per pair."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * r, q * s))
+
+
+def _sum_stack(terms: np.ndarray) -> np.ndarray:
+    """The sum of ``terms`` over its first axis, in order, from a zero
+    matrix: what ``acc += term`` in a loop gives, bit for bit."""
+    return np.add.reduce(terms, axis=0, initial=0)
 
 
 def _prune(ops: list, name: str, arity: int) -> KrausChannel:
@@ -96,10 +118,12 @@ def bitflip_channel(p: float) -> KrausChannel:
     )
 
 
-def _pauli_basis(arity: int) -> list:
-    basis = list(_PAULIS_1Q)
+def _pauli_basis(arity: int) -> np.ndarray:
+    """The 4^arity Pauli strings as one stack, the last qubit's Pauli fastest."""
+    basis = _PAULIS_1Q
     for _ in range(arity - 1):
-        basis = [np.kron(a, b) for a in basis for b in _PAULIS_1Q]
+        d = 2 * basis.shape[-1]
+        basis = _kron(basis[:, None], _PAULIS_1Q).reshape(-1, d, d)
     return basis
 
 
@@ -133,16 +157,18 @@ def thermal_relaxation_channel(t1_us: float, t2_us: float, t_gate_ns: float) -> 
     gamma = 1.0 - math.exp(-t / (t1_us * 1e-6))
     a0 = np.array([[1, 0], [0, math.sqrt(1.0 - gamma)]], dtype=complex)
     a1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    # residual dephasing after damping already shrank the coherence
+    # residual dephasing after damping already shrank the coherence; at
+    # T2 = 2 T1 there is none, and decay may round to just above 1
     decay = math.exp(-t / (t2_us * 1e-6)) / math.sqrt(1.0 - gamma)
-    q = (1.0 - decay) / 2.0
+    q = max(0.0, (1.0 - decay) / 2.0)
     ops = [math.sqrt(1.0 - q) * a0, math.sqrt(q) * (_Z @ a0), a1]
     return _prune(ops, name=f"thermal(T1={t1_us}us, T2={t2_us}us, t={t_gate_ns}ns)", arity=1)
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Independent channels on adjacent registers; ``a`` on the lower indices."""
-    ops = [np.kron(Ka, Kb) for Ka in a.operators for Kb in b.operators]
+    d = 2 ** (a.arity + b.arity)
+    ops = _kron(np.stack(a.operators)[:, None], np.stack(b.operators)).reshape(-1, d, d)
     return KrausChannel(a.arity + b.arity, tuple(ops), name=f"{a.name} (x) {b.name}")
 
 
@@ -152,9 +178,10 @@ def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
         raise ValueError(
             f"arity mismatch: {first.arity} vs {second.arity}"
         )
-    ops = [Kj @ Ki for Ki in first.operators for Kj in second.operators]
+    d = 2**first.arity
+    ops = np.matmul(np.stack(second.operators), np.stack(first.operators)[:, None])
     return KrausChannel(
-        first.arity, tuple(ops), name=f"{second.name} after {first.name}"
+        first.arity, tuple(ops.reshape(-1, d, d)), name=f"{second.name} after {first.name}"
     )
 
 
@@ -164,16 +191,13 @@ def channel_superop(ch: KrausChannel) -> np.ndarray:
     One matrix product replaces the whole Kraus sum, which matters in the
     optimization loops where a channel is applied thousands of times.
     """
-    d = 2**ch.arity
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for K in ch.operators:
-        s += np.kron(K, K.conj())
-    return s
+    K = np.stack(ch.operators)
+    return _sum_stack(_kron(K, K.conj()))
 
 
 def unitary_superop(u: np.ndarray) -> np.ndarray:
     """Transfer matrix of rho -> U rho U+ in the same row-major vec."""
-    return np.kron(u, u.conj())
+    return _kron(u, u.conj())
 
 
 def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
@@ -199,8 +223,9 @@ _RZ_PHASE = np.array([0.0, -1j, 1j, 0.0])
 class NoiseModelSpec:
     """Scalar error budget plus the composite channels built from it.
 
-    Frozen: the channels and fused gate transfer matrices are cached on the
-    instance, so a field changed after first use would leave them stale.
+    Frozen: the channels, the fused gate transfer matrices and the SWAP
+    gadget's tensors are cached on the instance, so a field changed after
+    first use would leave them stale.
     """
 
     p_bitflip: float = 0.001
@@ -261,6 +286,40 @@ class NoiseModelSpec:
             "x": s1 @ unitary_superop(X_MAT),
             "cx": channel_superop(self.cx_channel) @ unitary_superop(CX_MAT),
         }
+
+    @cached_property
+    def swap_gadget(self) -> tuple:
+        """The SWAP test's tensors that only the model fixes, as the
+        read-only arrays ``(rho_a, closing, site)``:
+
+        * ``rho_a``: the ancilla after the first noisy H, from |0><0|;
+        * ``closing``: the ancilla-zero projector pulled back through the
+          second noisy H, flattened to 4 entries;
+        * ``site``: each ancilla matrix unit (x) I pulled back through the
+          lowered cswap on (ancilla, target, candidate), indexed
+          [unit, (c_r c_c), (a_r a_c), (t_c t_r)].
+
+        ``swap_test._target_observable`` chains ``site`` over the qubit
+        pairs; every Estimator on this model shares these arrays.  The four
+        units run through the cswap's ops as one stack on a trailing axis.
+        """
+        p_zero = np.array([[1, 0], [0, 0]], dtype=complex)
+        h = lower_ops([GateOp.h(0)])
+        rho_a = closing = p_zero
+        for op in h:
+            rho_a = apply_superop_dm(rho_a, 1, op.qubits, self.gate_transfer(op))
+        for op in reversed(h):
+            closing = apply_superop_dm(closing, 1, op.qubits, self.gate_transfer(op).conj().T)
+        units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        site = _kron(units, np.eye(4)).reshape((4,) + (2,) * 6).transpose(1, 2, 3, 4, 5, 6, 0)
+        for op in reversed(lower_ops([GateOp.cswap(0, 1, 2)])):
+            site = apply_on_axes(site, dm_axes(3, op.qubits), self.gate_transfer(op).conj().T)
+        # [a_r, t_r, c_r, a_c, t_c, c_c, unit] -> [unit, (c_r c_c), (a_r a_c), (t_c t_r)]
+        site = site.transpose(6, 2, 5, 0, 3, 4, 1).reshape(4, 4, 4, 4)
+        tensors = (rho_a, closing.reshape(4), site)
+        for t in tensors:
+            t.flags.writeable = False
+        return tensors
 
     def channel_for(self, kind: str) -> KrausChannel | None:
         """Channel attached after a gate of this kind, or None if noiseless."""

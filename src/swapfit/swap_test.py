@@ -16,7 +16,8 @@ simulated.  ``swap_test_exact`` still simulates the gadget; it is the
 reference the tests hold the closed form to.  Noisy readings draw their
 shots from the exact ancilla-zero probability of the whole lowered circuit
 under the noise model, factorized per qubit pair (``_target_observable``,
-M_psi, built once per estimator) so that no (2n+1)-qubit density matrix is
+M_psi, built once per estimator from the gadget's site tensor, which the
+noise model builds once) so that no (2n+1)-qubit density matrix is
 built, with each side's noisy preparation run from the Mottonen template
 compiled for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the
 full circuit the tests hold it to.  ``Estimator.values`` scores a whole
@@ -35,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import hs_overlap, uhlmann_fidelity
-from .noise import (
-    NoiseModelSpec,
-    apply_superop_dm,
-    default_noise_model,
-    prepare_dm_noisy,
-)
+from .noise import NoiseModelSpec, default_noise_model, prepare_dm_noisy
 from .prep import prepare_on
 from .sim import (
     DensityMatrix,
@@ -112,13 +108,6 @@ def noisy_circuit_ops(psi: PureState, phi: PureState) -> list[GateOp]:
     return ops
 
 
-def _pull_back(obs: np.ndarray, n_qubits: int, ops, noise: NoiseModelSpec) -> np.ndarray:
-    """Heisenberg picture: ``obs`` conjugated backward through the noisy ops."""
-    for op in reversed(ops):
-        obs = apply_superop_dm(obs, n_qubits, op.qubits, noise.gate_transfer(op).conj().T)
-    return obs
-
-
 def _target_observable(noise: NoiseModelSpec, psi: PureState) -> np.ndarray:
     """M_psi with p0 = Tr(M_psi rho_phi), before the readout flip.
 
@@ -128,24 +117,15 @@ def _target_observable(noise: NoiseModelSpec, psi: PureState) -> np.ndarray:
     is a chain over the pairs, linked by the ancilla's 4-dimensional
     operator space (a matrix product operator of bond 4, Schollwoeck,
     arXiv:1008.3477).  Its one site tensor is each ancilla matrix unit
-    (x) I pulled back through the lowered cswap.  Contracted site by site
-    with the noisy target state, between the first H's ancilla state and
-    the second H's pulled-back projector, it leaves an operator on the
-    candidate register; intermediates hold 4^(n+1) entries.  A trial's
+    (x) I pulled back through the lowered cswap.  The site, the first H's
+    ancilla state and the second H's pulled-back projector depend on the
+    noise model alone, which builds them once (``noise.swap_gadget``).
+    What is left here is psi's part: the site contracted pair by pair with
+    the noisy target state, between those two ends, leaves an operator on
+    the candidate register; intermediates hold 4^(n+1) entries.  A trial's
     ``Estimator`` builds it once for the thousands of candidates it reads.
     """
-    p_zero = np.array([[1, 0], [0, 0]], dtype=complex)
-    h = lower_ops([GateOp.h(0)])
-    rho_a = p_zero
-    for op in h:
-        rho_a = apply_superop_dm(rho_a, 1, op.qubits, noise.gate_transfer(op))
-    closing = _pull_back(p_zero, 1, h, noise).reshape(4)
-    block = lower_ops([GateOp.cswap(0, 1, 2)])
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    site = np.stack([_pull_back(np.kron(u, np.eye(4)), 3, block, noise) for u in units])
-    # [unit, a_r, t_r, c_r, a_c, t_c, c_c] -> [unit, (c_r c_c), (a_r a_c), (t_c t_r)]
-    site = site.reshape((4,) + (2,) * 6).transpose(0, 3, 6, 1, 4, 5, 2).reshape(4, 4, 4, 4)
-
+    rho_a, closing, site = noise.swap_gadget
     n = psi.n_qubits
     rho_t = prepare_dm_noisy(psi.amplitudes[None, :], noise)[0]
     # one (row, col) index pair per qubit, qubit 0 first; the bond starts as

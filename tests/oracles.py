@@ -3,9 +3,12 @@
 Everything in here is deliberately naive: dense matrices, explicit loops,
 no shared code with the package internals.  Slow is fine; these only run
 inside the test suite, and disagreement with the package is always a bug
-in exactly one of the two routes.  The one exception is the Mottonen
-reference, which emits the package's own GateOp records (RY lowered by
-sim.lower_ry) so that its ops compare with the package's field by field.
+in exactly one of the two routes.  Two exceptions use package code: the
+Mottonen reference, which emits the package's own GateOp records (RY
+lowered by sim.lower_ry) so that its ops compare with the package's field
+by field; and the loop forms of the channel algebra and of M_psi, which
+the package's stacked forms must match bit for bit, so they keep the
+package's earlier operations in their earlier order.
 """
 
 import math
@@ -15,7 +18,8 @@ import numpy as np
 from scipy.linalg import sqrtm
 from scipy.sparse import csr_matrix
 
-from swapfit.sim import GateOp, lower_ry
+from swapfit.noise import apply_superop_dm, prepare_dm_noisy
+from swapfit.sim import GateOp, lower_ops, lower_ry
 
 SQ2 = np.sqrt(2.0)
 
@@ -155,6 +159,76 @@ def channel_transfer_dense(operators, n_qubits, qubits):
         big = embed(K, n_qubits, qubits)
         s += np.kron(big, big.conj())
     return s
+
+
+def pauli_basis_loop(arity):
+    """The 4^arity Pauli strings, one np.kron per string."""
+    paulis = (I2, X, np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex))
+    basis = list(paulis)
+    for _ in range(arity - 1):
+        basis = [np.kron(a, b) for a in basis for b in paulis]
+    return basis
+
+
+def tensor_operators_loop(a, b):
+    """Kraus operators of ``a`` on the lower indices and ``b`` beside it."""
+    return [np.kron(Ka, Kb) for Ka in a for Kb in b]
+
+
+def compose_operators_loop(first, second):
+    """Kraus operators of ``first`` then ``second``: {K_j K_i}, i outermost."""
+    return [Kj @ Ki for Ki in first for Kj in second]
+
+
+def channel_superop_loop(operators):
+    """sum_K K (x) conj(K), added up one operator at a time from zero."""
+    d = operators[0].shape[0]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for K in operators:
+        s += np.kron(K, K.conj())
+    return s
+
+
+def completeness_residual_loop(operators):
+    """max |sum K+K - I|, added up one operator at a time from zero."""
+    d = operators[0].shape[0]
+    acc = np.zeros((d, d), dtype=complex)
+    for K in operators:
+        acc += K.conj().T @ K
+    return float(np.max(np.abs(acc - np.eye(d))))
+
+
+def target_observable_per_call(noise, psi):
+    """M_psi built whole for one target: the gadget's ends and each of the
+    four site units pulled back through the noisy ops one at a time."""
+
+    def pull_back(obs, n_qubits, ops):
+        for op in reversed(ops):
+            obs = apply_superop_dm(obs, n_qubits, op.qubits, noise.gate_transfer(op).conj().T)
+        return obs
+
+    p_zero = np.array([[1, 0], [0, 0]], dtype=complex)
+    h = lower_ops([GateOp.h(0)])
+    rho_a = p_zero
+    for op in h:
+        rho_a = apply_superop_dm(rho_a, 1, op.qubits, noise.gate_transfer(op))
+    closing = pull_back(p_zero, 1, h).reshape(4)
+    block = lower_ops([GateOp.cswap(0, 1, 2)])
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    site = np.stack([pull_back(np.kron(u, np.eye(4)), 3, block) for u in units])
+    site = site.reshape((4,) + (2,) * 6).transpose(0, 3, 6, 1, 4, 5, 2).reshape(4, 4, 4, 4)
+
+    n = psi.n_qubits
+    rho_t = prepare_dm_noisy(psi.amplitudes[None, :], noise)[0]
+    pairs = rho_t.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
+    acc = np.outer(rho_a.T.reshape(4), pairs.reshape(-1))
+    for _ in range(n):
+        acc = np.tensordot(site, acc.reshape(4, 4, -1), axes=([2, 3], [0, 1]))
+        acc = acc.transpose(0, 2, 1)
+    m = (closing @ acc.reshape(4, -1)).reshape((2,) * (2 * n))
+    m = m.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return np.ascontiguousarray(m.reshape(1 << n, 1 << n))
 
 
 def partial_trace_dense(rho, n_qubits, keep):

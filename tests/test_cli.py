@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swapfit
@@ -14,6 +15,7 @@ from swapfit import cli, harness
 from swapfit.cli import _build_mode, _subcommand, build_parser, main
 from swapfit.harness import ExperimentConfig
 from swapfit.noise import NoiseModelSpec, default_noise_model
+from swapfit.prep import state_from_record
 from swapfit.swap_test import DEFAULT_SHOTS, FidelityMode
 
 
@@ -415,6 +417,26 @@ class TestReconstructCommand:
         assert "epoch" not in captured.out
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["store", "taken.json"]
         assert (store / "taken.json").read_text() == "{}\n"
+
+    @pytest.mark.parametrize("seed", ["0", "1", "7"])
+    def test_random_preset_is_the_first_run_target(self, tmp_path, capsys, monkeypatch, seed):
+        """``--target random --seed S`` reconstructs the target of the first
+        trial of ``run --seed S``, drawn apart from the optimizer's stream,
+        so epoch 1 does not already read 1."""
+        presets = []
+        monkeypatch.setattr(cli, "preset_target",
+                            lambda *a, **kw: presets.append(harness.preset_target(*a, **kw))
+                            or presets[-1])
+        assert main(["reconstruct", "--target", "random", "--qubits", "3", "--seed", seed,
+                     "--max-iters", "1"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("epoch 1: fidelity ")
+        assert float(first.split()[-1]) < 1.0
+        assert main(["run", "--qubits", "3", "--trials", "1", "--seed", seed,
+                     "--max-iters", "1", "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "traces.json").read_text())[0]
+        want = state_from_record(3, record["target"]).amplitudes
+        assert np.array_equal(presets[0].state.amplitudes, want)
 
     def test_target_file(self, tmp_path, capsys):
         from swapfit.harness import preset_target

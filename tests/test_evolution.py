@@ -89,6 +89,17 @@ class TestAdvantages:
         with pytest.raises(ValueError):
             standardized_advantages([1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=200),
+           flat=st.booleans(), epsilon=st.sampled_from([1e-8, 1e-3]))
+    def test_one_pass_matches_mean_and_std(self, values, flat, epsilon):
+        """The one-pass form has the bits of numpy's mean and std, all-equal
+        populations included."""
+        F = np.full(len(values), values[0]) if flat else np.array(values)
+        want = (F - F.mean()) / (F.std() + epsilon)
+        got = standardized_advantages(F.tolist(), epsilon)
+        assert np.array_equal(got, want)
+
 
 class TestUpdate:
     def test_matches_naive_loop(self):

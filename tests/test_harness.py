@@ -1,6 +1,7 @@
 """Batch orchestration: seeds, configs, persistence, stores, reports."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import oracles
 from swapfit import evolution, harness
+from swapfit.cli import main
 from swapfit.evolution import TrialRecord
 from swapfit.harness import (
     ExperimentConfig,
@@ -31,7 +33,7 @@ from swapfit.harness import (
     summarize_records,
 )
 from swapfit.noise import default_noise_model, noiseless_model
-from swapfit.prep import Representation, TargetSpec, sample_random_state
+from swapfit.prep import Representation, TargetSpec, sample_random_state, state_from_record
 from swapfit.sim import GateOp, PureState, RngStream, run_circuit, zero_state
 from swapfit.swap_test import FidelityMode, fidelity_oracle
 
@@ -409,12 +411,19 @@ class TestPresets:
             load_target_file(path)
 
 
+def _stored(path: Path):
+    """A stored snapshot read back through the one JSON state reader."""
+    raw = json.loads(path.read_text())
+    return state_from_record(raw["n_qubits"], raw)
+
+
 class TestSnapshotStore:
     def test_put_get_roundtrip(self, tmp_path):
+        """The stored file reads back through ``state_from_record`` bit for bit."""
         store = SnapshotStore(tmp_path)
         state = sample_random_state(2, RngStream(1))
         store.put("bell-ish", state, created_from={"method": "es"})
-        back = store.get("bell-ish")
+        back = _stored(tmp_path / "bell-ish.json")
         np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
 
     def test_duplicate_label_rejected(self, tmp_path):
@@ -437,29 +446,18 @@ class TestSnapshotStore:
         raw["im"][1] = float("nan")
         (tmp_path / "s.json").write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="non-finite"):
-            store.get("s")
+            _stored(tmp_path / "s.json")
 
     @pytest.mark.parametrize("record,named", [
         ({"n_qubits": 1.9, "re": [0.6, 0.8], "im": [0]}, "'n_qubits'"),
         ({"n_qubits": 1, "re": [0.6, 0.8], "im": [0]}, "'im'"),
         ({"n_qubits": 1, "re": [0.6, "0.8"], "im": [0, 0]}, "'re'"),
-        ([1], "a snapshot"),
-    ], ids=["float-n", "short-im", "string", "not-an-object"])
+    ], ids=["float-n", "short-im", "string"])
     def test_bad_record_rejected(self, tmp_path, record, named):
         """Checked like a target file: nothing is truncated or broadcast."""
         (tmp_path / "s.json").write_text(json.dumps(record))
         with pytest.raises(ValueError, match=f"{named} must be "):
-            SnapshotStore(tmp_path).get("s")
-
-    def test_missing_label(self, tmp_path):
-        with pytest.raises(KeyError):
-            SnapshotStore(tmp_path).get("nope")
-
-    def test_labels_listing(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        for name in ("a", "b"):
-            store.put(name, sample_random_state(1, RngStream(4)))
-        assert store.labels() == ["a", "b"]
+            _stored(tmp_path / "s.json")
 
 
 class TestReconstruct:
@@ -475,7 +473,7 @@ class TestReconstruct:
         out = reconstruct(preset_target("zero", 1), method="es", seed=1,
                           max_iters=40, store=store, label="zero-run")
         assert out["stored_as"] == "zero-run"
-        sol = store.get("zero-run")
+        sol = _stored(tmp_path / "zero-run.json")
         assert fidelity_oracle(preset_target("zero", 1).state, sol) > 0.99
 
     def test_record_contents(self):
@@ -527,3 +525,152 @@ class TestNoiseInspect:
     def test_noiseless_flags_identity(self):
         out = noise_inspect(noiseless_model())
         assert out["all_identity"]
+
+
+# The benchmark"s four workloads, rep 0 at seed 5000: each `swapfit run`
+# command line, the sha256 prefix of its results.csv, and its rows as
+# (trial_id, n_qubits, seed, representation, mode, epochs_to_0.95,
+# epochs_to_0.99, final_fidelity, oracle_fidelity, readings, shots).
+PINNED_RUNS = {
+    "es-exact": (
+        ("--method", "es", "--mode", "exact", "--max-iters", "100",
+         "--qubits", "1:3", "--trials", "10"),
+        "d2a3a2b4d4f2bdef",
+        [
+            (0, 1, 16294208416658611751, "statevector", "exact",
+             4, 4, 0.9950712296295399, 0.9950712296295399, 154, 0),
+            (1, 1, 10451216379200819017, "statevector", "exact",
+             4, 9, 0.9916839450180076, 0.9916839450180076, 409, 0),
+            (2, 1, 10905525725756343622, "statevector", "exact",
+             2, 3, 0.999629681397629, 0.999629681397629, 103, 0),
+            (3, 1, 2092789425003142245, "statevector", "exact",
+             7, 8, 0.9999178795679519, 0.9999178795679519, 358, 0),
+            (4, 1, 7958955049054607682, "statevector", "exact",
+             4, 7, 0.9906881714964488, 0.9906881714964488, 307, 0),
+            (5, 1, 7134611160154362066, "statevector", "exact",
+             3, 3, 0.9911769454458453, 0.9911769454458453, 103, 0),
+            (6, 1, 13647215125184115592, "statevector", "exact",
+             4, 4, 0.9960292896291887, 0.9960292896291887, 154, 0),
+            (7, 1, 7191089600892378719, "statevector", "exact",
+             2, 2, 0.9942397002799023, 0.9942397002799023, 52, 0),
+            (8, 1, 11409396526365353406, "statevector", "exact",
+             3, 4, 0.9933356363834892, 0.9933356363834892, 154, 0),
+            (9, 1, 12587370737594037228, "statevector", "exact",
+             4, 4, 0.9917302189844245, 0.9917302189844245, 154, 0),
+            (0, 2, 614480483733486658, "statevector", "exact",
+             7, 8, 0.9983077167359001, 0.9983077167359001, 358, 0),
+            (1, 2, 5833679380957635349, "statevector", "exact",
+             6, 6, 0.9912042258130328, 0.9912042258130328, 256, 0),
+            (2, 2, 10682531704454683787, "statevector", "exact",
+             7, 8, 0.9981451423901542, 0.9981451423901542, 358, 0),
+            (3, 2, 14180207640020097399, "statevector", "exact",
+             8, 9, 0.9943579366962294, 0.9943579366962294, 409, 0),
+            (4, 2, 7685909621375759798, "statevector", "exact",
+             9, 10, 0.9971035702219866, 0.9971035702219866, 460, 0),
+            (5, 2, 9753551079159972749, "statevector", "exact",
+             5, 6, 0.9979144357669708, 0.9979144357669708, 256, 0),
+            (6, 2, 6764836397866516879, "statevector", "exact",
+             7, 8, 0.9964220333334755, 0.9964220333334755, 358, 0),
+            (7, 2, 9260656408219836651, "statevector", "exact",
+             6, 7, 0.9940566887297482, 0.9940566887297482, 307, 0),
+            (8, 2, 1234184003990709178, "statevector", "exact",
+             9, 10, 0.9949495470282405, 0.9949495470282405, 460, 0),
+            (9, 2, 13564971763896617420, "statevector", "exact",
+             7, 8, 0.9944744386039459, 0.9944744386039459, 358, 0),
+            (0, 3, 3900778703475872260, "statevector", "exact",
+             12, 13, 0.9956455251702481, 0.9956455251702481, 613, 0),
+            (1, 3, 489215147674973775, "statevector", "exact",
+             13, 15, 0.9966424824411579, 0.9966424824411579, 715, 0),
+            (2, 3, 14415425345905106306, "statevector", "exact",
+             12, 14, 0.9950195653615965, 0.9950195653615965, 664, 0),
+            (3, 3, 16778118630780015198, "statevector", "exact",
+             10, 11, 0.9906457994015704, 0.9906457994015704, 511, 0),
+            (4, 3, 12306297088033426892, "statevector", "exact",
+             14, 15, 0.9907778730078038, 0.9907778730078038, 715, 0),
+            (5, 3, 11675794432720348289, "statevector", "exact",
+             13, 15, 0.994778147746725, 0.994778147746725, 715, 0),
+            (6, 3, 14103010035660840530, "statevector", "exact",
+             11, 12, 0.9929696925662371, 0.9929696925662371, 562, 0),
+            (7, 3, 10902710238276818178, "statevector", "exact",
+             7, 8, 0.9918049806196351, 0.9918049806196351, 358, 0),
+            (8, 3, 10402319577963759588, "statevector", "exact",
+             10, 11, 0.9935981484452233, 0.9935981484452233, 511, 0),
+            (9, 3, 13509472508297993464, "statevector", "exact",
+             8, 9, 0.9922875238460209, 0.9922875238460209, 409, 0),
+        ],
+    ),
+    "es-noisy": (
+        ("--method", "es", "--mode", "noisy", "--noise", "default", "--shots", "1024",
+         "--max-iters", "30", "--qubits", "1:1", "--trials", "2"),
+        "929c19c989f290ae",
+        [
+            (0, 1, 16294208416658611751, "statevector", "noisy(1024)",
+             None, None, 0.82421875, 0.9994349700300803, 1530, 1566720),
+            (1, 1, 10451216379200819017, "statevector", "noisy(1024)",
+             None, None, 0.830078125, 0.998073546516688, 1530, 1566720),
+        ],
+    ),
+    "nn-exact": (
+        ("--method", "nn", "--mode", "exact", "--max-iters", "500",
+         "--qubits", "2:2", "--trials", "4"),
+        "ccc1960a257eed11",
+        [
+            (0, 2, 16294208416658611751, "statevector", "exact",
+             32, 44, 0.9990758383078305, 0.9990758383078305, 1038, 0),
+            (1, 2, 10451216379200819017, "statevector", "exact",
+             28, 44, 0.9993008097209729, 0.9993008097209729, 1055, 0),
+            (2, 2, 10905525725756343622, "statevector", "exact",
+             34, 49, 0.999027979882291, 0.999027979882291, 1208, 0),
+            (3, 2, 2092789425003142245, "statevector", "exact",
+             29, 38, 0.9990092626105408, 0.9990092626105408, 1038, 0),
+        ],
+    ),
+    "nn-density": (
+        ("--method", "nn", "--repr", "density", "--objective", "uhlmann", "--mode", "exact",
+         "--max-iters", "500", "--qubits", "2:2", "--trials", "2"),
+        "02dbd2f1e3500a5b",
+        [
+            (0, 2, 16294208416658611751, "density", "exact",
+             45, 53, 0.9990480871725714, 0.9990481289502148, 4941, 0),
+            (1, 2, 10451216379200819017, "density", "exact",
+             44, 56, 0.9992910617683746, 0.999291083940468, 4876, 0),
+        ],
+    ),
+}
+
+
+class TestPinnedOutputs:
+    """The benchmark workloads' rep-0 outputs, pinned.  A change that moves
+    a value on purpose updates PINNED_RUNS in the same commit and says why."""
+
+    COLUMNS = ("trial_id", "n_qubits", "seed", "representation", "mode", "epochs_to_0.95",
+               "epochs_to_0.99", "final_fidelity", "oracle_fidelity", "readings", "shots")
+    INTEGER = ("trial_id", "n_qubits", "seed", "epochs_to_0.95", "epochs_to_0.99",
+               "readings", "shots")
+    FLOAT = ("final_fidelity", "oracle_fidelity")
+
+    @pytest.mark.parametrize("workload", list(PINNED_RUNS))
+    def test_results_csv(self, tmp_path, capsys, workload):
+        """Integer and text columns exactly, floats to 1e-12, then the file's
+        digest: a digest that moved with every value in tolerance still
+        fails, because a re-run must be byte-identical and a float that moved
+        in its last bits must be declared by updating the pin."""
+        flags, digest, rows = PINNED_RUNS[workload]
+        assert main(["run", *flags, "--seed", "5000", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "results.csv").read_text()
+        assert text.splitlines()[0] == ",".join(self.COLUMNS)
+        got = list(csv.DictReader(text.splitlines()))
+        assert len(got) == len(rows)
+        for row, want in zip(got, rows):
+            want = dict(zip(self.COLUMNS, want))
+            for key in self.INTEGER:
+                assert (int(row[key]) if row[key] else None) == want[key], (workload, key, row)
+            for key in ("representation", "mode"):
+                assert row[key] == want[key], (workload, key, row)
+            for key in self.FLOAT:
+                assert abs(float(row[key]) - want[key]) <= 1e-12, (workload, key, row)
+        got_digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert got_digest == digest, (
+            f"{workload}: results.csv digest {got_digest}, pinned {digest}; every value "
+            "is within tolerance, so only the last bits of a float moved")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from swapfit import noise as noise_module
 from swapfit import sim
 from swapfit.noise import (
     NOISY_KINDS,
@@ -129,6 +130,17 @@ class TestChannelAlgebra:
     def test_thermal_t2_bound(self):
         with pytest.raises(ValueError):
             thermal_relaxation_channel(10.0, 25.0, 50.0)
+
+    @pytest.mark.parametrize("t1_us", [999.5002501250626, 80.0, 3.7])
+    @pytest.mark.parametrize("t_gate_ns", [10.0, 50.0, 333.0])
+    def test_thermal_at_t2_bound_is_pure_damping(self, t1_us, t_gate_ns):
+        """T2 = 2 T1 is allowed, and builds even where the coherence ratio
+        rounds to just above 1 (the first T1 here): a dephasing weight that
+        rounds below zero is none."""
+        ch = thermal_relaxation_channel(t1_us, 2.0 * t1_us, t_gate_ns)
+        assert ch.completeness_residual() <= 1e-12
+        out = kraus_map_dm(DensityMatrix(1, np.full((2, 2), 0.5 + 0j)), (0,), ch.operators)
+        assert abs(out.entries[0, 1] - 0.5 * math.exp(-t_gate_ns / (2e3 * t1_us))) <= 1e-12
 
     def test_channel_vs_dense_embedding(self):
         """Package channel application equals fully embedded Kraus sums."""
@@ -440,3 +452,66 @@ class TestCompiledPreparation:
         rows = np.stack([sample_random_state(2, RngStream(3)).amplitudes, np.zeros(4)])
         with pytest.raises(ValueError, match="zero-norm"):
             prepare_dm_noisy(rows, default_noise_model())
+
+
+@st.composite
+def noise_models(draw):
+    """A valid NoiseModelSpec: any probabilities, T2 in (0, 2 T1], and gates
+    no longer than T1."""
+    t1 = draw(st.floats(1.0, 1000.0))
+    return NoiseModelSpec(
+        p_bitflip=draw(st.floats(0.0, 1.0)), p_dep1=draw(st.floats(0.0, 1.0)),
+        p_dep2=draw(st.floats(0.0, 1.0)), t1_us=t1,
+        t2_us=draw(st.floats(1e-3, 2.0)) * t1,
+        t_gate_ns=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3 * t1))),
+    )
+
+
+def _same_operators(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestStackedAlgebra:
+    """The channel algebra on stacked operator arrays has the bits of its
+    loop form (``oracles``): one broadcast multiply or stacked matmul, then
+    an in-order sum from zero, make the same operations in the same order."""
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_pauli_basis(self, arity):
+        assert _same_operators(noise_module._pauli_basis(arity), oracles.pauli_basis_loop(arity))
+
+    @staticmethod
+    def assert_model_matches_loops(model):
+        depol1 = depolarizing_channel(model.p_dep1, 1)
+        depol2 = depolarizing_channel(model.p_dep2, 2)
+        thermal = thermal_relaxation_channel(model.t1_us, model.t2_us, model.t_gate_ns)
+        pair = oracles.tensor_operators_loop(thermal.operators, thermal.operators)
+        assert _same_operators(tensor_channels(thermal, thermal).operators, pair)
+        single = oracles.compose_operators_loop(
+            bitflip_channel(model.p_bitflip).operators, depol1.operators)
+        assert _same_operators(model.single_qubit_channel.operators, single)
+        assert _same_operators(model.cx_channel.operators,
+                               oracles.compose_operators_loop(depol2.operators, pair))
+        for ch in (model.single_qubit_channel, model.cx_channel):
+            assert np.array_equal(channel_superop(ch), oracles.channel_superop_loop(ch.operators))
+            assert ch.completeness_residual() == oracles.completeness_residual_loop(ch.operators)
+        s1 = oracles.channel_superop_loop(model.single_qubit_channel.operators)
+        s_cx = oracles.channel_superop_loop(model.cx_channel.operators)
+        want = {"rz": s1,
+                "sx": s1 @ np.kron(oracles.SX, oracles.SX.conj()),
+                "x": s1 @ np.kron(oracles.X, oracles.X),
+                "cx": s_cx @ np.kron(oracles.cx_matrix(), oracles.cx_matrix())}
+        assert model.fused_transfers.keys() == want.keys()
+        for kind, transfer in want.items():
+            assert np.array_equal(model.fused_transfers[kind], transfer), kind
+        for u in (oracles.SX, oracles.X, oracles.cx_matrix()):
+            assert np.array_equal(unitary_superop(u), np.kron(u, u.conj()))
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_fixed_models(self, model):
+        self.assert_model_matches_loops(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=noise_models())
+    def test_drawn_models(self, model):
+        self.assert_model_matches_loops(model)

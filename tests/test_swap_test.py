@@ -9,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_noise import MODEL_IDS, MODELS, _rows_of_kind
+from test_noise import MODEL_IDS, MODELS, _rows_of_kind, noise_models
 from swapfit import noise as noise_module
 from swapfit import prep as prep_module
 from swapfit import swap_test as swap_test_module
 from swapfit.metrics import hs_overlap, uhlmann_fidelity
-from swapfit.noise import default_noise_model, noiseless_model, run_circuit_dm_noisy
+from swapfit.noise import (
+    NoiseModelSpec,
+    default_noise_model,
+    noiseless_model,
+    run_circuit_dm_noisy,
+)
 from swapfit.prep import (
     Representation,
     sample_random_density,
@@ -280,6 +285,48 @@ class TestNoisy:
         start = time.process_time()
         score_candidate(phi, psi, mode, rng)
         assert time.process_time() - start < 1.0
+
+
+class TestGadgetTensors:
+    """The SWAP gadget's tensors depend on the noise model alone: each model
+    builds them once, and every Estimator on it reads the same arrays."""
+
+    def test_estimators_on_one_model_share_them(self, monkeypatch):
+        real, calls = noise_module.lower_ops, []
+        monkeypatch.setattr(noise_module, "lower_ops",
+                            lambda ops: calls.append(ops) or real(ops))
+        mode = FidelityMode.noisy(NoiseModelSpec())
+        rng = RngStream(11)
+        Estimator(sample_random_state(2, rng), mode)
+        gadget, built = mode.noise.swap_gadget, len(calls)
+        assert built > 0
+        Estimator(sample_random_state(1, rng), mode)
+        assert len(calls) == built
+        assert all(a is b for a, b in zip(mode.noise.swap_gadget, gadget))
+        other = NoiseModelSpec()
+        Estimator(sample_random_state(2, rng), FidelityMode.noisy(other))
+        assert len(calls) == 2 * built
+        for a, b in zip(other.swap_gadget, gadget):
+            assert a is not b
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_arrays_are_read_only(self, model):
+        for t in model.swap_gadget:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t[(0,) * t.ndim] = 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=SEEDS,
+           model=st.sampled_from(MODELS) | noise_models(),
+           kind=st.sampled_from(["generic", "real", "basis", "degenerate"]))
+    def test_observable_matches_per_call_construction(self, n, seed, model, kind):
+        """M_psi from the model's tensors has the bits of M_psi built whole
+        for each target, the earlier form kept in ``oracles``."""
+        psi = _rows_of_kind(kind, n, np.random.default_rng(seed))
+        assert np.array_equal(swap_test_module._target_observable(model, psi),
+                              oracles.target_observable_per_call(model, psi))
 
 
 class TestMixed:
