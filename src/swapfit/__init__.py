@@ -3,7 +3,8 @@
 The package is organized along the reconstruction pipeline:
 
 * sim: statevector/density-matrix substrate on one axis-transpose matmul kernel
-* prep: random targets, Mottonen synthesis, parameter-vector decoding
+* prep: random targets, Mottonen synthesis, parameter-vector decoding, and
+  the JSON state record (``state_record``/``state_from_record``)
 * noise: calibrated Kraus channels and noisy executors
 * swap_test: the fidelity estimator circuit, the only feedback signal
 * evolution: gradient-free population optimizer
@@ -24,12 +25,7 @@ from .harness import (
     reconstruct,
     run_experiment,
 )
-from .metrics import (
-    bipartite_entropy,
-    hs_overlap,
-    uhlmann_fidelity,
-    von_neumann_entropy,
-)
+from .metrics import bipartite_entropy, hs_overlap, uhlmann_fidelity
 from .neural import GeneratorConfig, MlpParams, default_config, train_generator
 from .noise import (
     KrausChannel,
@@ -45,6 +41,8 @@ from .prep import (
     TargetSpec,
     mottonen_circuit,
     sample_random_state,
+    state_from_record,
+    state_record,
 )
 from .sim import DensityMatrix, GateOp, PureState, RngStream
 from .swap_test import (

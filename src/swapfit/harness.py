@@ -49,6 +49,7 @@ from .prep import (
     TargetSpec,
     sample_random_state,
     state_from_record,
+    state_record,
 )
 from .sim import PureState, RngStream, basis_state, zero_state
 from .swap_test import FidelityMode, check_mode
@@ -155,8 +156,13 @@ class ExperimentConfig:
                                 ("thresholds", tuple), ("mode", FidelityMode.from_label)):
                 if key in given:
                     given[key] = decode(given[key])
-            mode = given.get("mode")
-            if mode is not None and mode.kind == "noisy" and noise is not None:
+            # the --noise rule: only the noisy mode reads a model, and null is none
+            mode = given.get("mode", ExperimentConfig.mode)
+            if mode.kind != "noisy" and noise is not None:
+                raise ValueError(f"mode {mode.kind} does not read 'noise'")
+            if mode.kind == "noisy" and "noise" in raw:
+                if noise is None:
+                    raise ValueError("mode noisy requires a noise model; 'noise' is null")
                 given["mode"] = FidelityMode.noisy(
                     NoiseModelSpec.from_json(json.dumps(noise)), mode.shots
                 )
@@ -385,8 +391,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
             "seed": record.seed,
             "fidelity_trace": record.fidelity_trace,
             "wall_time": record.wall_time,
-            "target": _amplitude_payload(target.state),
-            "solution": _amplitude_payload(solution),
+            "target": state_record(target.state),
+            "solution": state_record(solution),
         })
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
@@ -401,17 +407,6 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out / "traces.json").write_text(json.dumps(traces) + "\n")
     return summary
-
-
-def _amplitude_payload(state) -> dict:
-    if isinstance(state, PureState):
-        return {
-            "kind": "pure",
-            "re": state.amplitudes.real.tolist(),
-            "im": state.amplitudes.imag.tolist(),
-        }
-    flat = state.entries.reshape(-1)
-    return {"kind": "density", "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +524,7 @@ class SnapshotStore:
         payload = {
             "label": label,
             "n_qubits": state.n_qubits,
-            "re": state.amplitudes.real.tolist(),
-            "im": state.amplitudes.imag.tolist(),
+            **state_record(state),
             "created_from": created_from or {},
         }
         path.write_text(json.dumps(payload) + "\n")
@@ -546,8 +540,9 @@ def default_partition(n_qubits: int) -> tuple:
     return tuple(range(max(1, n_qubits // 2)))
 
 
-def entropy_report(pairs, partition=None) -> dict:
-    """Target-vs-reconstruction entanglement entropies.
+def entropy_report(pairs) -> dict:
+    """Target-vs-reconstruction entanglement entropies across each
+    register's ``default_partition``.
 
     ``pairs`` is a list of (circuit_id, target PureState, solution
     PureState); single-qubit circuits carry no bipartition and are skipped
@@ -561,7 +556,7 @@ def entropy_report(pairs, partition=None) -> dict:
         if target.n_qubits < 2:
             skipped.append(circuit_id)
             continue
-        part = tuple(partition) if partition is not None else default_partition(target.n_qubits)
+        part = default_partition(target.n_qubits)
         reports.append(
             EntropyReport(
                 circuit_id=str(circuit_id),
@@ -580,7 +575,8 @@ def entropy_report(pairs, partition=None) -> dict:
 
 
 def entropy_pairs_from_traces(traces_path) -> list:
-    """Rebuild (id, target, solution) pure-state pairs from a traces.json."""
+    """Rebuild (id, target, solution) pure-state pairs from a traces.json;
+    an entry with a density side gives no pair."""
     path = Path(traces_path)
     if not path.exists():
         raise FileNotFoundError(f"missing reconstruction artifacts: {path}")
@@ -590,18 +586,17 @@ def entropy_pairs_from_traces(traces_path) -> list:
     pairs = []
     for i, e in enumerate(entries):
         sides = [e.get(side) for side in ("target", "solution")] if isinstance(e, dict) else [None]
-        if not all(isinstance(s, dict) and s.get("kind") in ("pure", "density") for s in sides):
+        if not all(isinstance(s, dict) for s in sides):
             raise ValueError(f"{path}: record {i} must be an object whose 'target' and "
-                             "'solution' are objects of kind 'pure' or 'density'")
-        if any(s["kind"] != "pure" for s in sides):
-            continue
+                             "'solution' are objects")
         n = e.get("n_qubits")
         circuit_id = f"trial-{e.get('trial_id')}-n{n}"
         try:
-            t, s = (state_from_record(n, e[side]) for side in ("target", "solution"))
+            t, s = (state_from_record(n, side) for side in sides)
         except ValueError as exc:
             raise ValueError(f"{path}: {circuit_id}: {exc}") from exc
-        pairs.append((circuit_id, t, s))
+        if isinstance(t, PureState) and isinstance(s, PureState):
+            pairs.append((circuit_id, t, s))
     return pairs
 
 

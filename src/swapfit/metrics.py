@@ -5,9 +5,9 @@ converges to the Hilbert-Schmidt overlap Tr(rho sigma), which for mixed
 states disagrees with the Uhlmann fidelity (I/2 vs itself scores 0.5 on
 overlap but 1.0 on fidelity), so this module keeps the two apart.
 
-Entropies are reported in bits (log base 2) unless the natural-log flag is
-set.  Matrix square roots go through Hermitian eigendecomposition with
-eigenvalue clamping at zero, which stays stable for near-singular inputs.
+Entanglement entropies are in bits (log base 2).  Matrix square roots go
+through Hermitian eigendecomposition with eigenvalue clamping at zero,
+which stays stable for near-singular inputs.
 That root costs two eigendecompositions and lands a few 1e-8 off when one
 side is pure, where the fidelity is exactly <psi|sigma|psi>; so the
 training loop scores pure/mixed pairs in closed form
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import TOL, DensityMatrix, PureState
+from .sim import DensityMatrix, PureState
 
 # Ceiling on the success of state discrimination through SWAP-test readings
 SWAP_DISCRIMINATION_BOUND = 0.75
@@ -36,7 +36,6 @@ class EntropyReport:
     partition: tuple
     target_entropy: float
     reconstructed_entropy: float
-    units: str = "bits"
 
     CSV_HEADER = "circuit_id,n_qubits,partition,target_entropy,reconstructed_entropy,units"
 
@@ -44,36 +43,17 @@ class EntropyReport:
         part = ";".join(str(q) for q in self.partition)
         return (
             f"{self.circuit_id},{self.n_qubits},{part},"
-            f"{self.target_entropy!r},{self.reconstructed_entropy!r},{self.units}"
+            f"{self.target_entropy!r},{self.reconstructed_entropy!r},bits"
         )
 
 
-def _clamped_eigvals(rho: DensityMatrix) -> np.ndarray:
-    vals = np.linalg.eigvalsh(rho.entries)
-    if vals.min() < -TOL.psd_slack:
-        raise ValueError(
-            f"matrix has eigenvalue {vals.min():.3e} below -{TOL.psd_slack}"
-        )
-    return np.clip(vals, 0.0, None)
+def bipartite_entropy(psi: PureState, partition) -> float:
+    """Entanglement entropy of a pure state across the given cut, in bits:
+    -sum p log2 p over the reduced state's spectrum, with 0 log 0 := 0.
 
-
-def _spectrum_entropy(vals: np.ndarray, natural_log: bool) -> float:
-    nz = vals[vals > 0.0]
-    log = np.log(nz) if natural_log else np.log2(nz)
-    return max(0.0, float(-np.sum(nz * log)))
-
-
-def von_neumann_entropy(rho: DensityMatrix, natural_log: bool = False) -> float:
-    """-sum lambda log lambda over the spectrum, with 0 log 0 := 0."""
-    return _spectrum_entropy(_clamped_eigvals(rho), natural_log)
-
-
-def bipartite_entropy(psi: PureState, partition, natural_log: bool = False) -> float:
-    """Entanglement entropy of a pure state across the given cut.
-
-    The reduced state's spectrum is the Schmidt probabilities: the squared
-    singular values of the amplitudes as a (2^k, 2^(n-k)) matrix with the
-    k partition qubits first.  No density matrix is built.
+    That spectrum is the Schmidt probabilities: the squared singular values
+    of the amplitudes as a (2^k, 2^(n-k)) matrix with the k partition
+    qubits first.  No density matrix is built.
     """
     n = psi.n_qubits
     part = tuple(partition)
@@ -84,8 +64,9 @@ def bipartite_entropy(psi: PureState, partition, natural_log: bool = False) -> f
                          f"got {part}")
     rest = tuple(q for q in range(n) if q not in part)
     amps = psi.amplitudes.reshape((2,) * n).transpose(part + rest)
-    schmidt = np.linalg.svd(amps.reshape(2 ** len(part), -1), compute_uv=False)
-    return _spectrum_entropy(schmidt**2, natural_log)
+    probs = np.linalg.svd(amps.reshape(2 ** len(part), -1), compute_uv=False) ** 2
+    nz = probs[probs > 0.0]
+    return max(0.0, float(-np.sum(nz * np.log2(nz))))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -5,14 +5,13 @@ application:
 
 * single-qubit gates (id, rz, sx, x): bit flip then depolarizing,
 * cx: two-qubit depolarizing then thermal relaxation on both qubits,
-* reset: noiseless,
 
 and the ancilla's readout is a classical flip of the outcome bit
 (``NoiseModelSpec.flip_readout``).
 
-Channels are plain Kraus-operator tuples.  Composing, tensoring and
-turning them into transfer matrices works on the operators stacked into
-one array: one broadcast multiply or one stacked matmul, then an in-order
+A channel holds its Kraus operators stacked into one read-only array.
+Composing, tensoring and turning them into transfer matrices works on
+that stack: one broadcast multiply or one stacked matmul, then an in-order
 sum over the stack, which has the bits of the one-operator-at-a-time loop.
 The noisy executor fuses each basis gate with its channel into one
 transfer matrix and applies that on the listed qubits.
@@ -28,7 +27,7 @@ and then reads each candidate separately.
 A ``NoiseModelSpec`` builds what depends on it alone once, on the
 instance: its channels, their fused transfer matrices, and the SWAP
 gadget's tensors (``swap_gadget``), which every Estimator on the model
-shares.
+shares, so each of these arrays is read-only.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .sim import (
     apply_on_axes,
     dm_axes,
     lower_ops,
-    reset_qubits,
 )
 from .prep import mottonen_stages, mottonen_template
 
@@ -64,12 +62,18 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS_1Q = np.stack((_I2, _X, _Y, _Z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A completely positive trace-preserving map in Kraus form."""
+    """A completely positive trace-preserving map in Kraus form.
+
+    ``operators`` is given as a sequence of 2^arity x 2^arity matrices, and
+    kept as a read-only copy stacked into one (count, d, d) array: a noise
+    model's channels are shared by every executor and Estimator on it.  A
+    channel equals only itself, and hashes by identity.
+    """
 
     arity: int
-    operators: tuple
+    operators: np.ndarray
     name: str = ""
 
     def __post_init__(self):
@@ -79,13 +83,16 @@ class KrausChannel:
                 raise ValueError(
                     f"operator shape {K.shape} does not match arity {self.arity}"
                 )
+        stack = np.array(self.operators)
+        stack.flags.writeable = False
+        object.__setattr__(self, "operators", stack)
         res = self.completeness_residual()
         if res > TOL.structural:
             raise ValueError(f"channel {self.name!r} violates completeness ({res:.3e})")
 
     def completeness_residual(self) -> float:
         """max |sum K+K - I|; zero for an exactly trace-preserving map."""
-        K = np.stack(self.operators)
+        K = self.operators
         acc = _sum_stack(np.matmul(K.conj().transpose(0, 2, 1), K))
         return float(np.max(np.abs(acc - np.eye(2**self.arity))))
 
@@ -168,8 +175,8 @@ def thermal_relaxation_channel(t1_us: float, t2_us: float, t_gate_ns: float) -> 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Independent channels on adjacent registers; ``a`` on the lower indices."""
     d = 2 ** (a.arity + b.arity)
-    ops = _kron(np.stack(a.operators)[:, None], np.stack(b.operators)).reshape(-1, d, d)
-    return KrausChannel(a.arity + b.arity, tuple(ops), name=f"{a.name} (x) {b.name}")
+    ops = _kron(a.operators[:, None], b.operators).reshape(-1, d, d)
+    return KrausChannel(a.arity + b.arity, ops, name=f"{a.name} (x) {b.name}")
 
 
 def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
@@ -179,9 +186,9 @@ def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
             f"arity mismatch: {first.arity} vs {second.arity}"
         )
     d = 2**first.arity
-    ops = np.matmul(np.stack(second.operators), np.stack(first.operators)[:, None])
+    ops = np.matmul(second.operators, first.operators[:, None])
     return KrausChannel(
-        first.arity, tuple(ops.reshape(-1, d, d)), name=f"{second.name} after {first.name}"
+        first.arity, ops.reshape(-1, d, d), name=f"{second.name} after {first.name}"
     )
 
 
@@ -191,7 +198,7 @@ def channel_superop(ch: KrausChannel) -> np.ndarray:
     One matrix product replaces the whole Kraus sum, which matters in the
     optimization loops where a channel is applied thousands of times.
     """
-    K = np.stack(ch.operators)
+    K = ch.operators
     return _sum_stack(_kron(K, K.conj()))
 
 
@@ -277,15 +284,19 @@ class NoiseModelSpec:
         in: S1 (U (x) U*) for sx and x and S_cx (U (x) U*) for cx, where S1
         and S_cx are the channels'.  rz's own transfer matrix is a phase,
         applied before S1 (``rz_transfer``).  A noiseless model's channels
-        prune to the identity, so it gets the bare gates'.
+        prune to the identity, so it gets the bare gates'.  The arrays are
+        read-only, as every executor and Estimator on the model shares them.
         """
         s1 = channel_superop(self.single_qubit_channel)
-        return {
+        transfers = {
             "rz": s1,
             "sx": s1 @ unitary_superop(SX_MAT),
             "x": s1 @ unitary_superop(X_MAT),
             "cx": channel_superop(self.cx_channel) @ unitary_superop(CX_MAT),
         }
+        for s in transfers.values():
+            s.flags.writeable = False
+        return transfers
 
     @cached_property
     def swap_gadget(self) -> tuple:
@@ -398,23 +409,19 @@ def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> Dens
     Each noisy gate is one pass over the density matrix: its fused transfer
     matrix ``model.gate_transfer(op)`` (channel after unitary) is applied
     in a single ``apply_superop_dm`` call.  The op list must already be
-    lowered to {rz, sx, x, cx} (plus reset); anything else is rejected so
-    noise cannot silently skip a gate.
+    lowered to {rz, sx, x, cx}; anything else is rejected so noise cannot
+    silently skip a gate.
     """
     out = rho
     for op in ops:
-        if op.kind in model.fused_transfers:
-            s = model.gate_transfer(op)
-            n = out.n_qubits
-            _check_qubits(n, op.qubits)  # before the index reaches an axis permutation
-            out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s),
-                                check=False)
-        elif op.kind == "reset":
-            out = reset_qubits(out, op.qubits)
-        else:
+        if op.kind not in model.fused_transfers:
             raise ValueError(
                 f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"
             )
+        s = model.gate_transfer(op)
+        n = out.n_qubits
+        _check_qubits(n, op.qubits)  # before the index reaches an axis permutation
+        out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s), check=False)
     return out
 
 

@@ -103,44 +103,44 @@ class TargetSpec:
             )
 
     def to_json(self) -> str:
-        if isinstance(self.state, PureState):
-            flat = self.state.amplitudes
-            payload = {
-                "n_qubits": self.n_qubits,
-                "seed": self.seed,
-                "re": flat.real.tolist(),
-                "im": flat.imag.tolist(),
-            }
-        else:
-            flat = self.state.entries.reshape(-1)
-            payload = {
-                "n_qubits": self.n_qubits,
-                "seed": self.seed,
-                "kind": "density",
-                "re": flat.real.tolist(),
-                "im": flat.imag.tolist(),
-            }
-        return json.dumps(payload)
+        return json.dumps({"n_qubits": self.n_qubits, "seed": self.seed,
+                           **state_record(self.state)})
 
     @staticmethod
     def from_json(text: str) -> "TargetSpec":
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("target record must be a JSON object")
-        state = state_from_record(raw["n_qubits"], raw, density=raw.get("kind") == "density")
+        state = state_from_record(raw["n_qubits"], raw)
         return TargetSpec(n_qubits=state.n_qubits, state=state, seed=raw.get("seed"))
 
 
-def state_from_record(n, raw: dict, density: bool = False):
-    """The state whose flat amplitudes, or flat density matrix, a JSON
-    record holds as the lists ``raw["re"]`` and ``raw["im"]``.  ``n`` must
-    be an integer in [1, MAX_TARGET_QUBITS] and each list hold 2^n (4^n)
-    finite numbers, or ValueError names the field; the state's own checks
-    follow."""
+def state_record(state) -> dict:
+    """The JSON record of a PureState or DensityMatrix: its ``kind`` and its
+    flat amplitudes, or flat density matrix, as the lists ``re`` and
+    ``im``.  ``state_from_record`` reads it back bit for bit."""
+    if isinstance(state, PureState):
+        kind, flat = "pure", state.amplitudes
+    else:
+        kind, flat = "density", state.entries.reshape(-1)
+    return {"kind": kind, "re": flat.real.tolist(), "im": flat.imag.tolist()}
+
+
+def state_from_record(n, raw: dict):
+    """The state a ``state_record`` holds on ``n`` qubits.
+
+    ``raw["kind"]`` is "pure" (when absent) or "density".  ``n`` must be an
+    integer in [1, MAX_TARGET_QUBITS] and ``re`` and ``im`` each hold 2^n
+    (4^n) finite numbers, or ValueError names the field; the state's own
+    checks follow, positivity included for a density matrix.
+    """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_TARGET_QUBITS:
         raise ValueError(f"'n_qubits' must be an integer in [1, {MAX_TARGET_QUBITS}], "
                          f"got {n!r}")
-    length = 4**n if density else 2**n
+    kind = raw.get("kind", "pure")
+    if kind not in ("pure", "density"):
+        raise ValueError(f"'kind' must be 'pure' or 'density', got {kind!r}")
+    length = 4**n if kind == "density" else 2**n
     for key in ("re", "im"):
         values = raw.get(key)
         if not (isinstance(values, list) and len(values) == length):
@@ -148,10 +148,13 @@ def state_from_record(n, raw: dict, density: bool = False):
         if not all(_is_finite_number(x) for x in values):
             raise ValueError(f"{key!r} must be a list of {length} finite numbers; "
                              "it holds a non-finite or non-numeric entry")
-    flat = np.asarray(raw["re"], dtype=float) + 1j * np.asarray(raw["im"], dtype=float)
-    if density:
-        return DensityMatrix(n, flat.reshape(2**n, 2**n))
-    return PureState(n, flat)
+    flat = np.empty(length, dtype=complex)
+    flat.real, flat.imag = raw["re"], raw["im"]  # keeps each part's bits, signed zeros too
+    if kind == "pure":
+        return PureState(n, flat)
+    rho = DensityMatrix(n, flat.reshape(2**n, 2**n))
+    rho.validate()
+    return rho
 
 
 def _is_finite_number(value) -> bool:

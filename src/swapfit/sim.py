@@ -6,6 +6,9 @@ state |q0 q1 q2> = |011> sits at amplitude index 0b011 = 3, and qubit 0
 owns the bitmask ``1 << 2``, so in a Kronecker product ``np.kron(a, b)``
 the first factor ``a`` takes the lower (more significant) qubit indices.
 
+Every gate kind is unitary, so both executors, ``run_circuit`` and
+``run_circuit_dm``, run any gate list; channels come from ``noise``.
+
 One kernel, ``apply_on_axes``, multiplies every gate, Kraus operator and
 transfer matrix into a register: the register is a (2,)*m tensor, the
 operator's qubit axes are transposed to the front, and one matrix product
@@ -149,16 +152,16 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 
 BASIS_KINDS = frozenset({"rz", "sx", "x", "cx"})
-_ARITY = {"h": 1, "x": 1, "rz": 1, "sx": 1, "cx": 2, "cswap": 3, "reset": 1}
+_ARITY = {"h": 1, "x": 1, "rz": 1, "sx": 1, "cx": 2, "cswap": 3}
 
 
 @dataclass(frozen=True)
 class GateOp:
     """One circuit instruction.
 
-    kind is one of {h, x, rz, sx, cx, cswap, reset}; ``angle`` is used
-    only by rz, and reset only by the density-matrix executors.  cx lists
-    (control, target); cswap lists (control, a, b).
+    kind is one of the unitary gates {h, x, rz, sx, cx, cswap}; ``angle``
+    is used only by rz.  cx lists (control, target); cswap lists
+    (control, a, b).
     """
 
     kind: str
@@ -202,10 +205,6 @@ class GateOp:
     def cswap(control: int, a: int, b: int) -> "GateOp":
         return GateOp("cswap", (control, a, b))
 
-    @staticmethod
-    def reset(q: int) -> "GateOp":
-        return GateOp("reset", (q,))
-
     def shifted(self, offset: int) -> "GateOp":
         """Same op with every qubit index moved up by ``offset``."""
         return GateOp(self.kind, tuple(q + offset for q in self.qubits), self.angle)
@@ -232,11 +231,9 @@ _FIXED_GATES = {"h": H_MAT, "x": X_MAT, "sx": SX_MAT, "cx": CX_MAT, "cswap": CSW
 
 
 def _gate_matrix(op: GateOp) -> np.ndarray:
-    """The 2^k x 2^k unitary of a unitary-kind op on its listed qubits."""
+    """The 2^k x 2^k unitary of ``op`` on its listed qubits."""
     if op.kind == "rz":
         return rz_mat(op.angle)
-    if op.kind not in _FIXED_GATES:
-        raise ValueError(f"{op.kind} is not a unitary gate")
     return _FIXED_GATES[op.kind]
 
 
@@ -299,7 +296,7 @@ def kraus_map_dm(rho: DensityMatrix, qubits: Sequence[int], operators) -> Densit
 
 
 def apply_gate(state: PureState, op: GateOp) -> PureState:
-    """U|psi> for a unitary-kind op embedded on the listed qubits."""
+    """U|psi> for the op's unitary embedded on the listed qubits."""
     mat = _gate_matrix(op)
     n = state.n_qubits
     _check_qubits(n, op.qubits)
@@ -308,13 +305,12 @@ def apply_gate(state: PureState, op: GateOp) -> PureState:
 
 
 def apply_gate_dm(rho: DensityMatrix, op: GateOp) -> DensityMatrix:
-    """U rho U+ for a unitary-kind op."""
+    """U rho U+ for the op's unitary."""
     return kraus_map_dm(rho, op.qubits, (_gate_matrix(op),))
 
 
 def run_circuit(state: PureState, ops: Iterable[GateOp]) -> PureState:
-    """Apply a list of unitary-kind ops to a statevector; any other kind,
-    reset included, raises ValueError."""
+    """Apply a gate list to a statevector."""
     out = state
     for op in ops:
         out = apply_gate(out, op)
@@ -322,18 +318,15 @@ def run_circuit(state: PureState, ops: Iterable[GateOp]) -> PureState:
 
 
 def run_circuit_dm(rho: DensityMatrix, ops: Iterable[GateOp]) -> DensityMatrix:
-    """Apply a gate list to a density matrix (reset becomes its channel)."""
+    """Apply a gate list to a density matrix."""
     out = rho
     for op in ops:
-        if op.kind == "reset":
-            out = reset_qubits(out, op.qubits)
-        else:
-            out = apply_gate_dm(out, op)
+        out = apply_gate_dm(out, op)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Reset and expectation
+# Expectation
 # ---------------------------------------------------------------------------
 
 
@@ -341,21 +334,6 @@ def _bit_view(values: np.ndarray, n: int, qubit: int) -> np.ndarray:
     """A length-2^n axis as (2^qubit, 2, rest): axis 1 is ``qubit``'s bit."""
     _check_qubits(n, (qubit,))
     return values.reshape(1 << qubit, 2, -1)
-
-
-_RESET_KRAUS = (
-    np.array([[1, 0], [0, 0]], dtype=complex),   # |0><0|
-    np.array([[0, 1], [0, 0]], dtype=complex),   # |0><1|
-)
-
-
-def reset_qubits(rho: DensityMatrix, qubits: Sequence[int]) -> DensityMatrix:
-    """Force the listed qubits to |0>: the reset channel {|0><0|, |0><1|}
-    on each in turn."""
-    out = rho
-    for q in qubits:
-        out = kraus_map_dm(out, (q,), _RESET_KRAUS)
-    return out
 
 
 def expectation_z(state, qubit: int) -> float:
@@ -426,7 +404,7 @@ def lower_cswap(control: int, a: int, b: int) -> list[GateOp]:
 
 def lower_op(op: GateOp) -> list[GateOp]:
     """Express one op in the basis set; basis ops pass through unchanged."""
-    if op.kind in BASIS_KINDS or op.kind == "reset":
+    if op.kind in BASIS_KINDS:
         return [op]
     if op.kind == "h":
         return lower_h(op.qubits[0])

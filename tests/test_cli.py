@@ -85,6 +85,9 @@ class TestImportSurface:
         assert "numpy.random" in loaded
 
 
+NOISE = json.loads(NoiseModelSpec(p_dep2=0.05).to_json())
+
+
 class TestConfigValidation:
     """Bad run settings exit 1 at validation time, before any trial runs."""
 
@@ -236,6 +239,24 @@ class TestConfigValidation:
         else:
             argv = ["noise-inspect", "--noise", str(path)]
         assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("config,named", [
+        ({"method": "es", "mode": "exact", "noise": NOISE}, "mode exact does not read 'noise'"),
+        ({"method": "es", "noise": NOISE}, "mode exact does not read 'noise'"),
+        ({"method": "es", "mode": "sampled(64)", "noise": NOISE},
+         "mode sampled does not read 'noise'"),
+        ({"method": "es", "mode": "noisy(64)", "noise": None}, "'noise' is null"),
+    ], ids=["exact", "no-mode", "sampled", "noisy-null"])
+    def test_config_noise_the_mode_does_not_read(self, tmp_path, capsys, config, named):
+        """A config file follows the --noise rule: a model only under the noisy
+        mode, and null is no model, so it exits 1 instead of running without
+        noise."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "trials": 1, "max_iters": 2}))
+        out = tmp_path / "exp"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
@@ -447,6 +468,17 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--target", str(path), "--seed", "5",
                      "--max-iters", "60"])
         assert code == 0
+
+    def test_density_target_not_psd_rejected(self, tmp_path, capsys):
+        """A density matrix with a negative eigenvalue is no state: exit 1,
+        naming the eigenvalue, before any epoch runs."""
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n_qubits": 1, "kind": "density",
+                                    "re": [1.5, 0, 0, -0.5], "im": [0, 0, 0, 0]}))
+        assert main(["reconstruct", "--target", str(path), "--max-iters", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "eigenvalue -0.5" in captured.err
+        assert captured.out == ""
 
     def test_qubits_next_to_target_file_rejected(self, tmp_path, capsys):
         """A target file sets its own qubit count, so --qubits exits 1 and is

@@ -32,7 +32,7 @@ from swapfit.harness import (
     splitmix64,
     summarize_records,
 )
-from swapfit.noise import default_noise_model, noiseless_model
+from swapfit.noise import NoiseModelSpec, default_noise_model, noiseless_model
 from swapfit.prep import Representation, TargetSpec, sample_random_state, state_from_record
 from swapfit.sim import GateOp, PureState, RngStream, run_circuit, zero_state
 from swapfit.swap_test import FidelityMode, fidelity_oracle
@@ -66,9 +66,14 @@ class TestConfig:
 
     def test_json_roundtrip_noisy(self):
         cfg = ExperimentConfig(
-            method="nn", mode=FidelityMode.noisy(default_noise_model(), 128))
+            method="nn", mode=FidelityMode.noisy(NoiseModelSpec(p_dep2=0.05), 128))
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back.mode.noise == cfg.mode.noise
+
+    def test_noisy_mode_without_noise_key(self):
+        """As with --mode noisy and no --noise, the model is the default."""
+        back = ExperimentConfig.from_json('{"method": "es", "mode": "noisy(64)"}')
+        assert back.mode == FidelityMode.noisy(default_noise_model(), 64)
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

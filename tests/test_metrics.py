@@ -12,7 +12,6 @@ from swapfit.metrics import (
     bipartite_entropy,
     hs_overlap,
     uhlmann_fidelity,
-    von_neumann_entropy,
 )
 from swapfit.sim import DensityMatrix, GateOp, PureState, RngStream, run_circuit, zero_state
 from swapfit.prep import sample_random_density, sample_random_state
@@ -29,23 +28,19 @@ def ghz_state(n_qubits=3):
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        rho = sample_random_state(2, RngStream(1)).density()
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+        """Across the cut between its factors, a product of random states
+        leaves each side a pure reduced state: zero bits."""
+        rng = RngStream(1)
+        a, b = sample_random_state(1, rng), sample_random_state(2, rng)
+        psi = PureState(3, np.kron(a.amplitudes, b.amplitudes))
+        assert bipartite_entropy(psi, (0,)) == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
-        assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-12)
-
-    def test_natural_log_option(self):
-        rho = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
-        assert von_neumann_entropy(rho, natural_log=True) == pytest.approx(
-            np.log(2.0), abs=1e-12)
-
-    def test_against_eigenvalue_oracle(self):
-        rho = sample_random_density(2, RngStream(2))
-        np.testing.assert_allclose(von_neumann_entropy(rho),
-                                   oracles.entropy_bits(rho.entries),
-                                   atol=1e-10)
+        """Bell pairs on (0, 2) and (1, 3) leave qubits (0, 1) maximally
+        mixed: the 2-bit ceiling of a two-qubit side."""
+        ops = [GateOp.h(0), GateOp.cx(0, 2), GateOp.h(1), GateOp.cx(1, 3)]
+        psi = run_circuit(zero_state(4), ops)
+        assert bipartite_entropy(psi, (0, 1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_bell_partition(self):
         assert bipartite_entropy(bell_state(), (0,)) == pytest.approx(1.0,
@@ -127,4 +122,5 @@ class TestReport:
                             target_entropy=1.0, reconstructed_entropy=0.999)
         row = rep.csv_row()
         assert row.startswith("bell,2,0,")
+        assert row.endswith(",bits")
         assert EntropyReport.CSV_HEADER.startswith("circuit_id,")

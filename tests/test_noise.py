@@ -216,7 +216,6 @@ class TestModel:
         assert model.channel_for("cx").arity == 2
         assert model.channel_for("id") is None
         assert model.channel_for("measure") is None
-        assert model.channel_for("reset") is None
         assert model.channel_for("cswap") is None
 
     @pytest.mark.parametrize("kind", sorted(NOISY_KINDS))
@@ -242,7 +241,7 @@ class TestModel:
         np.testing.assert_allclose(model.gate_transfer(GateOp.x(0)),
                                    dense @ np.kron(oracles.X, oracles.X), atol=1e-15)
         with pytest.raises(ValueError, match="not a noisy basis gate"):
-            model.gate_transfer(GateOp.reset(0))
+            model.gate_transfer(GateOp.h(0))
         bare = noiseless_model()
         for op, u in ((GateOp.sx(0), oracles.SX), (GateOp.rz(0.3, 0), oracles.rz(0.3)),
                       (GateOp.cx(0, 1), oracles.cx_matrix())):
@@ -265,6 +264,25 @@ class TestModel:
         model.gate_transfer(GateOp.x(0))
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.p_bitflip = 0.3
+
+    def test_shared_arrays_read_only(self):
+        """Every executor and Estimator on a model shares its channels'
+        operators and its fused transfers, so none can be written in place;
+        a channel copies its operators, leaving the caller's writeable."""
+        model = default_noise_model()
+        shared = [*model.fused_transfers.values(), *model.single_qubit_channel.operators,
+                  *model.cx_channel.operators]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+        given = np.eye(2, dtype=complex)
+        KrausChannel(1, (given,))
+        assert given.flags.writeable
+
+    def test_channels_compare_by_identity(self):
+        a, b = bitflip_channel(0.1), bitflip_channel(0.1)
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
 
     def test_invalid_t2_rejected(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from swapfit.prep import (
     prepare_on,
     sample_random_density,
     sample_random_state,
+    state_from_record,
+    state_record,
 )
 from swapfit.sim import (
     DensityMatrix,
@@ -349,9 +351,53 @@ class TestTargetSpec:
         assert raw["n_qubits"] == 1
         assert len(raw["re"]) == 2
 
+    def test_density_not_psd_rejected(self):
+        """Hermitian with trace 1, but an eigenvalue of -0.5: no state."""
+        text = json.dumps({"n_qubits": 1, "kind": "density",
+                           "re": [1.5, 0, 0, -0.5], "im": [0, 0, 0, 0]})
+        with pytest.raises(ValueError, match="eigenvalue -0.5"):
+            TargetSpec.from_json(text)
+
     def test_qubit_cap(self):
         amps = np.zeros(2 ** (MAX_TARGET_QUBITS + 1), dtype=complex)
         amps[0] = 1.0
         with pytest.raises(ValueError):
             TargetSpec(MAX_TARGET_QUBITS + 1,
                        PureState(MAX_TARGET_QUBITS + 1, amps), seed=0)
+
+
+@st.composite
+def recorded_states(draw):
+    """A pure or density state on 1..4 qubits; a pure one has some real and
+    imaginary parts replaced by -0.0, whose sign a record must keep."""
+    n = draw(st.integers(1, 4))
+    rng = RngStream(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return sample_random_density(n, rng)
+    amps = sample_random_state(n, rng).amplitudes.copy()
+    amps.real[draw(st.lists(st.integers(0, 2**n - 1), max_size=2**n - 1))] = -0.0
+    amps.imag[draw(st.lists(st.integers(0, 2**n - 1)))] = -0.0
+    return PureState(n, amps / np.linalg.norm(amps))
+
+
+class TestStateRecord:
+    @settings(max_examples=80, deadline=None)
+    @given(state=recorded_states())
+    def test_round_trip_bit_for_bit(self, state):
+        raw = json.loads(json.dumps(state_record(state)))
+        back = state_from_record(state.n_qubits, raw)
+        assert type(back) is type(state)
+        want = state.amplitudes if isinstance(state, PureState) else state.entries
+        got = back.amplitudes if isinstance(back, PureState) else back.entries
+        assert got.tobytes() == want.tobytes()
+
+    def test_kind_absent_reads_pure(self):
+        """Target and store files written before records carried a kind still load."""
+        back = state_from_record(1, {"re": [0.6, 0.0], "im": [0.0, 0.8]})
+        assert isinstance(back, PureState)
+        assert np.array_equal(back.amplitudes, [0.6, 0.8j])
+
+    @pytest.mark.parametrize("kind", ["mixed", "Pure", None, 1])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="'kind' must be 'pure' or 'density'"):
+            state_from_record(1, {"kind": kind, "re": [1.0, 0.0], "im": [0.0, 0.0]})

@@ -27,7 +27,6 @@ from swapfit.sim import (
     lower_op,
     lower_ops,
     lower_ry,
-    reset_qubits,
     run_circuit,
     run_circuit_dm,
     zero_state,
@@ -118,11 +117,6 @@ class TestGateKernels:
             want = oracles.run_dense(amps, ops, n_qubits)
             np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
 
-    def test_statevector_rejects_reset(self):
-        """The statevector executor applies unitary ops only."""
-        with pytest.raises(ValueError, match="reset is not a unitary gate"):
-            run_circuit(zero_state(1), [GateOp.reset(0)])
-
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_density_vs_dense(self, n_qubits):
         rng = np.random.default_rng(200 + n_qubits)
@@ -211,16 +205,6 @@ class TestMeasurement:
         z = np.diag([1, -1]).astype(complex)
         want_z = np.real(np.vdot(amps, oracles.embed(z, 3, (qubit,)) @ amps))
         np.testing.assert_allclose(expectation_z(state, qubit), want_z, atol=1e-13)
-
-    def test_reset_dm_matches_measure_average(self):
-        """Kraus reset equals the outcome-averaged measure-and-flip reset."""
-        rng = np.random.default_rng(29)
-        rho = oracles.random_density_dense(2, rng)
-        out = reset_qubits(DensityMatrix(2, rho), (0,))
-        k0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        k1 = np.array([[0, 1], [0, 0]], dtype=complex)
-        want = oracles.apply_kraus_dense(rho, [k0, k1], 2, (0,))
-        np.testing.assert_allclose(out.entries, want, atol=1e-13)
 
 
 class TestLowering:
