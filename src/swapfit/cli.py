@@ -287,7 +287,10 @@ def main(argv=None) -> int:
         if "config" in vars(args):
             _check_config_alone(parser, vars(args))
         return _COMMANDS[command](args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # a path of the wrong kind (a directory given as an input file, a file
+    # as --out) is a usage error too; the OSError's message names the path
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -37,6 +37,13 @@ def check_threshold(value: float, name: str = "thresholds") -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
+def check_positive(value: float, name: str) -> None:
+    """A step size, scale or offset is positive and finite; NaN fails the
+    comparison too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def check_run_limits(max_iters: int, thresholds, name: str = "max_iters") -> None:
     """The stopping rule every optimizer shares: >= 1 epoch, distinct
     thresholds in (0, 1]."""
@@ -66,11 +73,9 @@ class ESParams:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2 (standardization needs variance)")
-        if self.sigma <= 0.0 or self.alpha <= 0.0:
-            raise ValueError("sigma and alpha must be positive")
+        for name in ("sigma", "alpha", "advantage_epsilon"):
+            check_positive(getattr(self, name), name)
         check_run_limits(self.max_iters, self.thresholds)
-        if self.advantage_epsilon <= 0.0:
-            raise ValueError("advantage_epsilon must be positive")
 
 
 @dataclass

@@ -508,7 +508,11 @@ class SnapshotStore:
 
     def new_path(self, label: str) -> Path:
         """The file a new snapshot under ``label`` goes to; ValueError if the
-        label is malformed or already taken."""
+        label is malformed or already taken, or if the store's path or the
+        nearest of its parents that exists is not a directory."""
+        existing = next(p for p in (self.root, *self.root.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"store {self.root}: {existing} is not a directory")
         if not self._LABEL_RE.match(label):
             raise ValueError(
                 f"label {label!r} must be alphanumeric with ._- separators"

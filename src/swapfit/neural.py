@@ -7,9 +7,12 @@ symmetric finite differences through the SWAP test (2 * dim extra circuit
 evaluations per epoch), and that output gradient is backpropagated through
 the network analytically.  Adam consumes the result after multiplication
 by a constant scaling factor, which compensates for the tiny magnitude of
-fidelity differences.  Weights, biases, the gradient and both Adam moments
-are each one flat vector with per-layer views; Adam walks those vectors in
-fixed-size blocks, independent of the layer edges.
+fidelity differences.  Weights and biases are one flat vector with
+per-layer views, and so is each Adam moment; Adam walks those vectors in
+fixed-size blocks, independent of the layer edges.  Backprop is fused into
+that walk: the backward pass keeps only each layer's delta, and each
+block's gradient is multiplied from the deltas into a block buffer, so no
+parameter-sized gradient is ever built.
 
 GELU's erf is a numpy port of the Cephes erf that ``scipy.special.erf``
 runs, equal to it bit for bit, so the package needs no scipy at run time.
@@ -24,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import EpochLog, TrialRecord, check_run_limits, check_threshold
+from .evolution import (
+    EpochLog,
+    TrialRecord,
+    check_positive,
+    check_run_limits,
+    check_threshold,
+)
 from .prep import Representation, TargetSpec
 from .sim import RngStream
 from .swap_test import Estimator, FidelityMode, score_candidate
@@ -32,11 +41,13 @@ from .swap_test import Estimator, FidelityMode, score_candidate
 N_WEIGHT_LAYERS = 6
 HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
 # Elements per Adam block: 512 KiB per float64 operand, about nine blocks for
-# the reference network.  Each block costs fifteen numpy calls, between which
-# the trial threads hand the GIL over; on nn-exact with two trial threads on
-# two CPUs, 64K blocks beat 16K blocks in 10 of 10 alternated pairs (median
-# 2.56 against 2.15 trials/s, BENCH_block_values.json).  One whole-vector
-# block falls out of cache.
+# the reference network.  Each block costs the products that fill its
+# gradient (a few per layer it covers) and fifteen numpy calls, between
+# which the trial threads hand the GIL over; on nn-exact with two trial
+# threads on two CPUs, 64K blocks beat 16K blocks in 10 of 10 alternated
+# pairs (median 2.56 against 2.15 trials/s, BENCH_block_values.json,
+# measured before the gradient was fused in).  One whole-vector block falls
+# out of cache.
 ADAM_BLOCK = 65536
 # Coordinates per finite-difference probe block (2*FD_BLOCK probe rows).  At
 # the largest output, density on 6 qubits (dim 8192), one block's probes and
@@ -68,16 +79,10 @@ class GeneratorConfig:
             raise ValueError("layer widths must be strictly positive")
         if self.latent_dim <= 0:
             raise ValueError("latent_dim must be positive")
-        if self.fd_epsilon <= 0.0:
-            raise ValueError("fd_epsilon must be positive")
-        if self.scaling_factor <= 0.0:
-            raise ValueError("scaling_factor must be positive")
-        if not self.learning_rate > 0.0:  # also rejects NaN
-            raise ValueError("learning_rate must be positive")
+        for name in ("fd_epsilon", "scaling_factor", "learning_rate", "adam_epsilon"):
+            check_positive(getattr(self, name), name)
         if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
             raise ValueError(f"adam_betas must be two values in [0, 1), got {self.adam_betas}")
-        if not self.adam_epsilon > 0.0:
-            raise ValueError("adam_epsilon must be positive")
         check_run_limits(self.max_epochs, self.thresholds, "max_epochs")
         check_threshold(self.stop_threshold, "stop_threshold")
 
@@ -265,8 +270,7 @@ def fd_gradient(losses_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
     maps them to their losses in row order, so stochastic losses draw in the
     order of one probe at a time and peak memory is O(FD_BLOCK * dim).
     """
-    if fd_epsilon <= 0.0:
-        raise ValueError("fd_epsilon must be positive")
+    check_positive(fd_epsilon, "fd_epsilon")
     raw = np.asarray(raw, dtype=float)
     dim = raw.shape[0]
     grad = np.empty(dim)
@@ -288,43 +292,63 @@ def fd_gradient(losses_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
     return grad
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 output_gradient: np.ndarray) -> np.ndarray:
-    """Reverse-mode chain rule from the raw-output gradient to all parameters.
+def _fill_gradient(out: np.ndarray, lo: int, params: MlpParams, deltas: list,
+                   acts: list) -> None:
+    """Write elements lo .. lo + out.size of the flat gradient into ``out``.
 
-    Returns one flat gradient laid out like ``params.theta``; each layer's
-    outer product is written straight into its view.
+    Layer k's gradient, laid out like its slice of theta, is the row-major
+    outer(deltas[k], acts[k]) followed by deltas[k].  Whole rows take
+    ``np.outer``'s own product, delta[rows, None] * a, and a row the block
+    cuts takes the same product on its part, so every element has the bits
+    ``np.outer`` gives it.
+    """
+    hi = lo + out.shape[0]
+    for (rows, cols), sl, d, a in zip(params.shapes, params.slices, deltas, acts):
+        pos, end = max(lo, sl.start) - sl.start, min(hi, sl.stop) - sl.start
+        if pos >= end:
+            continue
+        shift, n_w = sl.start - lo, rows * cols
+        w_end = min(end, n_w)
+        while pos < w_end:  # a cut row's tail, whole rows, a cut row's head
+            r, c = divmod(pos, cols)
+            n_rows = (w_end - pos) // cols if c == 0 else 0
+            stop = pos + n_rows * cols if n_rows else min(w_end, (r + 1) * cols)
+            piece = out[pos + shift:stop + shift]
+            if n_rows:
+                np.multiply(d[r:r + n_rows, None], a, out=piece.reshape(n_rows, cols))
+            else:
+                np.multiply(d[r], a[c:c + stop - pos], out=piece)
+            pos = stop
+        if end > n_w:  # the bias gradient is delta itself
+            out[pos + shift:end + shift] = d[pos - n_w:end - n_w]
+
+
+def adam_step(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
+              config: GeneratorConfig) -> MlpParams:
+    """Backprop fused into the in-place Adam update: no gradient vector.
+
+    The backward pass keeps only each layer's delta (the loss gradient at
+    its pre-activation), all taken from the pre-update weights.  Adam then
+    walks theta, m and v in blocks of ``ADAM_BLOCK`` elements, ignoring
+    layer edges, through two block-sized buffers (g, tmp) that stay in
+    cache: each block's gradient is multiplied from the deltas and the
+    cached activations straight into g, then scaled by scaling_factor and
+    run through Adam's passes.  The bits are those of the full gradient
+    fed to a flat Adam step.
     """
     if cache is None:
-        raise ValueError("mlp_backward requires the ForwardCache from mlp_forward")
+        raise ValueError("adam_step requires the ForwardCache from mlp_forward")
     delta = np.asarray(output_gradient, dtype=float)
     if delta.shape != (params.weights[-1].shape[0],):
         raise ValueError(
             f"output gradient shape {delta.shape} does not match "
             f"output width {params.weights[-1].shape[0]}"
         )
-    grad = np.empty_like(params.theta)
-    dW, db = params.layers(grad)
-    n_layers = len(params.weights)
-    for k in range(n_layers - 1, -1, -1):
-        if k < n_layers - 1:
-            delta = delta * gelu_grad(cache.pre_activations[k], cache.erfs[k])
-        np.outer(delta, cache.activations[k], out=dW[k])
-        db[k][...] = delta
-        if k > 0:
-            delta = params.weights[k].T @ delta
-    return grad
-
-
-def adam_step(params: MlpParams, grads: np.ndarray, config: GeneratorConfig) -> MlpParams:
-    """In-place Adam update; gradients are scaled by scaling_factor first.
-
-    The update is elementwise, so it walks the flat vectors in blocks of
-    ``ADAM_BLOCK`` elements, ignoring layer edges, through two block-sized
-    buffers (g, tmp) that stay in cache across the block's fifteen passes.
-    """
-    if grads.shape != params.theta.shape:
-        raise ValueError(f"gradient shape {grads.shape} does not match {params.theta.shape}")
+    deltas = [delta]
+    for k in range(len(params.weights) - 1, 0, -1):
+        delta = (params.weights[k].T @ delta) * gelu_grad(cache.pre_activations[k - 1],
+                                                         cache.erfs[k - 1])
+        deltas.insert(0, delta)
     b1, b2 = config.adam_betas
     lr, eps, s = config.learning_rate, config.adam_epsilon, config.scaling_factor
     params.step += 1
@@ -336,7 +360,8 @@ def adam_step(params: MlpParams, grads: np.ndarray, config: GeneratorConfig) -> 
         sl = slice(lo, min(lo + ADAM_BLOCK, size))
         p, m, v = params.theta[sl], params.m[sl], params.v[sl]
         g, tmp = g_buf[: sl.stop - lo], tmp_buf[: sl.stop - lo]
-        np.multiply(s, grads[sl], out=g)
+        _fill_gradient(g, lo, params, deltas, cache.activations)
+        g *= s
         np.multiply(1.0 - b1, g, out=tmp)
         m *= b1
         m += tmp
@@ -367,8 +392,9 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
     """Train until the stop threshold or max_epochs; returns the best state.
 
     Per epoch: draw the latent, forward, decode, score through
-    the SWAP signal, finite-difference the loss on the raw output, backprop,
-    Adam.  The 2*dim probes are decoded one block of rows at a time into
+    the SWAP signal, finite-difference the loss on the raw output, then
+    backprop and Adam in one fused step.  The 2*dim probes are decoded one
+    block of rows at a time into
     one array, and the trial's ``Estimator`` takes each block's values in
     one call, a few array operations with no state object per probe (in
     noisy mode the block's noisy preparations are one stack); each probe is
@@ -409,8 +435,7 @@ def train_generator(target: TargetSpec, config: GeneratorConfig,
             if log.record(epoch, f, state):
                 break
             g_out = fd_gradient(losses_at, raw, config.fd_epsilon)
-            # inline, so each epoch's gradient is freed before the next is built
-            params = adam_step(params, mlp_backward(params, cache, g_out), config)
+            params = adam_step(params, cache, g_out, config)
         except Exception as exc:
             raise RuntimeError(f"training failed at epoch {epoch}") from exc
     record = log.finish(target, representation, mode, rng, trial_id)

@@ -3,12 +3,14 @@
 Everything in here is deliberately naive: dense matrices, explicit loops,
 no shared code with the package internals.  Slow is fine; these only run
 inside the test suite, and disagreement with the package is always a bug
-in exactly one of the two routes.  Two exceptions use package code: the
+in exactly one of the two routes.  Three exceptions use package code: the
 Mottonen reference, which emits the package's own GateOp records (RY
 lowered by sim.lower_ry) so that its ops compare with the package's field
-by field; and the loop forms of the channel algebra and of M_psi, which
-the package's stacked forms must match bit for bit, so they keep the
-package's earlier operations in their earlier order.
+by field; the loop forms of the channel algebra and of M_psi; and the
+unfused MLP backward pass and flat-gradient Adam step (on the package's
+gelu_grad and ADAM_BLOCK), which ``neural.adam_step`` fuses.  The package's
+stacked and fused forms must match the last two bit for bit, so they keep
+the package's earlier operations in their earlier order.
 """
 
 import math
@@ -18,6 +20,8 @@ import numpy as np
 from scipy.linalg import sqrtm
 from scipy.sparse import csr_matrix
 
+from swapfit import neural
+from swapfit.neural import gelu_grad
 from swapfit.noise import apply_superop_dm, prepare_dm_noisy
 from swapfit.sim import GateOp, lower_ops, lower_ry
 
@@ -290,6 +294,74 @@ def es_update_naive(w, sigma, alpha, perturbations, advantages):
     return out
 
 
+def mlp_backward(params, cache, output_gradient):
+    """Reverse-mode chain rule from the raw-output gradient to all parameters.
+
+    Returns one flat gradient laid out like ``params.theta``; each layer's
+    outer product is written straight into its view.  The backward pass the
+    package ran before ``neural.adam_step`` took it in.
+    """
+    if cache is None:
+        raise ValueError("mlp_backward requires the ForwardCache from mlp_forward")
+    delta = np.asarray(output_gradient, dtype=float)
+    if delta.shape != (params.weights[-1].shape[0],):
+        raise ValueError(
+            f"output gradient shape {delta.shape} does not match "
+            f"output width {params.weights[-1].shape[0]}"
+        )
+    grad = np.empty_like(params.theta)
+    dW, db = params.layers(grad)
+    n_layers = len(params.weights)
+    for k in range(n_layers - 1, -1, -1):
+        if k < n_layers - 1:
+            delta = delta * gelu_grad(cache.pre_activations[k], cache.erfs[k])
+        np.outer(delta, cache.activations[k], out=dW[k])
+        db[k][...] = delta
+        if k > 0:
+            delta = params.weights[k].T @ delta
+    return grad
+
+
+def adam_step(params, grads, config):
+    """In-place Adam update from a flat gradient; gradients are scaled by
+    scaling_factor first.
+
+    The flat-gradient step the package ran before it fused backprop in: it
+    walks the flat vectors in blocks of ``neural.ADAM_BLOCK`` elements,
+    ignoring layer edges, through two block-sized buffers (g, tmp).
+    """
+    if grads.shape != params.theta.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match {params.theta.shape}")
+    b1, b2 = config.adam_betas
+    lr, eps, s = config.learning_rate, config.adam_epsilon, config.scaling_factor
+    params.step += 1
+    t = params.step
+    size = params.theta.shape[0]
+    step = neural.ADAM_BLOCK
+    block = min(step, size)
+    g_buf, tmp_buf = np.empty(block), np.empty(block)
+    for lo in range(0, size, step):
+        sl = slice(lo, min(lo + step, size))
+        p, m, v = params.theta[sl], params.m[sl], params.v[sl]
+        g, tmp = g_buf[: sl.stop - lo], tmp_buf[: sl.stop - lo]
+        np.multiply(s, grads[sl], out=g)
+        np.multiply(1.0 - b1, g, out=tmp)
+        m *= b1
+        m += tmp
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, 1.0 - b2**t, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, 1.0 - b1**t, out=g)  # m_hat
+        g *= lr
+        g /= tmp
+        p -= g
+    return params
+
+
 def adam_naive(layers, grads, m, v, t, *, lr, betas, eps, scale):
     """One Adam step over separate per-layer arrays, updated in place.
 
@@ -309,8 +381,8 @@ def adam_naive(layers, grads, m, v, t, *, lr, betas, eps, scale):
 def adam_layer_slices(params, grads, *, lr, betas, eps, scale):
     """One Adam step over an MlpParams, one layer slice at a time.
 
-    The slice-wise form the blocked ``adam_step`` replaced: the same ufunc
-    sequence per element, so the two must agree bit for bit.
+    The slice-wise form the blocked ``adam_step`` above replaced: the same
+    ufunc sequence per element, so the two must agree bit for bit.
     """
     b1, b2 = betas
     params.step += 1

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, one printed verdict each.
 
 The first eight criteria are deterministic properties and must pass exactly.
-The statistical block (9-14) is a desk-scale check with 20 seeded trials per
-setting (full-scale studies use 100-1000 trials), so its epoch bands are wide.
+The statistical block (9-15) is a desk-scale check with 20 seeded trials per
+setting (5 and 10 seeds per preset in 14 and 15; full-scale studies use
+100-1000 trials), so its epoch bands are wide.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 """
@@ -453,3 +454,37 @@ def test_criterion_14_known_state_presets():
         ok = ok and worst is not None and worst <= 10
         lines.append(f"{name}: worst {worst} epochs")
     assert _verdict(14, ok, "; ".join(lines) + " (each <=10)")
+
+
+def test_criterion_15_known_state_presets_under_noise():
+    """The paper's hardware check (|0>, |1>, |+> within three optimization
+    steps), under the default noise model at 1024 shots.  Each preset's
+    median first epoch whose reading reaches 0.99 * c(psi) must be <= 10,
+    with c from criterion 11's slow path; a run that never reaches it in 30
+    epochs counts as never.  The oracle fidelity after three epochs is
+    reported, not asserted: at these seeds it does not reach 0.99 for every
+    run, so the three-step claim is not reproduced under this noise model."""
+    model = default_noise_model()
+    mode = FidelityMode.noisy(model, shots=1024)
+    lines = []
+    ok = True
+    for name in ("zero", "one", "hadamard"):
+        target = preset_target(name, 1)
+        c = _noisy_identical_reading(target.state, model)
+        firsts, after_three = [], []
+        for s in range(10):
+            seed = derive_seed(777, s)
+            trace = reconstruct(target, method="es", mode=mode, seed=seed,
+                                max_iters=30)["record"].fidelity_trace
+            hits = [e for e, f in enumerate(trace, start=1) if f >= 0.99 * c]
+            firsts.append(hits[0] if hits else np.inf)
+            after_three.append(reconstruct(target, method="es", mode=mode, seed=seed,
+                                           max_iters=3)["record"].oracle_fidelity)
+        median = float(np.median(firsts))
+        ok = ok and median <= 10
+        lines.append(
+            f"{name}: c={c:.4f}, median first epoch {median:g} (<=10), "
+            f"oracle fidelity after 3 epochs {min(after_three):.3f}..{max(after_three):.3f} "
+            f"(median {float(np.median(after_three)):.3f})"
+        )
+    assert _verdict(15, ok, "; ".join(lines))

@@ -43,6 +43,33 @@ class TestExitCodes:
                      "--noise", "none"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv,named", [
+        (["run", "--config", "DIR", "--out", "OUT"], "DIR"),
+        (["run", "--mode", "noisy", "--noise", "DIR", "--out", "OUT"], "DIR"),
+        (["reconstruct", "--target", "DIR"], "DIR"),
+        (["entropy-report", "--traces", "DIR"], "DIR"),
+        (["noise-inspect", "--noise", "DIR"], "DIR"),
+        (["run", "--out", "FILE"], "FILE"),
+        (["reconstruct", "--target", "zero", "--store", "FILE"], "FILE"),
+    ], ids=["run-config", "run-noise", "reconstruct-target", "entropy-traces",
+            "inspect-noise", "run-out", "reconstruct-store"])
+    def test_path_of_the_wrong_kind(self, tmp_path, capsys, monkeypatch, argv, named):
+        """A directory given as an input file, or a file as a directory,
+        exits 1 naming the path, before any trial or epoch runs."""
+        paths = {"DIR": tmp_path / "dir", "FILE": tmp_path / "file", "OUT": tmp_path / "out"}
+        paths["DIR"].mkdir()
+        paths["FILE"].write_text("")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an optimization ran")
+
+        monkeypatch.setattr(harness, "_optimize", no_run)
+        assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert str(paths[named]) in captured.err
+        assert captured.out == ""
+        assert not paths["OUT"].exists()
+
 
 class TestModuleEntryPoint:
     """``python -m swapfit`` runs the CLI from a checkout, no install needed."""

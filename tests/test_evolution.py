@@ -42,6 +42,14 @@ class TestParams:
         with pytest.raises(ValueError):
             ESParams(max_iters=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+    @pytest.mark.parametrize("field", ["sigma", "alpha", "advantage_epsilon"])
+    def test_non_finite_or_nonpositive_scale_rejected(self, field, value):
+        """NaN fails ``x <= 0`` as well as ``x > 0``; each field must be
+        positive and finite, and the error names it."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ESParams(**{field: value})
+
     def test_duplicate_thresholds_rejected(self):
         """Each threshold is one results.csv column and one EpochLog key."""
         with pytest.raises(ValueError, match="distinct"):

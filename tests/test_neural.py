@@ -21,7 +21,6 @@ from swapfit.neural import (
     gelu_erf,
     gelu_grad,
     init_mlp,
-    mlp_backward,
     mlp_forward,
     train_generator,
 )
@@ -86,6 +85,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config(1, Representation.STATEVECTOR, **overrides)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("field", ["fd_epsilon", "scaling_factor", "learning_rate",
+                                       "adam_epsilon"])
+    def test_non_finite_or_zero_scale_rejected(self, field, value):
+        """NaN fails ``x <= 0`` as well as ``x > 0``; each field must be
+        positive and finite, and the error names it."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            default_config(1, Representation.STATEVECTOR, **{field: value})
+
     @pytest.mark.parametrize("value", [0.0, -1.0, 1.5, float("nan")])
     def test_bad_stop_threshold_rejected(self, value):
         """0 would stop every trial at epoch 1; 1.5 and NaN would never stop."""
@@ -137,7 +145,7 @@ class TestInitAndForward:
         for W, b in zip(params.weights, params.biases):
             assert np.shares_memory(W, params.theta) and np.shares_memory(b, params.theta)
         before = [W.copy() for W in params.weights]
-        adam_step(params, np.ones_like(params.theta), cfg)
+        oracles.adam_step(params, np.ones_like(params.theta), cfg)
         for k, W in enumerate(params.weights):
             assert np.all(W < before[k])
 
@@ -381,7 +389,7 @@ class TestBackward:
             return float(np.sum((out - target) ** 2))
 
         out, cache = mlp_forward(params, z, return_cache=True)
-        grads = mlp_backward(params, cache, 2.0 * (out - target))
+        grads = oracles.mlp_backward(params, cache, 2.0 * (out - target))
         assert grads.shape == params.theta.shape
         grad_w, grad_b = params.layers(grads)
 
@@ -403,24 +411,35 @@ class TestBackward:
                                                atol=1e-6)
 
     def test_requires_cache(self):
-        params = init_mlp(tiny_config(), RngStream(11))
+        cfg = tiny_config()
+        params = init_mlp(cfg, RngStream(11))
         with pytest.raises(ValueError):
-            mlp_backward(params, None, np.zeros(4))
+            oracles.mlp_backward(params, None, np.zeros(4))
+        with pytest.raises(ValueError, match="ForwardCache"):
+            adam_step(params, None, np.zeros(4), cfg)
+        assert params.step == 0
 
     def test_output_gradient_shape_checked(self):
-        params = init_mlp(tiny_config(), RngStream(12))
+        cfg = tiny_config()
+        params = init_mlp(cfg, RngStream(12))
         _, cache = mlp_forward(params, np.zeros(7), return_cache=True)
         with pytest.raises(ValueError):
-            mlp_backward(params, cache, np.zeros(9))
+            oracles.mlp_backward(params, cache, np.zeros(9))
+        with pytest.raises(ValueError, match="output gradient shape"):
+            adam_step(params, cache, np.zeros(9), cfg)
+        assert params.step == 0
 
 
 class TestAdam:
+    """The flat-gradient Adam step in ``oracles``, the reference the fused
+    ``adam_step`` is held to, and what a step in the package allocates."""
+
     def test_single_step_closed_form(self):
         """First step moves by lr * sign-ish rule with bias correction."""
         cfg = tiny_config()
         params = init_mlp(cfg, RngStream(13))
         w_before = [W.copy() for W in params.weights]
-        adam_step(params, np.ones_like(params.theta), cfg)
+        oracles.adam_step(params, np.ones_like(params.theta), cfg)
         assert params.step == 1
         b1, b2 = cfg.adam_betas
         gs = cfg.scaling_factor * 1.0
@@ -437,16 +456,16 @@ class TestAdam:
         pa = init_mlp(cfg_a, RngStream(14))
         pb = init_mlp(cfg_b, RngStream(14))
         grads = RngStream(15).gen.normal(size=pa.theta.shape)
-        adam_step(pa, grads, cfg_a)
-        adam_step(pb, grads, cfg_b)
+        oracles.adam_step(pa, grads, cfg_a)
+        oracles.adam_step(pb, grads, cfg_b)
         np.testing.assert_allclose(pa.weights[0], pb.weights[0], atol=1e-6)
 
     def test_moments_accumulate(self):
         cfg = tiny_config()
         params = init_mlp(cfg, RngStream(16))
         grads = np.ones_like(params.theta)
-        adam_step(params, grads, cfg)
-        adam_step(params, grads, cfg)
+        oracles.adam_step(params, grads, cfg)
+        oracles.adam_step(params, grads, cfg)
         assert params.step == 2
         assert params.m.min() > 0
 
@@ -454,7 +473,7 @@ class TestAdam:
         cfg = tiny_config()
         params = init_mlp(cfg, RngStream(19))
         with pytest.raises(ValueError):
-            adam_step(params, np.ones(3), cfg)
+            oracles.adam_step(params, np.ones(3), cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -475,7 +494,7 @@ class TestAdam:
         v = [np.zeros_like(a) for a in layers]
         for t in range(1, steps + 1):
             grads = gen.normal(size=theta.shape)
-            adam_step(params, grads, cfg)
+            oracles.adam_step(params, grads, cfg)
             gw, gb = params.layers(grads)
             oracles.adam_naive(
                 layers, [g for pair in zip(gw, gb) for g in pair], m, v, t,
@@ -489,14 +508,15 @@ class TestAdam:
 
     @staticmethod
     def _run_both(shapes, steps, cfg, gen):
-        """``steps`` Adam steps through adam_step and through the layer-slice
-        oracle, from one theta and one gradient sequence."""
+        """``steps`` Adam steps through the flat-gradient ``oracles.adam_step``
+        and through the layer-slice oracle, from one theta and one gradient
+        sequence."""
         theta = gen.normal(size=sum(r * c + r for r, c in shapes))
         mine = MlpParams(shapes, theta=theta.copy())
         ref = MlpParams(shapes, theta=theta.copy())
         for _ in range(steps):
             grads = gen.normal(size=theta.shape)
-            adam_step(mine, grads, cfg)
+            oracles.adam_step(mine, grads, cfg)
             oracles.adam_layer_slices(
                 ref, grads, lr=cfg.learning_rate, betas=cfg.adam_betas,
                 eps=cfg.adam_epsilon, scale=cfg.scaling_factor,
@@ -538,19 +558,77 @@ class TestAdam:
         self._assert_bit_identical(mine, ref)
 
     def test_temporaries_stay_block_sized(self):
-        """A warm step allocates two block buffers, not layer-sized arrays."""
+        """A warm fused step allocates two block buffers and the layer
+        deltas, and no parameter-sized gradient (567,240 elements here)."""
         cfg = default_config(2, Representation.STATEVECTOR)
         params = init_mlp(cfg, RngStream(23))
-        grads = RngStream(24).gen.normal(size=params.theta.shape)
-        adam_step(params, grads, cfg)
+        z = RngStream(24).gen.random(cfg.latent_dim)
+        _, cache = mlp_forward(params, z, return_cache=True)
+        g_out = RngStream(25).gen.normal(size=cfg.output_dim)
+        adam_step(params, cache, g_out, cfg)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            adam_step(params, grads, cfg)
+            adam_step(params, cache, g_out, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * neural.ADAM_BLOCK + 64 * 1024
+        # numpy's ufunc iterator buffers a broadcast product, np.outer's too:
+        # two operands of np.getbufsize() elements
+        ufunc_buffers = 2 * 8 * np.getbufsize()
+        assert peak <= (2 * 8 * neural.ADAM_BLOCK + 8 * sum(cfg.layer_widths)
+                        + ufunc_buffers + 64 * 1024)
+
+
+class TestFusedStep:
+    """``adam_step`` against the unfused reference it replaced:
+    ``oracles.mlp_backward``'s flat gradient fed to ``oracles.adam_step``."""
+
+    @staticmethod
+    def _run_both(shapes, steps, cfg, gen):
+        """``steps`` forward passes and updates, each through the fused step
+        and through the reference, from one theta, latent and output
+        gradient sequence."""
+        theta = gen.normal(size=sum(r * c + r for r, c in shapes))
+        mine = MlpParams(shapes, theta=theta.copy())
+        ref = MlpParams(shapes, theta=theta.copy())
+        for _ in range(steps):
+            z = gen.normal(size=shapes[0][1])
+            g_out = gen.normal(size=shapes[-1][0])
+            _, cache = mlp_forward(mine, z, return_cache=True)
+            _, ref_cache = mlp_forward(ref, z, return_cache=True)
+            adam_step(mine, cache, g_out, cfg)
+            oracles.adam_step(ref, oracles.mlp_backward(ref, ref_cache, g_out), cfg)
+        return mine, ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=3, max_size=6),
+        steps=st.integers(1, 6),
+        block=st.sampled_from(["1", "3", "7", "row+1", "size-1", "size", "size+1"]),
+        scaling=st.sampled_from([1.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_backward_then_adam(self, widths, steps, block, scaling, seed):
+        """Bit for bit, whether blocks cut rows (a first-layer row and one
+        element more), cut layers or cover the whole vector."""
+        shapes = list(zip(widths[1:], widths[:-1]))
+        size = sum(r * c + r for r, c in shapes)
+        n_block = {"1": 1, "3": 3, "7": 7, "row+1": widths[0] + 1, "size-1": size - 1,
+                   "size": size, "size+1": size + 1}[block]
+        cfg = tiny_config(scaling_factor=scaling, learning_rate=1e-2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "ADAM_BLOCK", n_block)
+            mine, ref = self._run_both(shapes, steps, cfg, np.random.default_rng(seed))
+        TestAdam._assert_bit_identical(mine, ref)
+
+    def test_default_shape(self):
+        """The nn-exact architecture: several real blocks, each layer's rows
+        and biases split across them."""
+        cfg = default_config(2, Representation.STATEVECTOR)
+        shapes = init_mlp(cfg, RngStream(26)).shapes
+        mine, ref = self._run_both(shapes, 3, cfg, np.random.default_rng(27))
+        TestAdam._assert_bit_identical(mine, ref)
 
 
 class TestTrainGenerator:
