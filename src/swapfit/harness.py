@@ -15,9 +15,9 @@ two trial threads (2 vCPUs, 30 trials at n=1..3, exact mode, traced) the
 process used 1.03 CPU-seconds per wall second and each trial waited 44%
 of its wall time, so the trials took 0.203 s of summed wall time against
 0.088 s inline, where they wait 0.05%.  An MLP trial spends most of its
-time in Adam's 64K-element blocks and the backward pass's outer products,
-which release the lock for long stretches, so its trials do overlap on a
-pool.
+time in the Adam step's chunks of whole rows, about 64K elements each,
+whose products and updates release the lock for long stretches, so its
+trials do overlap on a pool.
 """
 
 from __future__ import annotations
@@ -342,6 +342,8 @@ def _outcomes(work, jobs, threads: int):
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Execute every trial, write results.csv + summary.json + traces.json.
 
+    An output name that exists as anything but a regular file (a directory,
+    say) is rejected before the first trial; regular files are rewritten.
     Per-trial failures are recorded in the summary and the run continues.
     ES trials run one after another in the calling thread: on a pool they
     spend about half their wall time waiting for the interpreter lock (see
@@ -356,6 +358,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("results.csv", "summary.json", "traces.json"):
+        if (out / name).exists() and not (out / name).is_file():
+            raise ValueError(f"{out / name} exists and is not a regular file")
     lo, hi = config.qubit_range
     jobs = []
     index = 0

@@ -8,10 +8,10 @@ evaluations per epoch), and that output gradient is backpropagated through
 the network analytically.  Adam consumes the result after multiplication
 by a constant scaling factor, which compensates for the tiny magnitude of
 fidelity differences.  Weights and biases are one flat vector with
-per-layer views, and so is each Adam moment; Adam walks those vectors in
-fixed-size blocks, independent of the layer edges.  Backprop is fused into
-that walk: the backward pass keeps only each layer's delta, and each
-block's gradient is multiplied from the deltas into a block buffer, so no
+per-layer views, and so is each Adam moment.  Backprop and Adam are one
+reverse walk over the layers: each layer first hands its delta down to
+the layer below, then updates its own rows in chunks, each chunk's
+gradient multiplied from the delta into a chunk-sized buffer, so no
 parameter-sized gradient is ever built.
 
 GELU's erf is a numpy port of the Cephes erf that ``scipy.special.erf``
@@ -40,14 +40,14 @@ from .swap_test import Estimator, FidelityMode, score_candidate
 
 N_WEIGHT_LAYERS = 6
 HIDDEN_WIDTHS = (512, 512, 256, 128, 64)
-# Elements per Adam block: 512 KiB per float64 operand, about nine blocks for
-# the reference network.  Each block costs the products that fill its
-# gradient (a few per layer it covers) and fifteen numpy calls, between
-# which the trial threads hand the GIL over; on nn-exact with two trial
-# threads on two CPUs, 64K blocks beat 16K blocks in 10 of 10 alternated
-# pairs (median 2.56 against 2.15 trials/s, BENCH_block_values.json,
-# measured before the gradient was fused in).  One whole-vector block falls
-# out of cache.
+# Elements per Adam chunk, rounded down to whole rows (one row at least),
+# with the bias riding on a layer's last chunk: in the reference network,
+# 256 rows of 256 inputs or 128 rows of 512, about 512 KiB per float64
+# operand.  Each chunk costs one product and fifteen numpy calls, between
+# which the trial threads hand the GIL over.  With two trial threads on two
+# CPUs, 128K chunks lost to 64K in 8 of 10 alternated pairs on each MLP
+# workload (BENCH_row_walk.json), and 64K beat 16K in 10 of 10 before the
+# gradient was fused in (BENCH_block_values.json).
 ADAM_BLOCK = 65536
 # Coordinates per finite-difference probe block (2*FD_BLOCK probe rows).  At
 # the largest output, density on 6 qubits (dim 8192), one block's probes and
@@ -292,49 +292,21 @@ def fd_gradient(losses_at, raw: np.ndarray, fd_epsilon: float) -> np.ndarray:
     return grad
 
 
-def _fill_gradient(out: np.ndarray, lo: int, params: MlpParams, deltas: list,
-                   acts: list) -> None:
-    """Write elements lo .. lo + out.size of the flat gradient into ``out``.
-
-    Layer k's gradient, laid out like its slice of theta, is the row-major
-    outer(deltas[k], acts[k]) followed by deltas[k].  Whole rows take
-    ``np.outer``'s own product, delta[rows, None] * a, and a row the block
-    cuts takes the same product on its part, so every element has the bits
-    ``np.outer`` gives it.
-    """
-    hi = lo + out.shape[0]
-    for (rows, cols), sl, d, a in zip(params.shapes, params.slices, deltas, acts):
-        pos, end = max(lo, sl.start) - sl.start, min(hi, sl.stop) - sl.start
-        if pos >= end:
-            continue
-        shift, n_w = sl.start - lo, rows * cols
-        w_end = min(end, n_w)
-        while pos < w_end:  # a cut row's tail, whole rows, a cut row's head
-            r, c = divmod(pos, cols)
-            n_rows = (w_end - pos) // cols if c == 0 else 0
-            stop = pos + n_rows * cols if n_rows else min(w_end, (r + 1) * cols)
-            piece = out[pos + shift:stop + shift]
-            if n_rows:
-                np.multiply(d[r:r + n_rows, None], a, out=piece.reshape(n_rows, cols))
-            else:
-                np.multiply(d[r], a[c:c + stop - pos], out=piece)
-            pos = stop
-        if end > n_w:  # the bias gradient is delta itself
-            out[pos + shift:end + shift] = d[pos - n_w:end - n_w]
-
-
 def adam_step(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray,
               config: GeneratorConfig) -> MlpParams:
     """Backprop fused into the in-place Adam update: no gradient vector.
 
-    The backward pass keeps only each layer's delta (the loss gradient at
-    its pre-activation), all taken from the pre-update weights.  Adam then
-    walks theta, m and v in blocks of ``ADAM_BLOCK`` elements, ignoring
-    layer edges, through two block-sized buffers (g, tmp) that stay in
-    cache: each block's gradient is multiplied from the deltas and the
-    cached activations straight into g, then scaled by scaling_factor and
-    run through Adam's passes.  The bits are those of the full gradient
-    fed to a flat Adam step.
+    One reverse walk over the layers, from the output layer down to layer
+    0.  At layer k it first takes the next delta (the loss gradient at
+    layer k-1's pre-activation) from W_k's weights before the update, then
+    runs Adam over W_k and b_k in chunks of whole rows, ``ADAM_BLOCK //
+    cols`` rows (at least one) per chunk, with b_k riding on the layer's
+    last chunk.  Each chunk's gradient, np.outer's product of its rows of
+    delta_k with the cached activation a_k and then delta_k itself for the
+    bias, is multiplied straight into a buffer g that stays in cache with
+    its partner tmp; it is then scaled by scaling_factor and run through
+    Adam's passes.  The bits are those of the full gradient fed to a flat
+    Adam step.
     """
     if cache is None:
         raise ValueError("adam_step requires the ForwardCache from mlp_forward")
@@ -344,38 +316,45 @@ def adam_step(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarra
             f"output gradient shape {delta.shape} does not match "
             f"output width {params.weights[-1].shape[0]}"
         )
-    deltas = [delta]
-    for k in range(len(params.weights) - 1, 0, -1):
-        delta = (params.weights[k].T @ delta) * gelu_grad(cache.pre_activations[k - 1],
-                                                         cache.erfs[k - 1])
-        deltas.insert(0, delta)
     b1, b2 = config.adam_betas
     lr, eps, s = config.learning_rate, config.adam_epsilon, config.scaling_factor
     params.step += 1
     t = params.step
-    size = params.theta.shape[0]
-    block = min(ADAM_BLOCK, size)
+    # room for any chunk: a chunk's worth of rows, or all of them, and the bias
+    block = max(min(max(1, ADAM_BLOCK // cols), rows) * cols + rows
+                for rows, cols in params.shapes)
     g_buf, tmp_buf = np.empty(block), np.empty(block)
-    for lo in range(0, size, ADAM_BLOCK):
-        sl = slice(lo, min(lo + ADAM_BLOCK, size))
-        p, m, v = params.theta[sl], params.m[sl], params.v[sl]
-        g, tmp = g_buf[: sl.stop - lo], tmp_buf[: sl.stop - lo]
-        _fill_gradient(g, lo, params, deltas, cache.activations)
-        g *= s
-        np.multiply(1.0 - b1, g, out=tmp)
-        m *= b1
-        m += tmp
-        np.multiply(1.0 - b2, g, out=tmp)
-        tmp *= g
-        v *= b2
-        v += tmp
-        np.divide(v, 1.0 - b2**t, out=tmp)  # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        np.divide(m, 1.0 - b1**t, out=g)  # m_hat
-        g *= lr
-        g /= tmp
-        p -= g
+    for k in range(len(params.shapes) - 1, -1, -1):
+        (rows, cols), start, d = params.shapes[k], params.slices[k].start, delta
+        if k > 0:
+            delta = (params.weights[k].T @ d) * gelu_grad(cache.pre_activations[k - 1],
+                                                          cache.erfs[k - 1])
+        step = max(1, ADAM_BLOCK // cols)
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            n_w, bias = (r1 - r0) * cols, rows if r1 == rows else 0
+            lo = start + r0 * cols
+            sl = slice(lo, lo + n_w + bias)
+            p, m, v = params.theta[sl], params.m[sl], params.v[sl]
+            g, tmp = g_buf[: n_w + bias], tmp_buf[: n_w + bias]
+            np.multiply(d[r0:r1, None], cache.activations[k],
+                        out=g[:n_w].reshape(r1 - r0, cols))
+            g[n_w:] = d[:bias]
+            g *= s
+            np.multiply(1.0 - b1, g, out=tmp)
+            m *= b1
+            m += tmp
+            np.multiply(1.0 - b2, g, out=tmp)
+            tmp *= g
+            v *= b2
+            v += tmp
+            np.divide(v, 1.0 - b2**t, out=tmp)  # v_hat
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, 1.0 - b1**t, out=g)  # m_hat
+            g *= lr
+            g /= tmp
+            p -= g
     return params
 
 

@@ -71,6 +71,35 @@ class TestExitCodes:
         assert not paths["OUT"].exists()
 
 
+    @pytest.mark.parametrize("name", ["results.csv", "summary.json", "traces.json"])
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, monkeypatch, name):
+        """An output path that is not a regular file exits 1 naming it
+        before any trial runs, and no other output file is written."""
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an optimization ran")
+
+        monkeypatch.setattr(harness, "_optimize", no_run)
+        argv = ["run", "--method", "es", "--qubits", "1", "--trials", "3", "--out", str(out)]
+        assert main(argv) == 1
+        assert str(out / name) in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_output_files_are_rewritten(self, tmp_path):
+        """Regular files under the output names are overwritten, not rejected."""
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("results.csv", "summary.json", "traces.json"):
+            (out / name).write_text("old\n")
+        argv = ["run", "--method", "es", "--qubits", "1", "--trials", "1",
+                "--max-iters", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "results.csv").read_text().startswith("trial_id,")
+        assert json.loads((out / "summary.json").read_text())["failures"] == []
+
+
 class TestModuleEntryPoint:
     """``python -m swapfit`` runs the CLI from a checkout, no install needed."""
 

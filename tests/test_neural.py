@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -34,6 +34,22 @@ def tiny_config(out_dim=4, **overrides):
     """A shrunken architecture so oracle comparisons stay cheap."""
     return GeneratorConfig(layer_widths=(6, 5, 5, 4, 3, out_dim), latent_dim=7,
                            **overrides)
+
+
+BLOCK_CASES = ("under-row", "uneven", "one-layer", "size", "size+1")
+
+
+def block_for(case, shapes):
+    """The ADAM_BLOCK that gives ``adam_step`` the chunks ``case`` names, on
+    a network of ``shapes`` whose layer L has the most rows (r rows of c):
+    one row per chunk in every layer (1 element, less than any row wider
+    than 1); chunks of r - 1 rows in L, which do not divide r once r >= 3;
+    all of L in one chunk (L's length); every layer in one chunk (the
+    vector's length, and one more)."""
+    size = sum(r * c + r for r, c in shapes)
+    rows, cols = max(shapes)
+    return {"under-row": 1, "uneven": max(1, rows - 1) * cols,
+            "one-layer": rows * cols + rows, "size": size, "size+1": size + 1}[case]
 
 
 class TestConfig:
@@ -533,16 +549,16 @@ class TestAdam:
     @given(
         widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
         steps=st.integers(1, 6),
-        block=st.sampled_from(["1", "3", "7", "size-1", "size", "size+1"]),
+        block=st.sampled_from(BLOCK_CASES),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_block_edges_change_nothing(self, widths, steps, block, seed):
-        """Blocks that cut through layers, or cover the whole vector, give
-        the same bits as the layer-slice loop."""
+        """The oracle's flat blocks cut rows and layers anywhere; at each
+        ADAM_BLOCK that ``TestFusedStep`` gives the fused step, they give
+        the same bits as the layer-slice loop, so the fused step's row
+        chunks are held to that loop too."""
         shapes = list(zip(widths[1:], widths[:-1]))
-        size = sum(r * c + r for r, c in shapes)
-        n_block = {"1": 1, "3": 3, "7": 7, "size-1": size - 1,
-                   "size": size, "size+1": size + 1}[block]
+        n_block = block_for(block, shapes)
         cfg = tiny_config(learning_rate=1e-2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neural, "ADAM_BLOCK", n_block)
@@ -558,8 +574,9 @@ class TestAdam:
         self._assert_bit_identical(mine, ref)
 
     def test_temporaries_stay_block_sized(self):
-        """A warm fused step allocates two block buffers and the layer
-        deltas, and no parameter-sized gradient (567,240 elements here)."""
+        """A warm fused step allocates two buffers of its largest chunk (128
+        rows of 512 and a bias of 512) and two layer deltas at a time, and
+        no parameter-sized gradient (567,240 elements here)."""
         cfg = default_config(2, Representation.STATEVECTOR)
         params = init_mlp(cfg, RngStream(23))
         z = RngStream(24).gen.random(cfg.latent_dim)
@@ -603,19 +620,19 @@ class TestFusedStep:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        widths=st.lists(st.integers(1, 6), min_size=3, max_size=6),
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=7),
         steps=st.integers(1, 6),
-        block=st.sampled_from(["1", "3", "7", "row+1", "size-1", "size", "size+1"]),
+        block=st.sampled_from(BLOCK_CASES),
         scaling=st.sampled_from([1.0, 100.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_backward_then_adam(self, widths, steps, block, scaling, seed):
-        """Bit for bit, whether blocks cut rows (a first-layer row and one
-        element more), cut layers or cover the whole vector."""
+        """Bit for bit, on networks of one to six layers, whether a chunk is
+        one row, leaves a shorter last chunk, holds exactly one layer or
+        every layer whole."""
         shapes = list(zip(widths[1:], widths[:-1]))
-        size = sum(r * c + r for r, c in shapes)
-        n_block = {"1": 1, "3": 3, "7": 7, "row+1": widths[0] + 1, "size-1": size - 1,
-                   "size": size, "size+1": size + 1}[block]
+        assume(block != "uneven" or max(shapes)[0] >= 3)
+        n_block = block_for(block, shapes)
         cfg = tiny_config(scaling_factor=scaling, learning_rate=1e-2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neural, "ADAM_BLOCK", n_block)
@@ -623,8 +640,8 @@ class TestFusedStep:
         TestAdam._assert_bit_identical(mine, ref)
 
     def test_default_shape(self):
-        """The nn-exact architecture: several real blocks, each layer's rows
-        and biases split across them."""
+        """The nn-exact architecture at the real ADAM_BLOCK: eleven chunks,
+        the three widest layers each split into two or four of them."""
         cfg = default_config(2, Representation.STATEVECTOR)
         shapes = init_mlp(cfg, RngStream(26)).shapes
         mine, ref = self._run_both(shapes, 3, cfg, np.random.default_rng(27))
