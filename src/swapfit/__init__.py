@@ -5,7 +5,8 @@ The package is organized along the reconstruction pipeline:
 * sim: statevector/density-matrix substrate on one axis-transpose matmul kernel
 * prep: random targets, Mottonen synthesis, parameter-vector decoding, and
   the JSON state record (``state_record``/``state_from_record``)
-* noise: calibrated Kraus channels and noisy executors
+* noise: calibrated Kraus channels, the noisy Mottonen preparation and
+  the SWAP gadget's noisy tensors
 * swap_test: the fidelity estimator circuit, the only feedback signal
 * evolution: gradient-free population optimizer
 * neural: MLP generator trained by finite differences through the estimator
@@ -50,7 +51,6 @@ from .swap_test import (
     FidelityMode,
     fidelity_oracle,
     score_candidate,
-    swap_test_exact,
 )
 
 __version__ = "0.1.0"

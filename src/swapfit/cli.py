@@ -234,6 +234,11 @@ def _cmd_entropy_report(args) -> int:
             f"skipped {len(report['skipped_single_qubit'])} single-qubit circuit(s) "
             "(no bipartition)"
         )
+    if report["skipped_density"]:
+        print(
+            f"skipped {len(report['skipped_density'])} density record(s) "
+            "(the report takes pure-state records)"
+        )
     return 0
 
 

@@ -553,15 +553,18 @@ def entropy_report(pairs) -> dict:
     """Target-vs-reconstruction entanglement entropies across each
     register's ``default_partition``.
 
-    ``pairs`` is a list of (circuit_id, target PureState, solution
-    PureState); single-qubit circuits carry no bipartition and are skipped
-    with a note.
+    ``pairs`` is a list of (circuit_id, target, solution).  The report
+    takes pure states: a pair with a DensityMatrix side, and a single-qubit
+    circuit, which carries no bipartition, are skipped with a note.  A list
+    of density pairs alone leaves nothing to report, and is a ValueError.
     """
     if not pairs:
         raise ValueError("no reconstruction artifacts to report on")
-    reports = []
-    skipped = []
+    reports, skipped, density = [], [], []
     for circuit_id, target, solution in pairs:
+        if not (isinstance(target, PureState) and isinstance(solution, PureState)):
+            density.append(circuit_id)
+            continue
         if target.n_qubits < 2:
             skipped.append(circuit_id)
             continue
@@ -575,17 +578,21 @@ def entropy_report(pairs) -> dict:
                 reconstructed_entropy=bipartite_entropy(solution, part),
             )
         )
+    if len(density) == len(pairs):
+        raise ValueError(f"the entropy report takes pure-state records; all {len(pairs)} "
+                         "record(s) have a density side")
     deltas = [abs(r.target_entropy - r.reconstructed_entropy) for r in reports]
     return {
         "reports": reports,
         "max_abs_delta": max(deltas) if deltas else 0.0,
         "skipped_single_qubit": skipped,
+        "skipped_density": density,
     }
 
 
 def entropy_pairs_from_traces(traces_path) -> list:
-    """Rebuild (id, target, solution) pure-state pairs from a traces.json;
-    an entry with a density side gives no pair."""
+    """Rebuild one (id, target, solution) pair per record of a traces.json;
+    each side is a PureState or, for a density record, a DensityMatrix."""
     path = Path(traces_path)
     if not path.exists():
         raise FileNotFoundError(f"missing reconstruction artifacts: {path}")
@@ -604,8 +611,7 @@ def entropy_pairs_from_traces(traces_path) -> list:
             t, s = (state_from_record(n, side) for side in sides)
         except ValueError as exc:
             raise ValueError(f"{path}: {circuit_id}: {exc}") from exc
-        if isinstance(t, PureState) and isinstance(s, PureState):
-            pairs.append((circuit_id, t, s))
+        pairs.append((circuit_id, t, s))
     return pairs
 
 

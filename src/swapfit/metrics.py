@@ -23,10 +23,6 @@ import numpy as np
 
 from .sim import DensityMatrix, PureState
 
-# Ceiling on the success of state discrimination through SWAP-test readings
-SWAP_DISCRIMINATION_BOUND = 0.75
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """Entanglement-entropy comparison for one reconstructed circuit."""

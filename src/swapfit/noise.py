@@ -15,9 +15,10 @@ that stack: one broadcast multiply or one stacked matmul, then an in-order
 sum over the stack, which has the bits of the one-operator-at-a-time loop.
 The noisy executor fuses each basis gate with its channel into one
 transfer matrix and applies that on the listed qubits.
-``run_circuit_dm_noisy`` does so for any lowered op list;
 ``prepare_dm_noisy`` does so for a stack of Mottonen preparations
-straight from their compiled template, without building ops.  There rz's
+straight from their compiled template, without building ops; the tests
+hold it to an op-by-op executor over any lowered op list, which lives in
+``tests/oracles.py``.  There rz's
 own transfer matrix is a phase, so each rz multiplies every row by its own
 phases and then applies the channel's transfer matrix, shared by all rows.
 A trial's ``swap_test.Estimator`` prepares a whole ES population or MLP
@@ -42,13 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from .sim import (
+    BASIS_KINDS,
     CX_MAT,
     SX_MAT,
     TOL,
     X_MAT,
-    DensityMatrix,
     GateOp,
-    _check_qubits,
     apply_on_axes,
     dm_axes,
     lower_ops,
@@ -222,7 +222,6 @@ def apply_superop_dm(entries: np.ndarray, n_qubits: int, qubits: Sequence[int],
 # The calibrated model
 # ---------------------------------------------------------------------------
 
-NOISY_KINDS = frozenset({"rz", "sx", "x", "cx"})
 _RZ_PHASE = np.array([0.0, -1j, 1j, 0.0])
 
 
@@ -334,7 +333,7 @@ class NoiseModelSpec:
 
     def channel_for(self, kind: str) -> KrausChannel | None:
         """Channel attached after a gate of this kind, or None if noiseless."""
-        if self.is_noiseless or kind not in NOISY_KINDS:
+        if self.is_noiseless or kind not in BASIS_KINDS:
             return None
         if kind == "cx":
             return self.cx_channel
@@ -394,44 +393,18 @@ def default_noise_model() -> NoiseModelSpec:
     return NoiseModelSpec()
 
 
-def noiseless_model() -> NoiseModelSpec:
-    return NoiseModelSpec(p_bitflip=0.0, p_dep1=0.0, p_dep2=0.0, t_gate_ns=0.0)
-
-
 # ---------------------------------------------------------------------------
-# Noisy executors
+# Noisy preparation
 # ---------------------------------------------------------------------------
-
-
-def run_circuit_dm_noisy(rho: DensityMatrix, ops, model: NoiseModelSpec) -> DensityMatrix:
-    """Density-matrix evolution with the model's channel after each gate.
-
-    Each noisy gate is one pass over the density matrix: its fused transfer
-    matrix ``model.gate_transfer(op)`` (channel after unitary) is applied
-    in a single ``apply_superop_dm`` call.  The op list must already be
-    lowered to {rz, sx, x, cx}; anything else is rejected so noise cannot
-    silently skip a gate.
-    """
-    out = rho
-    for op in ops:
-        if op.kind not in model.fused_transfers:
-            raise ValueError(
-                f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"
-            )
-        s = model.gate_transfer(op)
-        n = out.n_qubits
-        _check_qubits(n, op.qubits)  # before the index reaches an axis permutation
-        out = DensityMatrix(n, apply_superop_dm(out.entries, n, op.qubits, s), check=False)
-    return out
 
 
 def prepare_dm_noisy(amplitudes: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
     """The noisy Mottonen preparation from |0...0> of each row of ``amplitudes``.
 
     ``amplitudes`` is a (rows, 2^n) matrix; the result is the (rows, 2^n,
-    2^n) stack of density matrices.  Row r equals
-    ``run_circuit_dm_noisy(zero_state(n).density(), mottonen_circuit(state_r),
-    model)``, but no op is built: the stack is one density tensor with a
+    2^n) stack of density matrices.  Row r equals the noisy evolution of
+    |0...0><0...0| through ``mottonen_circuit(state_r)``, one fused transfer
+    per op, but no op is built: the stack is one density tensor with a
     trailing row axis, run straight through ``mottonen_template(n)``.  Every
     gate applies one of the model's ``fused_transfers`` to all rows at
     once; an rz first multiplies each row by its own phases (see

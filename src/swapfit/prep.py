@@ -176,16 +176,6 @@ def sample_random_state(n_qubits: int, rng: RngStream) -> PureState:
     return PureState(n_qubits, amps / norm, check=False)
 
 
-def sample_random_density(n_qubits: int, rng: RngStream) -> DensityMatrix:
-    """Draw a full-rank random mixed state via rho = L L+ / Tr(L L+)."""
-    if not 1 <= n_qubits <= MAX_TARGET_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_TARGET_QUBITS}], got {n_qubits}")
-    d = 2**n_qubits
-    L = rng.gen.normal(size=(d, d)) + 1j * rng.gen.normal(size=(d, d))
-    rho = L @ L.conj().T
-    return DensityMatrix(n_qubits, rho / rho.trace(), check=False)
-
-
 # ---------------------------------------------------------------------------
 # Mottonen state preparation
 # ---------------------------------------------------------------------------

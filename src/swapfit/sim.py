@@ -6,8 +6,11 @@ state |q0 q1 q2> = |011> sits at amplitude index 0b011 = 3, and qubit 0
 owns the bitmask ``1 << 2``, so in a Kronecker product ``np.kron(a, b)``
 the first factor ``a`` takes the lower (more significant) qubit indices.
 
-Every gate kind is unitary, so both executors, ``run_circuit`` and
-``run_circuit_dm``, run any gate list; channels come from ``noise``.
+Every gate kind is unitary.  Circuits are built as ``GateOp`` lists and
+lowered to the hardware basis {rz, sx, x, cx}; no gate list is executed op
+by op here.  The readings run from the compiled Mottonen template and the
+SWAP gadget's tensors (``noise``), and the op-by-op executors that the tests
+hold them to live in ``tests/oracles.py``, on this module's kernel.
 
 One kernel, ``apply_on_axes``, multiplies every gate, Kraus operator and
 transfer matrix into a register: the register is a (2,)*m tensor, the
@@ -147,6 +150,18 @@ class DensityMatrix:
         return f"DensityMatrix(n_qubits={self.n_qubits})"
 
 
+def zero_state(n: int) -> PureState:
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    return PureState(n, amps, check=False)
+
+
+def basis_state(n: int, index: int) -> PureState:
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return PureState(n, amps, check=False)
+
+
 # ---------------------------------------------------------------------------
 # Gate vocabulary
 # ---------------------------------------------------------------------------
@@ -210,31 +225,12 @@ class GateOp:
         return GateOp(self.kind, tuple(q + offset for q in self.qubits), self.angle)
 
 
-H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+# the noisy basis gates' unitaries, which ``NoiseModelSpec.fused_transfers`` fuses
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 SX_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 CX_MAT = np.array(  # control is the first listed qubit, the more significant bit
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-CSWAP_MAT = np.eye(8, dtype=complex)  # control first: swaps |101> and |110>
-CSWAP_MAT[[5, 6]] = CSWAP_MAT[[6, 5]]
-
-
-def rz_mat(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-    )
-
-
-_FIXED_GATES = {"h": H_MAT, "x": X_MAT, "sx": SX_MAT, "cx": CX_MAT, "cswap": CSWAP_MAT}
-
-
-def _gate_matrix(op: GateOp) -> np.ndarray:
-    """The 2^k x 2^k unitary of ``op`` on its listed qubits."""
-    if op.kind == "rz":
-        return rz_mat(op.angle)
-    return _FIXED_GATES[op.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +241,6 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
 # for a density matrix the n row axes followed by the n column axes.  Every
 # gate, Kraus operator and transfer matrix reaches a register through
 # ``apply_on_axes``.
-
-
-def _check_qubits(n: int, qubits: Sequence[int]) -> None:
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubit(s)")
 
 
 def dm_axes(n: int, qubits: Sequence[int]) -> tuple:
@@ -279,85 +269,6 @@ def apply_on_axes(t: np.ndarray, axes: tuple, mat: np.ndarray) -> np.ndarray:
     forward, back = _axis_order(t.ndim, axes)
     out = mat @ t.transpose(forward).reshape(mat.shape[1], -1)
     return out.reshape(t.shape).transpose(back)
-
-
-def kraus_map_dm(rho: DensityMatrix, qubits: Sequence[int], operators) -> DensityMatrix:
-    """rho -> sum_K K rho K+ with each K on ``qubits``: K on the row axes,
-    then conj(K) on the column axes."""
-    n = rho.n_qubits
-    _check_qubits(n, qubits)
-    t = rho.entries.reshape((2,) * (2 * n))
-    rows, cols = tuple(qubits), tuple(n + q for q in qubits)
-    acc = None
-    for K in operators:
-        term = apply_on_axes(apply_on_axes(t, rows, K), cols, K.conj())
-        acc = term if acc is None else acc + term
-    return DensityMatrix(n, acc.reshape(rho.entries.shape), check=False)
-
-
-def apply_gate(state: PureState, op: GateOp) -> PureState:
-    """U|psi> for the op's unitary embedded on the listed qubits."""
-    mat = _gate_matrix(op)
-    n = state.n_qubits
-    _check_qubits(n, op.qubits)
-    t = apply_on_axes(state.amplitudes.reshape((2,) * n), op.qubits, mat)
-    return PureState(n, t.reshape(-1), check=False)
-
-
-def apply_gate_dm(rho: DensityMatrix, op: GateOp) -> DensityMatrix:
-    """U rho U+ for the op's unitary."""
-    return kraus_map_dm(rho, op.qubits, (_gate_matrix(op),))
-
-
-def run_circuit(state: PureState, ops: Iterable[GateOp]) -> PureState:
-    """Apply a gate list to a statevector."""
-    out = state
-    for op in ops:
-        out = apply_gate(out, op)
-    return out
-
-
-def run_circuit_dm(rho: DensityMatrix, ops: Iterable[GateOp]) -> DensityMatrix:
-    """Apply a gate list to a density matrix."""
-    out = rho
-    for op in ops:
-        out = apply_gate_dm(out, op)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Expectation
-# ---------------------------------------------------------------------------
-
-
-def _bit_view(values: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    """A length-2^n axis as (2^qubit, 2, rest): axis 1 is ``qubit``'s bit."""
-    _check_qubits(n, (qubit,))
-    return values.reshape(1 << qubit, 2, -1)
-
-
-def expectation_z(state, qubit: int) -> float:
-    """Exact <Z> on one qubit (+1 for |0>, -1 for |1>); no sampling."""
-    if isinstance(state, PureState):
-        probs = np.abs(state.amplitudes) ** 2
-    elif isinstance(state, DensityMatrix):
-        probs = np.real(np.diagonal(state.entries))
-    else:
-        raise TypeError(f"unsupported state type {type(state)}")
-    p0 = float(np.sum(_bit_view(probs, state.n_qubits, qubit)[:, 0]))
-    return 2.0 * p0 - 1.0
-
-
-def zero_state(n: int) -> PureState:
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    return PureState(n, amps, check=False)
-
-
-def basis_state(n: int, index: int) -> PureState:
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return PureState(n, amps, check=False)
 
 
 # ---------------------------------------------------------------------------

